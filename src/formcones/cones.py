@@ -1,18 +1,22 @@
 """Rational polyhedral cones with exact double-description conversion.
 
-A cone is stored through up to four vector lists: the generators or
-halfspace normals it was built from, and the canonical minimal
-representations derived from them.  Canonical form means: primitive
-vectors, a lineality space (or implied-equality space on the facet side)
-stored as plus/minus pairs of a reduced-echelon basis, pointed rays
+A cone is described on two sides: the V side (lineality space and pointed
+generators) and the H side (implied-equality space and proper facet
+normals).  It is built from vectors on one side and holds the canonical
+pair of each side once computed.  Canonical form means: primitive
+vectors, the lineality (or implied-equality) space stored as a
+reduced-echelon basis and listed as plus/minus pairs, pointed vectors
 reduced modulo that space, everything sorted lexicographically.  Two
 equal cones therefore compare equal structurally.
 
 The single conversion primitive is :func:`_polar`, an incremental double
-description pass: minimal generators of ``{x : <a, x> >= 0}``.  Both
-directions of ``dd_convert`` are instances of it, because the minimal
-generators of the dual cone are exactly the irredundant facet normals of
-the primal one.
+description pass: minimal generators of ``{x : <a, x> >= 0}``.  Run over
+the given vectors, it yields the canonical pair of the other side, since
+the minimal generators of the dual cone are exactly the irredundant facet
+normals of the primal one.  It also returns its final incidence, the
+tight input rows of each output vector, from which :func:`_read_back`
+recovers the canonical pair of the given side without a second pass.  So
+each cone runs at most one pass.
 """
 
 from __future__ import annotations
@@ -58,12 +62,17 @@ def _bit_indices(mask: int):
         i += 1
 
 
-def _polar(normals: Sequence[Vec], d: int) -> tuple[Mat, Mat]:
-    """Minimal generators of ``{x in Q^d : <a, x> >= 0 for all a}``.
+def _polar(normals: Sequence[Vec], d: int
+           ) -> tuple[tuple[Mat, Mat], tuple[Mat, tuple[int, ...]]]:
+    """One double-description pass over ``{x in Q^d : <a, x> >= 0 for all a}``.
 
-    Returns ``(lineality_basis, rays)`` in canonical form.  Constraints are
-    processed in lexicographic order; adjacency of rays is decided by the
-    algebraic rank test (tight constraints of both rays must have rank
+    Returns ``((lineality_basis, rays), (rows, masks))``.  The first pair
+    is the canonical minimal generator set.  The second is the pass's
+    final incidence: ``rows`` are the input normals made primitive,
+    deduplicated and sorted, and ``masks[j]`` has bit ``i`` set exactly
+    when ``rows[i]`` is tight on ``rays[j]``.  Constraints are processed
+    in lexicographic order; adjacency of rays is decided by the algebraic
+    rank test (tight constraints of both rays must have rank
     ``d - dim lineality - 2``), never by the combinatorial shortcut.
     """
     rows = sorted({primitive(a) for a in normals if any(a)})
@@ -140,12 +149,46 @@ def _polar(normals: Sequence[Vec], d: int) -> tuple[Mat, Mat]:
         rays = out
 
     lin_basis = row_space_basis(lin, width=d)
-    reduced: set[Vec] = set()
-    for r, _ in rays:
+    tight: dict[Vec, int] = {}
+    for r, mask in rays:
         rr = reduce_mod_rowspace(r, lin_basis)
         if rr is not None:
-            reduced.add(rr)
-    return tuple(sorted(lin_basis)), tuple(sorted(reduced))
+            tight[rr] = mask
+    pointed = tuple(sorted(tight))
+    return ((tuple(sorted(lin_basis)), pointed),
+            (tuple(rows), tuple(tight[r] for r in pointed)))
+
+
+def _read_back(rows: Mat, masks: Sequence[int], d: int) -> tuple[Mat, Mat]:
+    """Canonical pair of a pass's input side, from its final incidence.
+
+    ``(rows, masks)`` is the second value :func:`_polar` returns.  The rows
+    tight on every output vector span the input side's lineality (or
+    implied-equality) space.  Every output vector is extreme, so the face
+    a further row cuts out is fixed by its zero set over the output
+    vectors, and that face is maximal (a facet, or an extreme ray on the
+    generator side) exactly when the zero set is maximal among all rows'.
+    Rows with the same zero set agree modulo the space up to a positive
+    factor, so one row per zero set is reduced.  No rank is computed.
+    """
+    everywhere = (1 << len(rows)) - 1
+    for mask in masks:
+        everywhere &= mask
+    basis = row_space_basis([rows[i] for i in _bit_indices(everywhere)], width=d)
+    zero_sets = [0] * len(rows)
+    for j, mask in enumerate(masks):
+        for i in _bit_indices(mask & ~everywhere):
+            zero_sets[i] |= 1 << j
+    first: dict[int, int] = {}
+    for i, zeros in enumerate(zero_sets):
+        if not everywhere >> i & 1:
+            first.setdefault(zeros, i)
+    maximal: list[int] = []
+    for zeros in sorted(first, key=int.bit_count, reverse=True):
+        if all(zeros & big != zeros for big in maximal):
+            maximal.append(zeros)
+    pointed = {reduce_mod_rowspace(rows[first[z]], basis) for z in maximal}
+    return tuple(sorted(basis)), tuple(sorted(pointed))
 
 
 def _merge_pairs(lineality: Mat, pointed: Mat) -> Mat:
@@ -171,99 +214,74 @@ def _validated(vectors: Iterable[Sequence[int]], d: int, what: str) -> Mat:
     return tuple(sorted(out))
 
 
+# The two sides of a cone, as indices into ``Cone._pairs``.
+_V, _H = 0, 1
+
+
 class Cone:
     """A rational polyhedral cone in a fixed ambient rank.
 
     Build instances through :func:`cone_from_rays` or
-    :func:`cone_from_halfspaces`.  The canonical minimal representations
-    are computed lazily and cached; ``rays`` and ``facets`` list the
-    lineality (respectively implied-equality) space as plus/minus pairs
-    alongside the pointed generators (respectively proper facets).
+    :func:`cone_from_halfspaces`.  A cone keeps the vectors it was built
+    from, tagged with their side, and the canonical pair of each side,
+    filled lazily.  The first request runs one :func:`_polar` pass over
+    the given vectors, which yields the other side's pair; the given
+    side's pair is read back from that pass's incidence only when it is
+    first asked for.  ``rays`` and ``facets`` list the lineality
+    (respectively implied-equality) space as plus/minus pairs alongside
+    the pointed generators (respectively proper facets).
     """
 
-    __slots__ = (
-        "ambient_rank",
-        "_gen_rays",
-        "_given_normals",
-        "_vdata",
-        "_hdata",
-        "_dim",
-    )
+    __slots__ = ("ambient_rank", "_given", "_pairs", "_incidence")
 
-    def __init__(self, ambient_rank: int, *, gen_rays=None, given_normals=None,
-                 vdata=None, hdata=None):
+    def __init__(self, ambient_rank: int, *, given=None, pairs=(None, None)):
         if ambient_rank < 1:
             raise ValueError("ambient rank must be at least 1")
         self.ambient_rank = ambient_rank
-        self._gen_rays = gen_rays
-        self._given_normals = given_normals
-        self._vdata = vdata
-        self._hdata = hdata
-        self._dim = None
+        self._given = given
+        self._pairs = list(pairs)
+        self._incidence = None
 
     # -- representation plumbing -----------------------------------------
 
+    def _pair(self, side: int) -> tuple[Mat, Mat]:
+        """Canonical pair of one side: (lineality, rays) or (equalities, facets)."""
+        if self._pairs[side] is None:
+            given_side, vectors = self._given
+            if self._pairs[1 - given_side] is None:
+                self._pairs[1 - given_side], self._incidence = _polar(
+                    vectors, self.ambient_rank)
+            if side == given_side:
+                self._pairs[side] = _read_back(*self._incidence,
+                                               self.ambient_rank)
+                self._incidence = None
+        return self._pairs[side]
+
     def _halfspace_list(self) -> Mat:
         """Some valid list of defining normals (not necessarily minimal)."""
-        if self._given_normals is not None:
-            return self._given_normals
-        lin, facets = self._hpair()
-        return _merge_pairs(lin, facets)
-
-    def _vpair(self) -> tuple[Mat, Mat]:
-        """Canonical (lineality basis, pointed rays)."""
-        if self._vdata is None:
-            if self._given_normals is not None:
-                self._vdata = _polar(self._given_normals, self.ambient_rank)
-            else:
-                lin, facets = self._hpair()
-                self._vdata = _polar(_merge_pairs(lin, facets), self.ambient_rank)
-        return self._vdata
-
-    def _hpair(self) -> tuple[Mat, Mat]:
-        """Canonical (implied-equality basis, proper facet normals)."""
-        if self._hdata is None:
-            if self._gen_rays is not None:
-                self._hdata = _polar(self._gen_rays, self.ambient_rank)
-            else:
-                lin, rays = self._vpair()
-                self._hdata = _polar(_merge_pairs(lin, rays), self.ambient_rank)
-        return self._hdata
+        if self._given is not None and self._given[0] == _H:
+            return self._given[1]
+        return _merge_pairs(*self._pair(_H))
 
     # -- public views ----------------------------------------------------
 
     @property
     def rays(self) -> Mat:
         """Canonical minimal generators (lineality as plus/minus pairs)."""
-        lin, pointed = self._vpair()
-        return _merge_pairs(lin, pointed)
+        return _merge_pairs(*self._pair(_V))
 
     @property
     def facets(self) -> Mat:
         """Canonical irredundant facet normals (equalities as pairs)."""
-        lin, facets = self._hpair()
-        return _merge_pairs(lin, facets)
+        return _merge_pairs(*self._pair(_H))
 
     @property
     def lineality_dim(self) -> int:
-        if self._vdata is not None:
-            return len(self._vdata[0])
-        # The lineality space is the kernel of any defining normal list.
-        if self._given_normals is not None:
-            return self.ambient_rank - rank(self._given_normals)
-        return len(self._vpair()[0])
+        return len(self._pair(_V)[0])
 
     @property
     def dim(self) -> int:
-        if self._dim is None:
-            if self._hdata is not None:
-                self._dim = self.ambient_rank - len(self._hdata[0])
-            elif self._gen_rays is not None:
-                self._dim = rank(self._gen_rays)
-            else:
-                lin, pointed = self._vpair()
-                self._dim = len(lin) + rank(pointed)
-        return self._dim
+        return self.ambient_rank - len(self._pair(_H)[0])
 
     @property
     def is_pointed(self) -> bool:
@@ -289,8 +307,8 @@ class Cone:
             raise DimensionMismatch(
                 f"point of length {len(v)} in ambient rank {self.ambient_rank}"
             )
-        lin, facets = self._hpair()
-        if lin:
+        eqs, facets = self._pair(_H)
+        if eqs:
             return False
         return all(sum(a * b for a, b in zip(n, v)) > 0 for n in facets)
 
@@ -305,14 +323,12 @@ class Cone:
 
     def __repr__(self) -> str:
         parts = [f"ambient_rank={self.ambient_rank}"]
-        if self._vdata is not None:
-            parts.append(f"rays={len(self.rays)}")
-        elif self._gen_rays is not None:
-            parts.append(f"generators={len(self._gen_rays)}")
-        if self._hdata is not None:
-            parts.append(f"facets={len(self.facets)}")
-        elif self._given_normals is not None:
-            parts.append(f"normals={len(self._given_normals)}")
+        for side, name, given_name in ((_V, "rays", "generators"),
+                                       (_H, "facets", "normals")):
+            if self._pairs[side] is not None:
+                parts.append(f"{name}={len(_merge_pairs(*self._pairs[side]))}")
+            elif self._given is not None and self._given[0] == side:
+                parts.append(f"{given_name}={len(self._given[1])}")
         return f"Cone({', '.join(parts)})"
 
 
@@ -323,7 +339,7 @@ def cone_from_rays(ambient_rank: int, rays: Iterable[Sequence[int]]) -> Cone:
     zero cone.
     """
     gens = _validated(rays, ambient_rank, "ray")
-    return Cone(ambient_rank, gen_rays=gens)
+    return Cone(ambient_rank, given=(_V, gens))
 
 
 def cone_from_halfspaces(ambient_rank: int,
@@ -334,7 +350,7 @@ def cone_from_halfspaces(ambient_rank: int,
     the canonical facet list prunes them.
     """
     ns = _validated(normals, ambient_rank, "normal")
-    return Cone(ambient_rank, given_normals=ns)
+    return Cone(ambient_rank, given=(_H, ns))
 
 
 def dd_convert(c: Cone) -> Cone:
@@ -343,8 +359,8 @@ def dd_convert(c: Cone) -> Cone:
     Idempotent: the canonical lists depend only on the cone, not on how it
     was described.
     """
-    c._vpair()
-    c._hpair()
+    c._pair(_V)
+    c._pair(_H)
     return c
 
 
@@ -355,10 +371,7 @@ def dual(c: Cone) -> Cone:
     the rays of ``c`` are its facet normals, equality/lineality roles
     exchanged.  Hence ``dual(dual(c)) == c`` on canonical forms.
     """
-    dd_convert(c)
-    lin, pointed = c._vpair()
-    eqs, facets = c._hpair()
-    return Cone(c.ambient_rank, vdata=(eqs, facets), hdata=(lin, pointed))
+    return Cone(c.ambient_rank, pairs=(c._pair(_H), c._pair(_V)))
 
 
 def intersect(a: Cone, b: Cone) -> Cone:
@@ -368,7 +381,7 @@ def intersect(a: Cone, b: Cone) -> Cone:
             f"ambient ranks {a.ambient_rank} and {b.ambient_rank} differ"
         )
     normals = set(a._halfspace_list()) | set(b._halfspace_list())
-    return Cone(a.ambient_rank, given_normals=tuple(sorted(normals)))
+    return Cone(a.ambient_rank, given=(_H, tuple(sorted(normals))))
 
 
 def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
@@ -379,7 +392,7 @@ def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
     ``ambient_rank - 1``.  A failure raises :class:`InternalError`, since
     the canonical rays are extremal by construction.
     """
-    lin, pointed = c._vpair()
+    lin, pointed = c._pair(_V)
     if lin:
         raise NotPointed(
             f"cone has lineality dimension {len(lin)}; extremal rays are "
@@ -412,7 +425,7 @@ def interior_point(c: Cone) -> Vec:
         raise NotFullDimensional(
             f"cone has dimension {c.dim} in ambient rank {c.ambient_rank}"
         )
-    _, pointed = c._vpair()
+    _, pointed = c._pair(_V)
     if not pointed:
         return (0,) * c.ambient_rank
     total = tuple(sum(col) for col in zip(*pointed))

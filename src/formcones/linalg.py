@@ -83,7 +83,7 @@ def rank(rows: Iterable[Sequence[int]]) -> int:
 
 
 def _rref(rows: Sequence[Sequence[int]], width: int):
-    """Reduced row echelon form over the rationals.
+    """Reduced row echelon form over the rationals (for :func:`kernel_basis`).
 
     Returns ``(pivots, reduced)`` where ``reduced`` holds Fraction rows with
     leading entry 1 and zeros above and below each pivot.
@@ -162,15 +162,42 @@ def row_space_basis(rows: Sequence[Sequence[int]], *, width: int | None = None) 
     """Canonical primitive basis of the row space (reduced echelon form).
 
     Rows come back in pivot order; each has a positive leading entry and
-    zeros in the pivot columns of the other rows.
+    zeros in the pivot columns of the other rows.  Fraction-free
+    Gauss-Jordan elimination: every row is kept divided by its content,
+    which yields the primitive multiple of each reduced-echelon row.
     """
     rows = [tuple(r) for r in rows]
     if rows:
         width = len(rows[0])
     elif width is None:
         raise ValueError("width is required for an empty matrix")
-    _, reduced = _rref(rows, width)
-    return tuple(_clear_denominators(r) for r in reduced)
+    work = [list(r) for r in rows if any(r)]
+    rk = 0
+    for c in range(width):
+        piv = next((i for i in range(rk, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rk], work[piv] = work[piv], work[rk]
+        prow = work[rk]
+        pc = prow[c]
+        for i, row in enumerate(work):
+            x = row[c]
+            if x and i != rk:
+                new = [a * pc - b * x for a, b in zip(row, prow)]
+                g = 0
+                for y in new:
+                    g = gcd(g, y)
+                work[i] = [y // g for y in new] if g > 1 else new
+        rk += 1
+        if rk == len(work):
+            break
+    basis = []
+    for row in work[:rk]:
+        v = primitive(row)
+        if next(x for x in v if x) < 0:
+            v = negate(v)
+        basis.append(v)
+    return tuple(basis)
 
 
 def reduce_mod_rowspace(v: Sequence[int], basis: Mat) -> Vec | None:

@@ -2,8 +2,9 @@
 
 The merge steps (which walls disappear, what base locus each chamber
 carries) are not derivable from the grading matrix alone, so they ship
-as a JSON fixture.  The payload is checksummed; a mismatch means the
-file was edited by hand and is treated as corruption, not as data.
+as a JSON fixture.  The payload is checksummed; a mismatch, or a file
+that is not JSON, means the file was damaged or edited by hand and is
+treated as corruption (:class:`InternalError`), not as data.
 """
 
 from __future__ import annotations
@@ -60,27 +61,42 @@ def fixture_path(fixtures_dir: str | Path | None = None) -> Path:
     return base / FIXTURE_NAME
 
 
-@lru_cache(maxsize=None)
-def _load_payload(path_str: str) -> dict:
-    path = Path(path_str)
+def _load_payload(path: Path) -> dict:
+    """The checksummed payload of a fixture file.
+
+    Parsed payloads are cached by path, modification time and size, so a
+    file rewritten in place is read again while repeated loads of an
+    unchanged file cost one ``stat``.
+    """
     if not path.is_file():
         raise NoReferenceData(f"no reference fixture file at {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    st = path.stat()
+    return _parse_payload(str(path), st.st_mtime_ns, st.st_size)
+
+
+@lru_cache(maxsize=8)
+def _parse_payload(path_str: str, mtime_ns: int, size: int) -> dict:
+    try:
+        doc = json.loads(Path(path_str).read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise InternalError(f"fixture file {path_str} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise InternalError(f"fixture file {path_str} holds no JSON object")
     payload = doc.get("payload")
     digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
     if digest != doc.get("sha256"):
-        raise InternalError(f"fixture checksum mismatch in {path}")
+        raise InternalError(f"fixture checksum mismatch in {path_str}")
     return payload
 
 
 def bundled_fan_keys(fixtures_dir: str | Path | None = None) -> tuple[str, ...]:
-    payload = _load_payload(str(fixture_path(fixtures_dir)))
+    payload = _load_payload(fixture_path(fixtures_dir))
     return tuple(sorted(payload["fans"]))
 
 
 def bundled_spaces(fixtures_dir: str | Path | None = None) -> tuple[tuple[str, SpaceSpec], ...]:
     """Each bundled key with the representative space its fan was built from."""
-    payload = _load_payload(str(fixture_path(fixtures_dir)))
+    payload = _load_payload(fixture_path(fixtures_dir))
     return tuple(
         (key, space_from_json(payload["fans"][key]["space"]))
         for key in sorted(payload["fans"])
@@ -90,7 +106,7 @@ def bundled_spaces(fixtures_dir: str | Path | None = None) -> tuple[tuple[str, S
 def load_sbl_fixture(s: SpaceSpec,
                      fixtures_dir: str | Path | None = None) -> SblFixture:
     key = space_key(s)
-    payload = _load_payload(str(fixture_path(fixtures_dir)))
+    payload = _load_payload(fixture_path(fixtures_dir))
     entry = payload["fans"].get(key) if key else None
     if entry is None:
         raise NoReferenceData(f"no merged-fan data bundled for {s.describe()}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import shutil
@@ -25,6 +26,7 @@ from formcones.errors import (
 )
 from formcones.linalg import dot, rank
 from formcones.refdata import FIXTURE_NAME, bundled_fan_keys, fixture_path
+from formcones.reports import canonical_json
 from formcones.spaces import DivisorClass, collineations, effective_cone, quadrics
 
 X3_CHAMBER_RAYS = (
@@ -235,6 +237,19 @@ def test_sbl_merge_honours_fixture_dir_copy(tmp_path):
     f = gkz_fan(s)
     m = sbl_merge(f, s, fixtures_dir=tmp_path)
     assert len(m.chambers) == 8
+
+
+def test_fixture_rewritten_in_place_is_read_again(tmp_path):
+    target = tmp_path / FIXTURE_NAME
+    shutil.copy(fixture_path(), target)
+    keys = bundled_fan_keys(tmp_path)
+    assert "quadrics-2" in keys
+    doc = json.loads(target.read_text())
+    del doc["payload"]["fans"]["quadrics-2"]
+    doc["sha256"] = hashlib.sha256(
+        canonical_json(doc["payload"]).encode("ascii")).hexdigest()
+    target.write_text(json.dumps(doc))
+    assert bundled_fan_keys(tmp_path) == tuple(k for k in keys if k != "quadrics-2")
 
 
 def test_bundled_keys():

@@ -132,6 +132,31 @@ def test_verify_corrupted_fixtures_exit_code(tmp_path, capsys):
     assert "checksum" in err
 
 
+def _bad_checksum(text):
+    doc = json.loads(text)
+    doc["payload"]["fans"]["collineations-3-eq"]["fan"]["notes"] = ["tampered"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_bad_checksum, "checksum mismatch"),
+    (lambda text: text[: len(text) // 2], "not valid JSON"),
+])
+@pytest.mark.parametrize("argv", [
+    ("chambers", "--family", "xn", "--n", "3", "--sbl"),
+    ("verify", "--suite", "fans"),
+])
+def test_corrupt_fixture_is_one_line_exit_1(tmp_path, capsys, argv, damage,
+                                            message):
+    text = Path(fixture_path()).read_text()
+    (tmp_path / FIXTURE_NAME).write_text(damage(text))
+    rc, out, err = run(capsys, *argv, "--fixtures-dir", str(tmp_path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_verify_with_copied_fixtures(tmp_path, capsys):
     shutil.copy(fixture_path(), tmp_path / FIXTURE_NAME)
     rc, out, _ = run(capsys, "verify", "--suite", "fans",

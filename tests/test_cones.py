@@ -18,7 +18,13 @@ from formcones.errors import (
     NotFullDimensional,
     NotPointed,
 )
-from formcones.verify import FUZZ_COUNT, FUZZ_SEED, check_cone_case, fuzz_cases
+from formcones.verify import (
+    _DUALITY_ORACLES,
+    FUZZ_COUNT,
+    FUZZ_SEED,
+    check_cone_case,
+    fuzz_cases,
+)
 
 coord = st.integers(min_value=-4, max_value=4)
 
@@ -156,6 +162,31 @@ def test_cone_is_a_plain_record():
     c = cone_from_rays(2, [(1, 0)])
     assert isinstance(c, Cone)
     assert c.ambient_rank == 2
+
+
+@pytest.mark.parametrize("name, rank_, gens, rays, facets", _DUALITY_ORACLES,
+                         ids=[case[0] for case in _DUALITY_ORACLES])
+def test_oracles_read_back_from_either_side(name, rank_, gens, rays, facets):
+    # From generators the pass yields the facets and the rays are read
+    # back; from the facets it is the other way round.  The oracles cover
+    # lineality (halfplane, full, line) and implied equalities (ray, line).
+    for c in (cone_from_rays(rank_, gens), cone_from_halfspaces(rank_, facets)):
+        assert c.rays == rays
+        assert c.facets == facets
+
+
+def test_read_back_drops_rows_that_cut_no_maximal_face():
+    # (2, 1, 1) is interior and (2, 1, 0) lies inside the facet z = 0, so
+    # their zero sets over the facets are not maximal.
+    c = cone_from_rays(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1),
+                           (2, 1, 1), (2, 1, 0)])
+    assert c.rays == ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
+    facets = ((0, 0, 1), (0, 1, 0), (1, -1, 0), (1, 0, -1))
+    # x >= 0 touches the cone only at the apex, 2x - y - z >= 0 only along
+    # the ray (1, 1, 1).
+    h = cone_from_halfspaces(3, facets + ((1, 0, 0), (2, -1, -1)))
+    assert h.facets == facets
+    assert h.rays == c.rays
 
 
 def test_fuzz_corpus_all_pass():

@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from formcones.errors import DegenerateRay
 from formcones.linalg import (
+    _clear_denominators,
+    _rref,
     dot,
     kernel_basis,
     negate,
@@ -93,6 +95,14 @@ def test_row_space_basis_preserves_span(rows):
     assert rank(basis) == len(basis) == rank(rows)
     for r in rows:
         assert reduce_mod_rowspace(r, basis) is None
+
+
+@given(st.lists(vectors(4), min_size=0, max_size=7))
+def test_row_space_basis_matches_rational_rref(rows):
+    # Reference: reduced echelon form over Fraction, denominators cleared.
+    _, reduced = _rref(rows, 4)
+    assert row_space_basis(rows, width=4) == tuple(
+        _clear_denominators(r) for r in reduced)
 
 
 @given(vectors(3))

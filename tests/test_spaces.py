@@ -222,6 +222,34 @@ def test_grading_matrix_columns_live_in_effective_cone():
         assert g.space == s
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("make", [quadrics, collineations,
+                                  lambda n: collineations(n, n + 1)],
+                         ids=["qn", "xn", "xnm"])
+def test_movable_facets_match_a_second_pass(make, n):
+    # movable_cone is built from normals, so its facets are read back from
+    # the pass that found its rays.  The cone regenerated from those rays
+    # finds its facets by a pass of its own.
+    s = make(n)
+    mov = movable_cone(s)
+    assert mov.facets == cone_from_rays(s.picard_rank, mov.rays).facets
+
+
+def test_movable_facet_counts():
+    """Facet counts of the movable cones for 3 <= n <= 9.
+
+    2n - 2 for quadrics(n) and collineations(n), 2n - 1 for
+    collineations(n, n+1).  These are regression values of this code,
+    cross-checked by the two-pass route of
+    ``test_movable_facets_match_a_second_pass``; they are not quoted
+    from the paper.
+    """
+    for n in range(3, 10):
+        assert len(movable_cone(quadrics(n)).facets) == 2 * n - 2
+        assert len(movable_cone(collineations(n)).facets) == 2 * n - 2
+        assert len(movable_cone(collineations(n, n + 1)).facets) == 2 * n - 1
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     st.integers(min_value=2, max_value=6),
