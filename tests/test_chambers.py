@@ -54,6 +54,12 @@ def test_gkz_chamber_counts():
     for n in range(2, 7):
         assert len(gkz_fan(collineations(n, stage=1)).chambers) == n + 1
         assert len(gkz_fan(quadrics(n, stage=1)).chambers) == n + 1
+    # Second-stage fans: regression values, not numbers from the paper.
+    for n, chambers, walls in ((3, 9, 12), (4, 14, 20), (5, 20, 30),
+                               (6, 27, 42), (7, 35, 56)):
+        for fam in (collineations, quadrics):
+            f = gkz_fan(fam(n, stage=2))
+            assert (len(f.chambers), len(f.walls)) == (chambers, walls)
 
 
 def test_gkz_x3_chambers_pinned():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from formcones.chambers import gkz_fan
 from formcones.cli import main, parse_n_range, resolve_threads
-from formcones.refdata import FIXTURE_NAME, fixture_path
+from formcones.refdata import FIXTURE_NAME, bundled_fan_keys, fixture_path
 from formcones.reports import fan_from_report, fan_report, parse_vectors
 from formcones.spaces import collineations, nef_cone, quadrics
 
@@ -75,6 +76,54 @@ def test_chambers_text_and_json(capsys):
     doc = json.loads(out)
     assert doc["fan"]["kind"] == "gkz"
     assert len(doc["fan"]["chambers"]) == 9
+
+
+# sha256 of ``chambers <space> --format json`` (the computed fan, no merge)
+# for the representative space of every bundled fixture key.
+GKZ_JSON_SHA256 = {
+    "collineations-1-wide": ("--family xnm --n 1 --m 2",
+                             "e6664221f1a75c2b928806b8f12f5ee38d53a8c9e282ffa0a4649bf8d78b28a1"),
+    "collineations-2-eq": ("--family xn --n 2",
+                           "2fcfc657ea42f9416dff0dd0f32ed17d2d1a3353e0246b10f457a85b52f62f8b"),
+    "collineations-2-wide": ("--family xnm --n 2 --m 3",
+                             "1a24079ccb39a9a5352157de9f98d605bfcb1a82461f5761c487d2f9b6a84462"),
+    "collineations-3-eq": ("--family xn --n 3",
+                           "d59e807a2a2c83621d4bc46d43be08e440023dd56e41e83590b1acebf24192c4"),
+    "quadrics-2": ("--family qn --n 2",
+                   "e8404cc695dc5e10c3d80234ea099a0a10926f89f7ade6713ba7fce8d384ed4a"),
+    "quadrics-3": ("--family qn --n 3",
+                   "611e87f8598623046cbdef8d17164b4f3c544a10f8b93e9ea8217b16f232cad3"),
+    "stage1-2": ("--family xn --n 2 --stage 1",
+                 "acb91fc26976d12579415799625c0e25ab5ab722591037dfd00f3beecc21f5d5"),
+    "stage1-3": ("--family xn --n 3 --stage 1",
+                 "c01f1eeef4fda475eea5888c3cde5538c2da0e918aae67462616745b082b3a5e"),
+    "stage1-4": ("--family xn --n 4 --stage 1",
+                 "c9d183ada04a806869be9d6a057a5d61bfc39462fc31999539a6e5d4450acdea"),
+    "stage1-5": ("--family xn --n 5 --stage 1",
+                 "b6d90fc89e37592f6ee05f4cf704f3665d6b25d830177b0b46cc934208f19e1f"),
+    "stage1-6": ("--family xn --n 6 --stage 1",
+                 "554e2bb0de8cabba7760546c3a7b72527edaa772e9cc63731ab97d917bd91b1a"),
+    "stage1-7": ("--family xn --n 7 --stage 1",
+                 "9d1bc17ecda744de4f3fead29d1a232b7c98c79bb342de06a9e89ee0a77d1507"),
+    "stage1-8": ("--family xn --n 8 --stage 1",
+                 "a6e4912f060c3873306de1e14f6b19c7cdcc3a6d5c4317c2bed9ef1e47d713d5"),
+    "stage1-9": ("--family xn --n 9 --stage 1",
+                 "b845e552005dac9a6cf7060c6f02995f34a68c7926cf21ceb3736fb1af1925e3"),
+    "stage1-10": ("--family xn --n 10 --stage 1",
+                  "675ea548843c96137e5c04eb5911d92dd5694dc5d8565e0ee89907ad1e1f7cf1"),
+}
+
+
+def test_gkz_json_digests_cover_the_bundled_keys():
+    assert set(GKZ_JSON_SHA256) == set(bundled_fan_keys())
+
+
+@pytest.mark.parametrize("key", sorted(GKZ_JSON_SHA256))
+def test_gkz_json_digest(capsys, key):
+    flags, digest = GKZ_JSON_SHA256[key]
+    rc, out, err = run(capsys, "chambers", *flags.split(), "--format", "json")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_fan_report_round_trip():
