@@ -2,9 +2,14 @@
 
 The chamber fan is computed from the grading-matrix columns: two divisor
 classes share a chamber exactly when they lie in the same positive hulls
-of column subsets.  Rank 2 is an angular sweep; rank 3 intersects the
-induced plane arrangement with an affine cross-section of the effective
-cone and classifies one sample point per 2-cell.
+of column subsets.  One breadth-first walk serves every rank: it starts
+at the chamber holding an interior point of Nef, and for each chamber
+facet inside the effective cone it classifies a point just past the
+facet's relative interior, found by exact symbolic perturbation, as the
+intersection of the simplicial column cones that hold it.  The walk
+yields the walls directly, and every interior wall must be crossed from
+both of its chambers, which is checked.  Arithmetic is integer only.
+Picard rank 4 and above is refused until invariant checks for it exist.
 
 Merged fans (stable-base-locus decompositions) are data-driven: the wall
 removals and base-locus labels ship as checksummed fixtures, because the
@@ -15,19 +20,16 @@ need not be convex, so each one keeps its list of convex pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from math import lcm
+from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from .cones import (
     Cone,
     cone_from_halfspaces,
     cone_from_rays,
-    dual,
     extremal_rays,
     interior_point,
-    intersect,
 )
 from .errors import (
     BoundaryPoint,
@@ -37,7 +39,7 @@ from .errors import (
     OutsideEffective,
     RankUnsupported,
 )
-from .linalg import Vec, kernel_basis, primitive
+from .linalg import Vec, dot, negate
 from .spaces import SpaceSpec, effective_cone, grading_matrix, nef_cone
 
 __all__ = [
@@ -93,10 +95,6 @@ def _cone_of(rho: int, rays: tuple[Vec, ...]) -> Cone:
     return cone_from_rays(rho, rays)
 
 
-def _cross2(u: Vec, v: Vec) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _undirected(v: Vec) -> Vec:
     for x in v:
         if x:
@@ -104,117 +102,67 @@ def _undirected(v: Vec) -> Vec:
     raise InternalError("zero vector has no direction")
 
 
-def _fan_rank2(s: SpaceSpec, cols: tuple[Vec, ...]) -> tuple[list[Chamber], list[Wall]]:
-    # All columns lie in the pointed effective cone, so the cross-product
-    # comparator is a total order; sweep from one extremal ray of Eff to
-    # the other.
-    dirs = sorted(set(cols), key=cmp_to_key(lambda u, v: _cross2(u, v)))
-    chambers = []
-    for a, b in zip(dirs, dirs[1:]):
-        cone = _cone_of(2, tuple(sorted((a, b))))
-        chambers.append(Chamber(rays=cone.rays, sample=primitive(
-            tuple(x + y for x, y in zip(a, b)))))
-    walls = []
-    for i in range(len(chambers) - 1):
-        shared = dirs[i + 1]
-        normal = kernel_basis((shared,))[0]
-        walls.append(Wall(i, i + 1, normal))
-    return chambers, walls
+def _chamber_at(rho: int, hulls: list[tuple[Vec, ...]], q: Vec, d: Vec
+                ) -> tuple[Vec, ...]:
+    """Rays of the chamber that holds ``q + e*d`` for every small ``e > 0``.
 
-
-def _section_point(ray: Vec, w: Vec) -> tuple[Fraction, ...]:
-    h = sum(a * b for a, b in zip(w, ray))
-    return tuple(Fraction(x, h) for x in ray)
-
-
-def _split_convex(poly, normal):
-    """Split a convex polygon (list of Fraction points) by a plane through 0."""
-    signs = [sum(a * x for a, x in zip(normal, v)) for v in poly]
-    if all(s >= 0 for s in signs) or all(s <= 0 for s in signs):
-        return [poly]
-    pos, neg = [], []
-    k = len(poly)
-    for i in range(k):
-        v, s = poly[i], signs[i]
-        if s >= 0:
-            pos.append(v)
-        if s <= 0:
-            neg.append(v)
-        vn, sn = poly[(i + 1) % k], signs[(i + 1) % k]
-        if s * sn < 0:
-            t = s / (s - sn)
-            cut = tuple(a + t * (b - a) for a, b in zip(v, vn))
-            pos.append(cut)
-            neg.append(cut)
-    return [pos, neg]
-
-
-def _to_integer_point(v: Sequence[Fraction]) -> Vec:
-    scale = lcm(*(x.denominator for x in v))
-    return primitive(tuple(int(x * scale) for x in v))
-
-
-def _gkz_chamber(rho: int, cols: tuple[Vec, ...], point: Vec,
-                 facet_table: dict[int, tuple[Vec, ...]]) -> tuple[Vec, ...]:
-    """Rays of the intersection of all column-subset hulls containing point."""
+    ``hulls`` are the facet lists of the full-dimensional column cones.  A
+    cone holds the point exactly when each facet normal ``g`` has
+    ``<g, q> > 0``, or ``<g, q> = 0`` and ``<g, d> >= 0``, so no ``e`` is
+    ever chosen.
+    """
     normals: set[Vec] = set()
-    found = False
-    for mask in range(1, 1 << len(cols)):
-        facets = facet_table.get(mask)
-        if facets is None:
-            gens = tuple(cols[i] for i in range(len(cols)) if mask >> i & 1)
-            facets = _cone_of(rho, gens).facets
-            facet_table[mask] = facets
-        if all(sum(a * b for a, b in zip(f, point)) >= 0 for f in facets):
-            found = True
+    for facets in hulls:
+        if all(dot(g, q) > 0 or (dot(g, q) == 0 and dot(g, d) >= 0)
+               for g in facets):
             normals.update(facets)
-    if not found:
-        raise InternalError(f"sample point {point} escapes every column hull")
+    if not normals:
+        raise InternalError(f"point {q} escapes every column hull")
     return cone_from_halfspaces(rho, tuple(sorted(normals))).rays
 
 
-def _fan_rank3(s: SpaceSpec, cols: tuple[Vec, ...]) -> tuple[list[Chamber], list[Wall]]:
-    eff = effective_cone(s)
-    planes: set[Vec] = set()
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            kb = kernel_basis((cols[i], cols[j]))
-            if len(kb) == 1:
-                planes.add(_undirected(kb[0]))
-
-    w = interior_point(dual(eff))
-    cells = [[_section_point(r, w) for r in extremal_rays(eff)]]
-    for normal in sorted(planes):
-        cells = [piece for poly in cells for piece in _split_convex(poly, normal)]
-
-    facet_table: dict[int, tuple[Vec, ...]] = {}
-    seen: dict[tuple[Vec, ...], None] = {}
-    for poly in cells:
-        centroid = tuple(sum(col) / len(poly) for col in zip(*poly))
-        sample = _to_integer_point(centroid)
-        rays = _gkz_chamber(3, cols, sample, facet_table)
-        seen.setdefault(rays, None)
-
-    chambers = [
-        Chamber(rays=rays, sample=interior_point(_cone_of(3, rays)))
-        for rays in seen
-    ]
-    walls = []
-    for i in range(len(chambers)):
-        ci = _cone_of(3, chambers[i].rays)
-        for j in range(i + 1, len(chambers)):
-            shared = intersect(ci, _cone_of(3, chambers[j].rays))
-            if shared.dim == 2:
-                normal = _undirected(kernel_basis(shared.rays)[0])
-                walls.append(Wall(i, j, normal))
+def _walk(s: SpaceSpec, cols: tuple[Vec, ...]) -> tuple[list[Chamber], list[Wall]]:
+    """Breadth-first walk of the chamber fan, starting at Nef."""
+    rho = s.picard_rank
+    # By Caratheodory, intersecting the simplicial column cones that hold a
+    # generic point gives the same chamber as intersecting all column hulls.
+    hulls = [cone.facets for cone in (_cone_of(rho, tuple(sorted(c)))
+                                      for c in combinations(cols, rho))
+             if cone.is_full_dimensional]
+    boundary = set(effective_cone(s).facets)
+    found = [_chamber_at(rho, hulls, interior_point(nef_cone(s)), (0,) * rho)]
+    index = {found[0]: 0}
+    crossed: set[tuple[int, int, Vec]] = set()
+    for i, rays in enumerate(found):  # ``found`` grows as the walk goes
+        for f in _cone_of(rho, rays).facets:
+            if f in boundary:
+                continue
+            q = tuple(map(sum, zip(*(r for r in rays if dot(f, r) == 0))))
+            beyond = _chamber_at(rho, hulls, q, negate(f))
+            if beyond not in index:
+                index[beyond] = len(found)
+                found.append(beyond)
+            crossed.add((i, index[beyond], _undirected(f)))
+    for i, j, normal in crossed:
+        if i == j or (j, i, normal) not in crossed:
+            raise InternalError(
+                f"wall {normal} was crossed from chamber {i} into {j} "
+                "but not back"
+            )
+    chambers = [Chamber(rays=rays, sample=interior_point(_cone_of(rho, rays)))
+                for rays in found]
+    walls = [Wall(i, j, normal) for i, j, normal in crossed if i < j]
     return chambers, walls
 
 
 def gkz_fan(s: SpaceSpec) -> ChamberFan:
     """Chamber decomposition of the effective cone from the grading columns.
 
-    Supports Picard rank 2 and 3; the rank restriction is structural, not
-    a missing feature: higher ranks would need the full Cox ideal.
+    Walks the fan from the Nef chamber across each interior facet; see the
+    module docstring.  The walk itself works in any Picard rank, but only
+    rank 2 and 3 are checked against reference counts, so higher ranks
+    raise :class:`RankUnsupported` as a matter of policy.  Chambers are
+    sorted by their rays and walls by their chamber indices.
     """
     rho = s.picard_rank
     if rho < 2:
@@ -226,11 +174,7 @@ def gkz_fan(s: SpaceSpec) -> ChamberFan:
             f"chamber enumeration supports Picard rank 2 and 3, "
             f"got rank {rho} for {s.describe()}"
         )
-    cols = grading_matrix(s).distinct_coords()
-    if rho == 2:
-        chambers, walls = _fan_rank2(s, cols)
-    else:
-        chambers, walls = _fan_rank3(s, cols)
+    chambers, walls = _walk(s, grading_matrix(s).distinct_coords())
 
     order = sorted(range(len(chambers)), key=lambda i: chambers[i].rays)
     rank_of = {old: new for new, old in enumerate(order)}

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification or count failure, or an internal
 error such as corrupt reference data, 2 usage error,
-3 unsupported computation (degenerate space or rank out of range),
+3 unsupported computation (degenerate space, or a Picard rank
+above 3 for chambers or above 16 for movable cones),
 4 missing reference data.
 """
 
@@ -198,16 +199,17 @@ def cmd_bench(args) -> int:
 
 def cmd_info(args) -> int:
     if args.family is None:
+        # Read the fixture first, so corrupt data prints nothing to stdout.
+        try:
+            fans = " ".join(bundled_fan_keys(args.fixtures_dir))
+        except NoReferenceData:
+            fans = "none"
         print(f"formcones {VERSION}")
         print("families: xnm (wide collineations), xn (square collineations), "
               "qn (quadrics)")
         print("cones: " + " ".join(CONE_NAMES))
         print("verify suites: all " + " ".join(SUITES))
-        try:
-            keys = bundled_fan_keys(args.fixtures_dir)
-            print("bundled merged fans: " + " ".join(keys))
-        except NoReferenceData:
-            print("bundled merged fans: none")
+        print(f"bundled merged fans: {fans}")
         print(f"default threads: {os.cpu_count() or 1}")
         return 0
     s = _space(args)

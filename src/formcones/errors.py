@@ -31,7 +31,7 @@ class DegenerateSpace(FormconesError):
 
 
 class RankUnsupported(FormconesError):
-    """Chamber decompositions are only computed in Picard rank 2 and 3."""
+    """Refused size: a chamber fan above Picard rank 3, a movable cone above 16."""
 
 
 class OutsideEffective(FormconesError):

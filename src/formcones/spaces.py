@@ -16,14 +16,13 @@ The three families share one coordinate scheme:
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
 from .cones import Cone, cone_from_halfspaces, cone_from_rays, extremal_rays
-from .errors import DegenerateSpace, DimensionMismatch
+from .errors import DegenerateSpace, DimensionMismatch, RankUnsupported
 from .formulas import ambient_projective_dim, dim_section_space, secant_codim
 from .linalg import Vec
 
@@ -299,10 +298,9 @@ def is_fano(s: SpaceSpec) -> bool:
     return all(pairing(r, mk) > 0 for r in extremal_rays(mori_cone(s)))
 
 
-def _omit_one_facets(task: tuple[int, tuple[Vec, ...]]) -> tuple[Vec, ...]:
-    rho, gens = task
-    cone = cone_from_rays(rho, gens)
-    return cone.facets
+# quadrics(16) has 2^15 movable rays and takes about 130 s on a 2-vCPU
+# Xeon VM; each further rank roughly triples that, so it is refused.
+_MAX_MOVABLE_RANK = 16
 
 
 def movable_cone(s: SpaceSpec, *, brute_force: bool = False,
@@ -316,32 +314,26 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False,
     rest; ``brute_force=True`` runs the unoptimized omit-every-generator
     version for cross-checking.
 
-    ``threads`` parallelizes the per-omission facet computations; the
-    result does not depend on it.
+    ``threads`` is accepted for compatibility and changes neither the
+    result nor the work done: the omit-one hulls are a small share of the
+    cost and run serially.  Picard rank above 16 raises
+    :class:`RankUnsupported`.
     """
     rho = _require_cones(s)
+    if rho > _MAX_MOVABLE_RANK:
+        raise RankUnsupported(
+            f"movable cones are computed up to Picard rank {_MAX_MOVABLE_RANK}, "
+            f"got rank {rho} for {s.describe()}"
+        )
     gm = grading_matrix(s)
     distinct = set(gm.distinct_coords())
-
     if brute_force:
-        omitted: set[frozenset[Vec]] = set()
-        for cls, mult in gm.columns:
-            rest = distinct - {cls.coords} if mult == 1 else distinct
-            omitted.add(frozenset(rest))
-        tasks = [(rho, tuple(sorted(rest))) for rest in sorted(omitted, key=sorted)]
+        omitted = {frozenset(distinct - {cls.coords} if mult == 1 else distinct)
+                   for cls, mult in gm.columns}
         normals: set[Vec] = set()
     else:
-        tasks = [
-            (rho, tuple(sorted(distinct - {c})))
-            for c in sorted(gm.multiplicity_one_coords())
-        ]
+        omitted = {frozenset(distinct - {c}) for c in gm.multiplicity_one_coords()}
         normals = set(effective_cone(s).facets)
-
-    if threads is not None and threads > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(threads, len(tasks))) as pool:
-            results = pool.map(_omit_one_facets, tasks)
-    else:
-        results = [_omit_one_facets(t) for t in tasks]
-    for facets in results:
-        normals.update(facets)
+    for gens in omitted:
+        normals.update(cone_from_rays(rho, sorted(gens)).facets)
     return cone_from_halfspaces(rho, tuple(sorted(normals)))

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import random
 import shutil
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import formcones.chambers as chambers_module
 from formcones.chambers import (
     Chamber,
     ChamberFan,
@@ -144,6 +146,15 @@ def test_gkz_rejects_unsupported_ranks():
         gkz_fan(quadrics(5))
 
 
+@pytest.mark.parametrize("s", [collineations(2), collineations(3)])
+def test_walk_certificate_rejects_a_one_way_crossing(monkeypatch, s):
+    # Probing along the facet normal instead of across it lands back in
+    # the chamber the probe started from, so no wall is crossed both ways.
+    monkeypatch.setattr(chambers_module, "negate", lambda v: v)
+    with pytest.raises(InternalError, match="not back"):
+        gkz_fan(s)
+
+
 def test_gkz_fan_is_deterministic():
     a = gkz_fan(collineations(2, 4))
     b = gkz_fan(collineations(2, 4))
@@ -271,3 +282,17 @@ def test_fan_and_chamber_are_plain_records():
     assert isinstance(f, ChamberFan)
     assert all(isinstance(c, Chamber) for c in f.chambers)
     assert f.space == collineations(2)
+
+
+def _load_fixture_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fixture_generator_reproduces_the_bundled_checksum():
+    tool = _load_fixture_tool()
+    bundled = json.loads(Path(fixture_path()).read_text())
+    assert tool.payload_sha256(tool.build_payload()) == bundled["sha256"]

@@ -194,6 +194,7 @@ def _bad_checksum(text):
 @pytest.mark.parametrize("argv", [
     ("chambers", "--family", "xn", "--n", "3", "--sbl"),
     ("verify", "--suite", "fans"),
+    ("info",),
 ])
 def test_corrupt_fixture_is_one_line_exit_1(tmp_path, capsys, argv, damage,
                                             message):
@@ -233,6 +234,15 @@ def test_info_plain(capsys):
     assert rc == 0
     assert "formcones 0.1.0" in out
     assert "families:" in out
+
+
+def test_movable_cone_size_guard_exit_code(capsys):
+    # Without the guard this pass would run for hours.
+    rc, out, err = run(capsys, "cone", "--family", "qn", "--n", "20",
+                       "--cone", "mov")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and "16" in err
 
 
 def test_info_space(capsys):

@@ -136,7 +136,8 @@ def validate(space, fan: ChamberFan, gkz: ChamberFan):
             f"sample {ch.sample} does not locate to chamber {i}"
 
 
-def main():
+def build_payload() -> dict:
+    """The fixture payload: every bundled fan, recomputed and merged."""
     fans = {}
     for key, (space, labels, merges) in sorted(build_specs().items()):
         gkz = gkz_fan(space)
@@ -149,12 +150,20 @@ def main():
         doc = fan_report(space, fan)
         doc["meta"]["gkz_chamber_count"] = len(gkz.chambers)
         fans[key] = doc
-        print(f"{key}: {len(gkz.chambers)} chambers -> {len(fan.chambers)} merged")
+    return {"fans": fans}
 
-    payload = {"fans": fans}
-    digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+
+def payload_sha256(payload: dict) -> str:
+    return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+
+
+def main():
+    payload = build_payload()
+    for key, doc in payload["fans"].items():
+        print(f"{key}: {doc['meta']['gkz_chamber_count']} chambers -> "
+              f"{len(doc['fan']['chambers'])} merged")
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps({"payload": payload, "sha256": digest},
+    OUT.write_text(json.dumps({"payload": payload, "sha256": payload_sha256(payload)},
                               sort_keys=True, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {OUT}")
 
