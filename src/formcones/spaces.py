@@ -299,7 +299,7 @@ def is_fano(s: SpaceSpec) -> bool:
 
 
 # quadrics(16) has 2^15 movable rays and takes about 130 s on a 2-vCPU
-# Xeon VM; each further rank roughly triples that, so it is refused.
+# Xeon VM; each further rank roughly triples that, so larger ranks are refused.
 _MAX_MOVABLE_RANK = 16
 
 

@@ -284,15 +284,11 @@ def test_fan_and_chamber_are_plain_records():
     assert f.space == collineations(2)
 
 
-def _load_fixture_tool():
+def test_fixture_generator_reproduces_the_bundled_checksum():
     path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
     spec = importlib.util.spec_from_file_location("make_fixtures", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_fixture_generator_reproduces_the_bundled_checksum():
-    tool = _load_fixture_tool()
-    bundled = json.loads(Path(fixture_path()).read_text())
-    assert tool.payload_sha256(tool.build_payload()) == bundled["sha256"]
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    digest = hashlib.sha256(
+        canonical_json(tool.build_payload()).encode("ascii")).hexdigest()
+    assert digest == json.loads(Path(fixture_path()).read_text())["sha256"]

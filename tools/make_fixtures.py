@@ -153,17 +153,14 @@ def build_payload() -> dict:
     return {"fans": fans}
 
 
-def payload_sha256(payload: dict) -> str:
-    return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
-
-
 def main():
     payload = build_payload()
     for key, doc in payload["fans"].items():
         print(f"{key}: {doc['meta']['gkz_chamber_count']} chambers -> "
               f"{len(doc['fan']['chambers'])} merged")
+    digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps({"payload": payload, "sha256": payload_sha256(payload)},
+    OUT.write_text(json.dumps({"payload": payload, "sha256": digest},
                               sort_keys=True, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {OUT}")
 
