@@ -27,8 +27,14 @@ from formcones.errors import (
     RankUnsupported,
 )
 from formcones.linalg import dot, rank
-from formcones.refdata import FIXTURE_NAME, bundled_fan_keys, fixture_path
-from formcones.reports import canonical_json
+from formcones.refdata import (
+    FIXTURE_NAME,
+    bundled_fan_keys,
+    bundled_spaces,
+    fixture_path,
+    space_key,
+)
+from formcones.reports import canonical_json, fan_report
 from formcones.spaces import DivisorClass, collineations, effective_cone, quadrics
 
 X3_CHAMBER_RAYS = (
@@ -214,12 +220,30 @@ def test_sbl_merge_other_spaces():
     s = collineations(1, 5)
     fan = sbl_merge(gkz_fan(s), s)
     assert [c.label for c in fan.chambers] == ["E_1", "∅"]
+    # Spaces that share their key's table merge to the representative's fan.
+    representative = dict(bundled_spaces())
+    shared = [quadrics(n, stage=1) for n in range(2, 11)]
+    shared += [collineations(n, n + 2, stage=1) for n in range(2, 5)]
+    shared += [collineations(1, 4), collineations(1, 7), collineations(2, 5)]
+    for s in shared:
+        r = representative[space_key(s)]
+        assert r != s
+        got = fan_report(s, sbl_merge(gkz_fan(s), s))["fan"]
+        assert got == fan_report(r, sbl_merge(gkz_fan(r), r))["fan"], s.describe()
 
 
 def test_sbl_merge_rejects_foreign_fan():
     f = gkz_fan(collineations(3))
     with pytest.raises(ValueError):
         sbl_merge(f, quadrics(3))
+
+
+def test_sbl_merge_rejects_a_fan_that_differs_from_the_reference():
+    s = collineations(3)
+    f = gkz_fan(s)
+    dropped = ChamberFan(s, f.chambers[1:], f.walls, kind=f.kind)
+    with pytest.raises(InternalError, match="does not match the computed fan"):
+        sbl_merge(dropped, s)
 
 
 def test_sbl_merge_without_reference_data():

@@ -126,6 +126,55 @@ def test_gkz_json_digest(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of ``chambers <space> --sbl --format json`` (the merged fan) for the
+# representative space of every bundled key.
+SBL_JSON_SHA256 = {
+    "collineations-1-wide": ("--family xnm --n 1 --m 2",
+                             "b34727bb5684f89ef8141971c109193ac892e1716dff15d8c3c6979a6d223552"),
+    "collineations-2-eq": ("--family xn --n 2",
+                           "006c6ec4c4e8684fcfb4069f826b6190b0dfdc81fe05d430a52c9f94084baf70"),
+    "collineations-2-wide": ("--family xnm --n 2 --m 3",
+                             "c8097fcf3b091cabd1c645c51dc5c66ae7dcc1dcb4b583f77fcc7745f01fa573"),
+    "collineations-3-eq": ("--family xn --n 3",
+                           "ddaf5cbb19e8c8f4c792dfa92dbc32197ec68a05450ad18e128e6cf113340847"),
+    "quadrics-2": ("--family qn --n 2",
+                   "dcf52196043309d18a3c8c855b5e91ffbecc2c6f53d90c0b9d82ff26e40843ab"),
+    "quadrics-3": ("--family qn --n 3",
+                   "6e91e2f78d47dcc2a0dec424c15c2b023ca60bb5bb7c19dc659479e17af40f6b"),
+    "stage1-2": ("--family xn --n 2 --stage 1",
+                 "1986fdf77463981a52ce5f9eb72279b4e27123f2101e8a17f2bb903b5d383299"),
+    "stage1-3": ("--family xn --n 3 --stage 1",
+                 "877b7dfa362edf50f2e5203d6287f7228611827c08b3850851a46817e9cb348e"),
+    "stage1-4": ("--family xn --n 4 --stage 1",
+                 "62eba4d86737b214f2134ea5c2ed4e780b9276c4ef2451c6651a73d5495d54a0"),
+    "stage1-5": ("--family xn --n 5 --stage 1",
+                 "1930cd4db81a51c6eb08be64fa92aca1b881ea56cbee2202b8491947fd190dc2"),
+    "stage1-6": ("--family xn --n 6 --stage 1",
+                 "6ce62ba54d237ba46d93ed4cc82b036856fa7ee2e2ec89c67d4ec0c8ffc73a45"),
+    "stage1-7": ("--family xn --n 7 --stage 1",
+                 "8db954dc9ba699c5675e59f3644c8fa3d5bdc6bf044d477bada7c14ebce33ed0"),
+    "stage1-8": ("--family xn --n 8 --stage 1",
+                 "c1e42b67163df69ac7684f93d014c3b30179eeeec695b67933f5ac279e5a2e99"),
+    "stage1-9": ("--family xn --n 9 --stage 1",
+                 "c9ceef23fc5c084a575f74fcb6742b76276dbdf0a54ff3ca059895d0ca6a5b9e"),
+    "stage1-10": ("--family xn --n 10 --stage 1",
+                  "5d886a92413a460556d39016c9822f915a82814e43c09eee2733863c344ce7b2"),
+}
+
+
+def test_sbl_json_digests_cover_the_bundled_keys():
+    assert set(SBL_JSON_SHA256) == set(bundled_fan_keys())
+
+
+@pytest.mark.parametrize("key", sorted(SBL_JSON_SHA256))
+def test_sbl_json_digest(capsys, key):
+    flags, digest = SBL_JSON_SHA256[key]
+    rc, out, err = run(capsys, "chambers", *flags.split(), "--sbl",
+                       "--format", "json")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_fan_report_round_trip():
     s = collineations(3)
     f = gkz_fan(s)
