@@ -12,9 +12,11 @@ both of its chambers, which is checked.  Arithmetic is integer only.
 Picard rank 4 and above is refused until invariant checks for it exist.
 
 Merged fans (stable-base-locus decompositions) are data-driven: the wall
-removals and base-locus labels ship as checksummed fixtures, because the
-geometry behind them is not reproduced algorithmically.  A merged chamber
-need not be convex, so each one keeps its list of convex pieces.
+removals and base-locus labels are hand-entered tables in
+:mod:`formcones.refdata`, because the geometry behind them is not
+reproduced algorithmically, and they are applied to the computed fan at
+run time.  A merged chamber need not be convex, so each one keeps its
+list of convex pieces.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
+from . import refdata
 from .cones import (
     Cone,
     cone_from_halfspaces,
     cone_from_rays,
     extremal_rays,
     interior_point,
+    intersect,
 )
 from .errors import (
     BoundaryPoint,
@@ -39,7 +43,7 @@ from .errors import (
     OutsideEffective,
     RankUnsupported,
 )
-from .linalg import Vec, dot, negate
+from .linalg import Vec, dot, negate, primitive
 from .spaces import SpaceSpec, effective_cone, grading_matrix, nef_cone
 
 __all__ = [
@@ -175,22 +179,23 @@ def gkz_fan(s: SpaceSpec) -> ChamberFan:
             f"got rank {rho} for {s.describe()}"
         )
     chambers, walls = _walk(s, grading_matrix(s).distinct_coords())
+    nef_rays = extremal_rays(nef_cone(s))
+    chambers = [Chamber(rays=ch.rays, sample=ch.sample,
+                        label="Nef" if ch.rays == nef_rays else None)
+                for ch in chambers]
+    return _sorted_fan(s, chambers, walls, kind="gkz")
 
+
+def _sorted_fan(s: SpaceSpec, chambers: list[Chamber], walls, *, kind: str,
+                notes: tuple[str, ...] = ()) -> ChamberFan:
+    """The fan with chambers sorted by their rays, walls renumbered to match."""
     order = sorted(range(len(chambers)), key=lambda i: chambers[i].rays)
     rank_of = {old: new for new, old in enumerate(order)}
-    nef_rays = extremal_rays(nef_cone(s))
-    relabeled = []
-    for old in order:
-        ch = chambers[old]
-        label = "Nef" if ch.rays == nef_rays else None
-        relabeled.append(Chamber(rays=ch.rays, sample=ch.sample, label=label))
-    remapped = sorted(
-        (Wall(min(rank_of[w.first], rank_of[w.second]),
-              max(rank_of[w.first], rank_of[w.second]), w.normal)
-         for w in walls),
-        key=lambda w: (w.first, w.second, w.normal),
-    )
-    return ChamberFan(s, tuple(relabeled), tuple(remapped), kind="gkz")
+    remapped = {Wall(*sorted((rank_of[w.first], rank_of[w.second])), w.normal)
+                for w in walls}
+    return ChamberFan(s, tuple(chambers[i] for i in order),
+                      tuple(sorted(remapped, key=lambda w: (w.first, w.second, w.normal))),
+                      kind=kind, notes=notes)
 
 
 def _strictly_inside(ch: Chamber, rho: int, d: Vec) -> bool:
@@ -241,29 +246,54 @@ def adjacency_graph(f: ChamberFan) -> tuple[Wall, ...]:
     return f.walls
 
 
-def sbl_merge(f: ChamberFan, s: SpaceSpec, *,
-              fixtures_dir=None) -> ChamberFan:
+def sbl_merge(f: ChamberFan, s: SpaceSpec) -> ChamberFan:
     """Merge chambers that share a stable base locus, using bundled data.
 
-    The merged fan comes from reference fixtures keyed by the space; the
-    fixture's pieces are validated against the computed fan so stale data
-    cannot pass silently.  Raises :class:`NoReferenceData` when no merge
-    data is bundled for ``s``.
+    The table for ``s`` in :mod:`formcones.refdata` labels each computed
+    chamber by its rays and names the pairs that merge across their common
+    wall.  The computed chambers must be exactly the table's ray sets, so
+    the hand-entered table also checks the chamber walk.  Raises
+    :class:`NoReferenceData` when no table is bundled for ``s``.
     """
     if f.space != s:
         raise ValueError(
             f"fan belongs to {f.space.describe()}, not {s.describe()}"
         )
-    from .refdata import load_sbl_fixture
-
-    fixture = load_sbl_fixture(s, fixtures_dir)
-    computed = {ch.rays for ch in f.chambers}
-    fixture_pieces = {piece for ch in fixture.chambers for piece in ch.convex_pieces()}
-    if computed != fixture_pieces:
+    table = refdata.load_sbl_fixture(s)
+    by_rays = {frozenset(ch.rays): i for i, ch in enumerate(f.chambers)}
+    expected = set(table.labels) | {p for a, b, _ in table.merges for p in (a, b)}
+    if set(by_rays) != expected:
         raise InternalError(
-            f"merge fixture for {s.describe()} does not match the computed "
-            f"fan: computed {len(computed)} chambers, fixture covers "
-            f"{len(fixture_pieces)} pieces"
+            f"merge table for {s.describe()} does not match the computed "
+            f"fan: computed {len(f.chambers)} chambers, table covers "
+            f"{len(expected)}"
         )
-    return ChamberFan(s, fixture.chambers, fixture.walls, kind="sbl",
-                      notes=fixture.notes)
+    rho = s.picard_rank
+    merged_of: dict[int, int] = {}
+    chambers: list[Chamber] = []
+    erased: set[Wall] = set()
+    for a, b, label in table.merges:
+        i, j = by_rays[a], by_rays[b]
+        shared = [w for w in f.walls if {w.first, w.second} == {i, j}]
+        if len(shared) != 1:
+            raise InternalError(
+                f"chambers {i} and {j} of {s.describe()} share "
+                f"{len(shared)} walls, not one"
+            )
+        erased.add(shared[0])
+        pi, pj = f.chambers[i].rays, f.chambers[j].rays
+        patch = intersect(_cone_of(rho, pi), _cone_of(rho, pj)).rays
+        chambers.append(Chamber(
+            rays=tuple(sorted(set(pi) | set(pj))),
+            sample=primitive(tuple(map(sum, zip(*patch)))),
+            label=label, pieces=(pi, pj), erased_walls=(shared[0].normal,),
+        ))
+        merged_of[i] = merged_of[j] = len(chambers) - 1
+    for i, ch in enumerate(f.chambers):
+        if i not in merged_of:
+            merged_of[i] = len(chambers)
+            chambers.append(Chamber(rays=ch.rays, sample=ch.sample,
+                                    label=table.labels[frozenset(ch.rays)]))
+    walls = [Wall(merged_of[w.first], merged_of[w.second], w.normal)
+             for w in f.walls if w not in erased]
+    return _sorted_fan(s, chambers, walls, kind="sbl", notes=(refdata.MCD_NOTE,))

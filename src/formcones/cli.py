@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification or count failure, or an internal
-error such as corrupt reference data, 2 usage error,
+Exit codes: 0 success, 1 verification or count failure, or a failed
+internal self-check such as a computed fan that disagrees with the
+bundled merge table, 2 usage error,
 3 unsupported computation (degenerate space, or a Picard rank
 above 3 for chambers or above 16 for movable cones),
 4 missing reference data.
@@ -73,16 +74,18 @@ def parse_n_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _space(args) -> SpaceSpec:
+def _space(args, n: int | None = None) -> SpaceSpec:
+    """The space named by the flags, with ``n`` in place of ``--n`` if given."""
+    n = args.n if n is None else n
     if args.family == "xnm":
         if args.m is None:
             raise ValueError("family xnm requires --m")
-        return collineations(args.n, args.m, stage=args.stage)
+        return collineations(n, args.m, stage=args.stage)
     if args.m is not None:
         raise ValueError(f"--m does not apply to family {args.family}")
     if args.family == "xn":
-        return collineations(args.n, stage=args.stage)
-    return quadrics(args.n, stage=args.stage)
+        return collineations(n, stage=args.stage)
+    return quadrics(n, stage=args.stage)
 
 
 def _space_flags(sub, *, stage: bool = True):
@@ -136,7 +139,7 @@ def cmd_chambers(args) -> int:
     t0 = time.perf_counter_ns()
     fan = gkz_fan(s)
     if args.sbl:
-        fan = sbl_merge(fan, s, fixtures_dir=args.fixtures_dir)
+        fan = sbl_merge(fan, s)
     elapsed = time.perf_counter_ns() - t0
     if args.format == "json":
         doc = fan_report(s, fan,
@@ -166,8 +169,7 @@ def cmd_chambers(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, threads=resolve_threads(args.threads),
-                        fixtures_dir=args.fixtures_dir)
+    results = run_suite(args.suite, threads=resolve_threads(args.threads))
     print(render(results))
     return 0 if all(r.ok for r in results) else 1
 
@@ -176,14 +178,7 @@ def cmd_bench(args) -> int:
     threads = resolve_threads(args.threads)
     records = []
     for n in parse_n_range(args.n):
-        if args.family == "xnm":
-            if args.m is None:
-                raise ValueError("family xnm requires --m")
-            s = collineations(n, args.m)
-        elif args.family == "xn":
-            s = collineations(n)
-        else:
-            s = quadrics(n)
+        s = _space(args, n)
         expected = 2 ** (n - 1) + (1 if s.n < s.m else 0)
         t0 = time.perf_counter_ns()
         # Reading the rays runs the double-description pass, so the clock
@@ -199,17 +194,12 @@ def cmd_bench(args) -> int:
 
 def cmd_info(args) -> int:
     if args.family is None:
-        # Read the fixture first, so corrupt data prints nothing to stdout.
-        try:
-            fans = " ".join(bundled_fan_keys(args.fixtures_dir))
-        except NoReferenceData:
-            fans = "none"
         print(f"formcones {VERSION}")
         print("families: xnm (wide collineations), xn (square collineations), "
               "qn (quadrics)")
         print("cones: " + " ".join(CONE_NAMES))
         print("verify suites: all " + " ".join(SUITES))
-        print(f"bundled merged fans: {fans}")
+        print(f"bundled merged fans: {' '.join(bundled_fan_keys())}")
         print(f"default threads: {os.cpu_count() or 1}")
         return 0
     s = _space(args)
@@ -244,14 +234,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sbl", action="store_true",
                    help="merge chambers sharing a stable base locus")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--fixtures-dir")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_chambers)
 
     p = subs.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p.add_argument("--threads", type=int)
-    p.add_argument("--fixtures-dir")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("bench", help="time movable-cone computations "
@@ -261,14 +249,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='single value "14" or range "10..12"')
     p.add_argument("--m", type=int)
     p.add_argument("--threads", type=int)
-    p.set_defaults(func=cmd_bench)
+    # bench times whole spaces only, so _space sees no --stage.
+    p.set_defaults(func=cmd_bench, stage=None)
 
     p = subs.add_parser("info", help="tool facts, or facts about one space")
     p.add_argument("--family", choices=("xnm", "xn", "qn"))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--stage", type=int)
-    p.add_argument("--fixtures-dir")
     p.set_defaults(func=cmd_info)
 
     return parser
@@ -281,7 +269,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except InternalError as e:  # corrupt reference data or a failed self-check
+    except InternalError as e:  # a failed self-check
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (DegenerateSpace, RankUnsupported) as e:

@@ -1,8 +1,10 @@
 """Exact linear algebra on small dense integer matrices.
 
 Vectors are tuples of Python ints, matrices are sequences of row tuples.
-Intermediate divisions use :class:`fractions.Fraction`; nothing in this
-package ever touches floating point.
+Elimination is fraction-free; nothing in this package ever touches
+floating point.  The :class:`fractions.Fraction` echelon form
+:func:`_rref` and :func:`_clear_denominators` are kept only as the
+independent reference the tests check :func:`row_space_basis` against.
 """
 
 from __future__ import annotations
@@ -83,7 +85,10 @@ def rank(rows: Iterable[Sequence[int]]) -> int:
 
 
 def _rref(rows: Sequence[Sequence[int]], width: int):
-    """Reduced row echelon form over the rationals (for :func:`kernel_basis`).
+    """Reduced row echelon form over the rationals.
+
+    The tests' reference for :func:`row_space_basis`; nothing in the
+    package calls it.
 
     Returns ``(pivots, reduced)`` where ``reduced`` holds Fraction rows with
     leading entry 1 and zeros above and below each pivot.
@@ -114,48 +119,12 @@ def _rref(rows: Sequence[Sequence[int]], width: int):
 
 
 def _clear_denominators(row: Sequence[Fraction]) -> Vec:
+    """Primitive integer multiple of a Fraction row (with :func:`_rref`)."""
     lcm = 1
     for x in row:
         d = x.denominator
         lcm = lcm * d // gcd(lcm, d)
     return primitive(tuple(int(x * lcm) for x in row))
-
-
-def kernel_basis(rows: Sequence[Sequence[int]], *, width: int | None = None) -> Mat:
-    """Primitive basis of the right kernel, lexicographically sorted.
-
-    Each basis vector is normalized so its first nonzero entry is positive.
-    ``width`` is only needed when ``rows`` is empty.
-    """
-    rows = [tuple(r) for r in rows]
-    if rows:
-        w = len(rows[0])
-        if width is not None and width != w:
-            raise DimensionMismatch("explicit width disagrees with the rows")
-        width = w
-        for r in rows:
-            if len(r) != width:
-                raise DimensionMismatch("ragged matrix")
-    elif width is None:
-        raise ValueError("width is required for an empty matrix")
-    pivots, reduced = _rref(rows, width)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -reduced[i][free]
-        v = _clear_denominators(vec)
-        for x in v:
-            if x:
-                if x < 0:
-                    v = negate(v)
-                break
-        basis.append(v)
-    return tuple(sorted(basis))
 
 
 def row_space_basis(rows: Sequence[Sequence[int]], *, width: int | None = None) -> Mat:

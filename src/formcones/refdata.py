@@ -1,49 +1,109 @@
 """Bundled reference data for merged chamber fans.
 
 The merge steps (which walls disappear, what base locus each chamber
-carries) are not derivable from the grading matrix alone, so they ship
-as a JSON fixture.  The payload is checksummed; a mismatch, or a file
-that is not JSON, means the file was damaged or edited by hand and is
-treated as corruption (:class:`InternalError`), not as data.
+carries) are not derivable from the grading matrix alone, so they are
+entered here by hand, one table per key: a representative space, the
+base-locus label of every computed chamber by its rays, and the pairs of
+chambers that merge across an erased wall.
+:func:`formcones.chambers.sbl_merge` applies a table to a computed fan.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from functools import lru_cache
-from pathlib import Path
 
-from .chambers import Chamber, Wall
-from .errors import InternalError, NoReferenceData
-from .reports import canonical_json, fan_from_report, space_from_json
-from .spaces import SpaceSpec
-
-_DATA_DIR = Path(__file__).resolve().parent / "data"
-FIXTURE_NAME = "sbl_fixtures.json"
+from .errors import NoReferenceData
+from .linalg import Vec
+from .spaces import SpaceSpec, collineations, quadrics
 
 __all__ = [
-    "SblFixture",
+    "MCD_NOTE",
+    "SblTable",
     "space_key",
-    "fixture_path",
     "bundled_fan_keys",
     "bundled_spaces",
     "load_sbl_fixture",
 ]
 
+MCD_NOTE = "coincides with the Mori chamber decomposition"
+
+EMPTY = "∅"          # no base locus
+CUP = "∪"            # union of base loci
+
+Rays = frozenset[Vec]
+
 
 @dataclass(frozen=True)
-class SblFixture:
-    key: str
-    chambers: tuple[Chamber, ...]
-    walls: tuple[Wall, ...]
-    gkz_chamber_count: int
-    notes: tuple[str, ...]
+class SblTable:
+    """The merge table of one key.
+
+    ``labels`` maps the rays of each chamber kept as it is to its label;
+    each of ``merges`` names two chambers by their rays and the label of
+    their union.
+    """
+
+    space: SpaceSpec
+    labels: dict[Rays, str]
+    merges: tuple[tuple[Rays, Rays, str], ...]
+
+    @property
+    def gkz_chamber_count(self) -> int:
+        return len(self.labels) + 2 * len(self.merges)
+
+    @property
+    def sbl_chamber_count(self) -> int:
+        return len(self.labels) + len(self.merges)
+
+
+def _rank2_labels(n: int, *, top: str | None = None) -> dict[Rays, str]:
+    def D(k):
+        return (k, -(k - 1))
+
+    labels = {frozenset({(0, 1), D(1)}): "E_1", frozenset({D(1), D(2)}): EMPTY}
+    for k in range(2, n + 1):
+        labels[frozenset({D(k), D(k + 1)})] = top if (top and k == n) else f"sec_{k}"
+    return labels
+
+
+def _tables() -> dict[str, SblTable]:
+    D1, D2, D3 = (1, 0, 0), (2, -1, 0), (3, -2, -1)
+    DM, E3 = (6, -3, -2), (4, -3, -2)
+    E1, E2 = (0, 1, 0), (0, 0, 1)
+
+    rank3_square = {
+        frozenset({D1, D2, D3}): EMPTY,
+        frozenset({D1, D3, DM}): "small",
+        frozenset({D1, E1, DM}): "E_1",
+        frozenset({DM, E1, E3}): f"E_1{CUP}E_3",
+        frozenset({D3, E3, DM}): "E_3",
+        frozenset({D3, E2, E3}): f"E_2{CUP}E_3",
+        frozenset({D1, E1, E2}): f"E_1{CUP}E_2",
+    }
+    rank3_wide = {
+        frozenset({D1, D2, D3}): EMPTY,
+        frozenset({E1, D1, D3}): "E_1",
+        frozenset({E1, D1, E2}): f"E_1{CUP}E_2",
+    }
+    merge_e2 = ((frozenset({D1, D2, E2}), frozenset({D2, D3, E2}), "E_2"),)
+
+    specs = {
+        "collineations-3-eq": (collineations(3), rank3_square, merge_e2),
+        "quadrics-3": (quadrics(3), rank3_square, merge_e2),
+        "collineations-2-wide": (collineations(2, 3), rank3_wide, merge_e2),
+        "collineations-2-eq": (collineations(2), _rank2_labels(2, top="E_2"), ()),
+        "quadrics-2": (quadrics(2), _rank2_labels(2, top="E_2"), ()),
+        "collineations-1-wide": (collineations(1, 2), _rank2_labels(1), ()),
+    }
+    for n in range(2, 11):
+        specs[f"stage1-{n}"] = (collineations(n, stage=1), _rank2_labels(n), ())
+    return {key: SblTable(*spec) for key, spec in sorted(specs.items())}
+
+
+_TABLES = _tables()
 
 
 def space_key(s: SpaceSpec) -> str | None:
-    """Fixture key for a space, or None when no key class exists.
+    """Table key for a space, or None when no key class exists.
 
     Wide formats share one key per n because the chamber coordinates do
     not depend on the number of columns, and every first-stage space of
@@ -56,65 +116,18 @@ def space_key(s: SpaceSpec) -> str | None:
     return f"collineations-{s.n}-{'eq' if s.n == s.m else 'wide'}"
 
 
-def fixture_path(fixtures_dir: str | Path | None = None) -> Path:
-    base = Path(fixtures_dir) if fixtures_dir is not None else _DATA_DIR
-    return base / FIXTURE_NAME
+def bundled_fan_keys() -> tuple[str, ...]:
+    return tuple(_TABLES)
 
 
-def _load_payload(path: Path) -> dict:
-    """The checksummed payload of a fixture file.
-
-    Parsed payloads are cached by path, modification time and size, so a
-    file rewritten in place is read again while repeated loads of an
-    unchanged file cost one ``stat``.
-    """
-    if not path.is_file():
-        raise NoReferenceData(f"no reference fixture file at {path}")
-    st = path.stat()
-    return _parse_payload(str(path), st.st_mtime_ns, st.st_size)
+def bundled_spaces() -> tuple[tuple[str, SpaceSpec], ...]:
+    """Each bundled key with the representative space of its table."""
+    return tuple((key, table.space) for key, table in _TABLES.items())
 
 
-@lru_cache(maxsize=8)
-def _parse_payload(path_str: str, mtime_ns: int, size: int) -> dict:
-    try:
-        doc = json.loads(Path(path_str).read_text(encoding="utf-8"))
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-        raise InternalError(f"fixture file {path_str} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise InternalError(f"fixture file {path_str} holds no JSON object")
-    payload = doc.get("payload")
-    digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
-    if digest != doc.get("sha256"):
-        raise InternalError(f"fixture checksum mismatch in {path_str}")
-    return payload
-
-
-def bundled_fan_keys(fixtures_dir: str | Path | None = None) -> tuple[str, ...]:
-    payload = _load_payload(fixture_path(fixtures_dir))
-    return tuple(sorted(payload["fans"]))
-
-
-def bundled_spaces(fixtures_dir: str | Path | None = None) -> tuple[tuple[str, SpaceSpec], ...]:
-    """Each bundled key with the representative space its fan was built from."""
-    payload = _load_payload(fixture_path(fixtures_dir))
-    return tuple(
-        (key, space_from_json(payload["fans"][key]["space"]))
-        for key in sorted(payload["fans"])
-    )
-
-
-def load_sbl_fixture(s: SpaceSpec,
-                     fixtures_dir: str | Path | None = None) -> SblFixture:
-    key = space_key(s)
-    payload = _load_payload(fixture_path(fixtures_dir))
-    entry = payload["fans"].get(key) if key else None
-    if entry is None:
+def load_sbl_fixture(s: SpaceSpec) -> SblTable:
+    """The merge table for ``s``; :class:`NoReferenceData` when none is bundled."""
+    table = _TABLES.get(space_key(s))
+    if table is None:
         raise NoReferenceData(f"no merged-fan data bundled for {s.describe()}")
-    fan = fan_from_report(s, entry)
-    return SblFixture(
-        key=key,
-        chambers=fan.chambers,
-        walls=fan.walls,
-        gkz_chamber_count=entry["meta"]["gkz_chamber_count"],
-        notes=tuple(entry["fan"]["notes"]),
-    )
+    return table

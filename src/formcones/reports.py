@@ -15,7 +15,7 @@ from typing import Any, Sequence
 from .chambers import Chamber, ChamberFan, Wall
 from .cones import Cone, dd_convert
 from .linalg import Vec
-from .spaces import SpaceSpec, collineations, quadrics
+from .spaces import SpaceSpec
 
 VERSION = "0.1.0"
 
@@ -68,12 +68,6 @@ def curve_basis_labels(s: SpaceSpec) -> list[str]:
 
 def space_json(s: SpaceSpec) -> dict:
     return {"family": s.family, "n": s.n, "m": s.m, "stage": s.stage}
-
-
-def space_from_json(d: dict) -> SpaceSpec:
-    if d["family"] == "quadrics":
-        return quadrics(d["n"], stage=d["stage"])
-    return collineations(d["n"], d["m"], stage=d["stage"])
 
 
 def _meta(*, duration_ns: int | None = None, threads: int | None = None) -> dict:

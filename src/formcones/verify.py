@@ -154,21 +154,21 @@ def _suite_counts(threads: int | None) -> list[CheckResult]:
     return out
 
 
-def _suite_fans(fixtures_dir) -> list[CheckResult]:
+def _suite_fans() -> list[CheckResult]:
     out = []
-    for key, s in bundled_spaces(fixtures_dir):
+    for key, s in bundled_spaces():
         try:
-            fx = load_sbl_fixture(s, fixtures_dir)
+            table = load_sbl_fixture(s)
             fan = gkz_fan(s)
             out.append(CheckResult(
                 f"fans.{key}.gkz-count",
-                len(fan.chambers) == fx.gkz_chamber_count,
-                f"expected {fx.gkz_chamber_count}, got {len(fan.chambers)}"))
-            merged = sbl_merge(fan, s, fixtures_dir=fixtures_dir)
+                len(fan.chambers) == table.gkz_chamber_count,
+                f"expected {table.gkz_chamber_count}, got {len(fan.chambers)}"))
+            merged = sbl_merge(fan, s)
             out.append(CheckResult(
                 f"fans.{key}.sbl-count",
-                len(merged.chambers) == len(fx.chambers),
-                f"expected {len(fx.chambers)}, got {len(merged.chambers)}"))
+                len(merged.chambers) == table.sbl_chamber_count,
+                f"expected {table.sbl_chamber_count}, got {len(merged.chambers)}"))
             bad = []
             for i, ch in enumerate(merged.chambers):
                 try:
@@ -209,8 +209,7 @@ def _suite_formulas() -> list[CheckResult]:
     return out
 
 
-def run_suite(suite: str, *, threads: int | None = None,
-              fixtures_dir=None) -> list[CheckResult]:
+def run_suite(suite: str, *, threads: int | None = None) -> list[CheckResult]:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from all, "
                          + ", ".join(SUITES))
@@ -220,7 +219,7 @@ def run_suite(suite: str, *, threads: int | None = None,
     if suite in ("all", "counts"):
         out += sorted(_suite_counts(threads), key=lambda r: r.name)
     if suite in ("all", "fans"):
-        out += sorted(_suite_fans(fixtures_dir), key=lambda r: r.name)
+        out += sorted(_suite_fans(), key=lambda r: r.name)
     if suite in ("all", "formulas"):
         out += sorted(_suite_formulas(), key=lambda r: r.name)
     return out

@@ -1,9 +1,4 @@
-import hashlib
-import importlib.util
-import json
 import random
-import shutil
-from pathlib import Path
 
 import pytest
 
@@ -27,14 +22,8 @@ from formcones.errors import (
     RankUnsupported,
 )
 from formcones.linalg import dot, rank
-from formcones.refdata import (
-    FIXTURE_NAME,
-    bundled_fan_keys,
-    bundled_spaces,
-    fixture_path,
-    space_key,
-)
-from formcones.reports import canonical_json, fan_report
+from formcones.refdata import bundled_fan_keys, bundled_spaces, space_key
+from formcones.reports import fan_report
 from formcones.spaces import DivisorClass, collineations, effective_cone, quadrics
 
 X3_CHAMBER_RAYS = (
@@ -253,46 +242,6 @@ def test_sbl_merge_without_reference_data():
         sbl_merge(f, s)
 
 
-def test_sbl_merge_missing_fixture_file(tmp_path):
-    s = collineations(3)
-    f = gkz_fan(s)
-    with pytest.raises(NoReferenceData):
-        sbl_merge(f, s, fixtures_dir=tmp_path)
-
-
-def test_sbl_merge_corrupted_fixture_file(tmp_path):
-    src = fixture_path()
-    doc = json.loads(Path(src).read_text())
-    doc["payload"]["fans"]["collineations-3-eq"]["fan"]["notes"] = ["tampered"]
-    target = tmp_path / FIXTURE_NAME
-    target.write_text(json.dumps(doc))
-    s = collineations(3)
-    f = gkz_fan(s)
-    with pytest.raises(InternalError):
-        sbl_merge(f, s, fixtures_dir=tmp_path)
-
-
-def test_sbl_merge_honours_fixture_dir_copy(tmp_path):
-    shutil.copy(fixture_path(), tmp_path / FIXTURE_NAME)
-    s = collineations(3)
-    f = gkz_fan(s)
-    m = sbl_merge(f, s, fixtures_dir=tmp_path)
-    assert len(m.chambers) == 8
-
-
-def test_fixture_rewritten_in_place_is_read_again(tmp_path):
-    target = tmp_path / FIXTURE_NAME
-    shutil.copy(fixture_path(), target)
-    keys = bundled_fan_keys(tmp_path)
-    assert "quadrics-2" in keys
-    doc = json.loads(target.read_text())
-    del doc["payload"]["fans"]["quadrics-2"]
-    doc["sha256"] = hashlib.sha256(
-        canonical_json(doc["payload"]).encode("ascii")).hexdigest()
-    target.write_text(json.dumps(doc))
-    assert bundled_fan_keys(tmp_path) == tuple(k for k in keys if k != "quadrics-2")
-
-
 def test_bundled_keys():
     keys = set(bundled_fan_keys())
     assert keys == {
@@ -307,12 +256,3 @@ def test_fan_and_chamber_are_plain_records():
     assert all(isinstance(c, Chamber) for c in f.chambers)
     assert f.space == collineations(2)
 
-
-def test_fixture_generator_reproduces_the_bundled_checksum():
-    path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
-    spec = importlib.util.spec_from_file_location("make_fixtures", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    digest = hashlib.sha256(
-        canonical_json(tool.build_payload()).encode("ascii")).hexdigest()
-    assert digest == json.loads(Path(fixture_path()).read_text())["sha256"]

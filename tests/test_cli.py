@@ -1,13 +1,11 @@
 import hashlib
 import json
-import shutil
-from pathlib import Path
 
 import pytest
 
 from formcones.chambers import gkz_fan
 from formcones.cli import main, parse_n_range, resolve_threads
-from formcones.refdata import FIXTURE_NAME, bundled_fan_keys, fixture_path
+from formcones.refdata import bundled_fan_keys
 from formcones.reports import fan_from_report, fan_report, parse_vectors
 from formcones.spaces import collineations, nef_cone, quadrics
 
@@ -220,49 +218,6 @@ def test_verify_ok(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_corrupted_fixtures_exit_code(tmp_path, capsys):
-    doc = json.loads(Path(fixture_path()).read_text())
-    doc["payload"]["fans"]["quadrics-2"]["fan"]["kind"] = "tampered"
-    (tmp_path / FIXTURE_NAME).write_text(json.dumps(doc))
-    rc, _, err = run(capsys, "verify", "--suite", "fans",
-                     "--fixtures-dir", str(tmp_path))
-    assert rc == 1
-    assert "checksum" in err
-
-
-def _bad_checksum(text):
-    doc = json.loads(text)
-    doc["payload"]["fans"]["collineations-3-eq"]["fan"]["notes"] = ["tampered"]
-    return json.dumps(doc)
-
-
-@pytest.mark.parametrize("damage, message", [
-    (_bad_checksum, "checksum mismatch"),
-    (lambda text: text[: len(text) // 2], "not valid JSON"),
-])
-@pytest.mark.parametrize("argv", [
-    ("chambers", "--family", "xn", "--n", "3", "--sbl"),
-    ("verify", "--suite", "fans"),
-    ("info",),
-])
-def test_corrupt_fixture_is_one_line_exit_1(tmp_path, capsys, argv, damage,
-                                            message):
-    text = Path(fixture_path()).read_text()
-    (tmp_path / FIXTURE_NAME).write_text(damage(text))
-    rc, out, err = run(capsys, *argv, "--fixtures-dir", str(tmp_path))
-    assert rc == 1
-    assert out == ""
-    assert err.startswith("error: ") and message in err
-    assert err.count("\n") == 1
-
-
-def test_verify_with_copied_fixtures(tmp_path, capsys):
-    shutil.copy(fixture_path(), tmp_path / FIXTURE_NAME)
-    rc, out, _ = run(capsys, "verify", "--suite", "fans",
-                     "--fixtures-dir", str(tmp_path))
-    assert rc == 0
-
-
 def test_bench_range(capsys):
     rc, out, _ = run(capsys, "bench", "--family", "qn", "--n", "2..4")
     assert rc == 0
@@ -276,6 +231,15 @@ def test_bench_bad_ranges(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "bench", "--family", "qn", "--n", "abc")
     assert rc == 2
+
+
+@pytest.mark.parametrize("family, m", [("qn", "5"), ("xn", "9")])
+def test_bench_rejects_m_for_square_families(capsys, family, m):
+    rc, out, err = run(capsys, "bench", "--family", family, "--n", "3",
+                       "--m", m)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --m does not apply to family {family}\n"
 
 
 def test_info_plain(capsys):

@@ -6,7 +6,6 @@ from formcones.linalg import (
     _clear_denominators,
     _rref,
     dot,
-    kernel_basis,
     negate,
     primitive,
     rank,
@@ -51,20 +50,6 @@ def test_rank_oracles():
     assert rank([(1, 2, 3), (4, 5, 6), (7, 8, 9)]) == 2
 
 
-def test_kernel_basis_oracle():
-    k = kernel_basis([(1, 1, 1)])
-    assert len(k) == 2
-    for v in k:
-        assert dot((1, 1, 1), v) == 0
-    assert kernel_basis([(1, 0), (0, 1)]) == ()
-    assert kernel_basis([], width=2) == ((0, 1), (1, 0))
-
-
-def test_kernel_basis_needs_width_for_empty_input():
-    with pytest.raises(ValueError):
-        kernel_basis([])
-
-
 def test_row_space_basis_canonical():
     b = row_space_basis([(2, 4), (1, 2), (3, 6)])
     assert b == ((1, 2),)
@@ -78,15 +63,6 @@ def test_reduce_mod_rowspace():
     reduced = reduce_mod_rowspace((3, -2, 5), basis)
     assert reduced is not None
     assert reduced[2] != 0
-
-
-@given(st.lists(vectors(4), min_size=0, max_size=6))
-def test_kernel_is_orthogonal_and_rank_complements(rows):
-    k = kernel_basis(rows, width=4)
-    for v in k:
-        for r in rows:
-            assert dot(r, v) == 0
-    assert rank(rows) + len(k) == 4
 
 
 @given(st.lists(vectors(3), min_size=1, max_size=5))
