@@ -11,7 +11,6 @@ from .chambers import (
     Chamber,
     ChamberFan,
     Wall,
-    adjacency_graph,
     gkz_fan,
     locate,
     sbl_merge,
@@ -20,7 +19,6 @@ from .cones import (
     Cone,
     cone_from_halfspaces,
     cone_from_rays,
-    contains,
     dd_convert,
     dual,
     extremal_rays,
@@ -73,7 +71,6 @@ from .spaces import (
     moving_curve_cone,
     nef_cone,
     pairing,
-    picard_rank,
     quadrics,
 )
 
@@ -89,14 +86,12 @@ __all__ = [
     "dd_convert",
     "dual",
     "intersect",
-    "contains",
     "extremal_rays",
     "interior_point",
     # spaces and catalog
     "SpaceSpec",
     "collineations",
     "quadrics",
-    "picard_rank",
     "DivisorClass",
     "CurveClass",
     "GradingMatrix",
@@ -118,7 +113,6 @@ __all__ = [
     "Wall",
     "gkz_fan",
     "locate",
-    "adjacency_graph",
     "sbl_merge",
     # formulas
     "FormulaResult",

@@ -33,7 +33,6 @@ from .cones import (
     cone_from_rays,
     extremal_rays,
     interior_point,
-    intersect,
 )
 from .errors import (
     BoundaryPoint,
@@ -52,7 +51,6 @@ __all__ = [
     "ChamberFan",
     "gkz_fan",
     "locate",
-    "adjacency_graph",
     "sbl_merge",
 ]
 
@@ -241,11 +239,6 @@ def locate(f: ChamberFan, d: Sequence[int]) -> int:
     return idx
 
 
-def adjacency_graph(f: ChamberFan) -> tuple[Wall, ...]:
-    """Interior walls only; facets of the effective cone are not listed."""
-    return f.walls
-
-
 def sbl_merge(f: ChamberFan, s: SpaceSpec) -> ChamberFan:
     """Merge chambers that share a stable base locus, using bundled data.
 
@@ -268,7 +261,6 @@ def sbl_merge(f: ChamberFan, s: SpaceSpec) -> ChamberFan:
             f"fan: computed {len(f.chambers)} chambers, table covers "
             f"{len(expected)}"
         )
-    rho = s.picard_rank
     merged_of: dict[int, int] = {}
     chambers: list[Chamber] = []
     erased: set[Wall] = set()
@@ -282,7 +274,8 @@ def sbl_merge(f: ChamberFan, s: SpaceSpec) -> ChamberFan:
             )
         erased.add(shared[0])
         pi, pj = f.chambers[i].rays, f.chambers[j].rays
-        patch = intersect(_cone_of(rho, pi), _cone_of(rho, pj)).rays
+        # Two chambers of a fan meet in the face spanned by their common rays.
+        patch = set(pi) & set(pj)
         chambers.append(Chamber(
             rays=tuple(sorted(set(pi) | set(pj))),
             sample=primitive(tuple(map(sum, zip(*patch)))),

@@ -88,12 +88,11 @@ def _space(args, n: int | None = None) -> SpaceSpec:
     return quadrics(n, stage=args.stage)
 
 
-def _space_flags(sub, *, stage: bool = True):
+def _space_flags(sub):
     sub.add_argument("--family", required=True, choices=("xnm", "xn", "qn"))
     sub.add_argument("--n", required=True, type=int)
     sub.add_argument("--m", type=int)
-    if stage:
-        sub.add_argument("--stage", type=int)
+    sub.add_argument("--stage", type=int)
 
 
 def _fmt_vec(v) -> str:

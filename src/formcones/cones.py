@@ -17,6 +17,13 @@ normals of the primal one.  It also returns its final incidence, the
 tight input rows of each output vector, from which :func:`_read_back`
 recovers the canonical pair of the given side without a second pass.  So
 each cone runs at most one pass.
+
+Both functions reason on zero sets alone, without computing a rank.  This
+is exact because every vector they look at is extreme: an extreme ray is
+fixed by the set of rows tight on it, and the smallest face holding a few
+extreme rays is cut out by the rows tight on all of them.  The only rank
+test left is the certificate of :func:`extremal_rays`, which recomputes
+its tight rows by inner products and stays independent of the pass.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ __all__ = [
     "dual",
     "intersect",
     "extremal_rays",
-    "contains",
     "interior_point",
 ]
 
@@ -71,14 +77,24 @@ def _polar(normals: Sequence[Vec], d: int
     final incidence: ``rows`` are the input normals made primitive,
     deduplicated and sorted, and ``masks[j]`` has bit ``i`` set exactly
     when ``rows[i]`` is tight on ``rays[j]``.  Constraints are processed
-    in lexicographic order; adjacency of rays is decided by the algebraic
-    rank test (tight constraints of both rays must have rank
-    ``d - dim lineality - 2``), never by the combinatorial shortcut.
+    in lexicographic order.
+
+    Adjacency is decided on zero sets, as in :func:`_read_back`.  After
+    each constraint the current rays are exactly the extreme rays (modulo
+    the lineality space) of the cone cut out so far, and each mask is
+    exactly its ray's zero set, so no two masks are equal.  The smallest
+    face holding rays ``p`` and ``n`` is cut out by ``common = pmask &
+    nmask`` and holds every ray whose mask contains ``common``, so the
+    pair is adjacent (that face is two-dimensional) exactly when no third
+    ray's mask contains ``common`` (Fukuda & Prodon, "Double description
+    method revisited", 1996).  Pairs with fewer than
+    ``d - dim lineality - 2`` common rows are skipped before that test.
+    Each adjacent pair meets the new hyperplane inside its own face, so
+    no new ray is made twice.
     """
     rows = sorted({primitive(a) for a in normals if any(a)})
     lin: list[Vec] = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     rays: list[tuple[Vec, int]] = []
-    rank_cache: dict[int, int] = {}
 
     for idx, a in enumerate(rows):
         bit = 1 << idx
@@ -127,24 +143,17 @@ def _polar(normals: Sequence[Vec], d: int
             continue
         out = [(r, m) for r, m, _ in pos] + zero
         target = d - len(lin) - 2
-        made: set[Vec] = set()
+        masks = [m for _, m in rays]
         for p, pmask, ap in pos:
             for nvec, nmask, an in neg:
                 common = pmask & nmask
-                if common.bit_count() < target:
-                    continue
-                rk = rank_cache.get(common)
-                if rk is None:
-                    rk = rank([rows[i] for i in _bit_indices(common)])
-                    rank_cache[common] = rk
-                if rk != target:
+                if common.bit_count() < target or any(
+                        m & common == common and m != pmask and m != nmask
+                        for m in masks):
                     continue
                 comb = primitive(
                     tuple(x * (-an) + y * ap for x, y in zip(p, nvec))
                 )
-                if comb in made:
-                    continue
-                made.add(comb)
                 out.append((comb, common | bit))
         rays = out
 
@@ -408,10 +417,6 @@ def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
                     f"extremality certificate failed for ray {r}"
                 )
     return pointed
-
-
-def contains(c: Cone, v: Sequence[int]) -> bool:
-    return c.contains(v)
 
 
 def interior_point(c: Cone) -> Vec:

@@ -50,10 +50,6 @@ class SblTable:
     def gkz_chamber_count(self) -> int:
         return len(self.labels) + 2 * len(self.merges)
 
-    @property
-    def sbl_chamber_count(self) -> int:
-        return len(self.labels) + len(self.merges)
-
 
 def _rank2_labels(n: int, *, top: str | None = None) -> dict[Rays, str]:
     def D(k):

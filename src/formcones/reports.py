@@ -12,9 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .chambers import Chamber, ChamberFan, Wall
+from .chambers import Chamber, ChamberFan
 from .cones import Cone, dd_convert
-from .linalg import Vec
 from .spaces import SpaceSpec
 
 VERSION = "0.1.0"
@@ -24,14 +23,11 @@ __all__ = [
     "canonical_json",
     "vector_json",
     "vectors_json",
-    "parse_vector",
-    "parse_vectors",
     "divisor_basis_labels",
     "curve_basis_labels",
     "space_json",
     "cone_report",
     "fan_report",
-    "fan_from_report",
     "BenchRecord",
     "format_ns",
     "bench_table",
@@ -48,14 +44,6 @@ def vector_json(v: Sequence[int]) -> list[str]:
 
 def vectors_json(vs: Sequence[Sequence[int]]) -> list[list[str]]:
     return [vector_json(v) for v in vs]
-
-
-def parse_vector(item: Sequence[str]) -> Vec:
-    return tuple(int(x) for x in item)
-
-
-def parse_vectors(items: Sequence[Sequence[str]]) -> tuple[Vec, ...]:
-    return tuple(parse_vector(item) for item in items)
 
 
 def divisor_basis_labels(s: SpaceSpec) -> list[str]:
@@ -106,16 +94,6 @@ def _chamber_json(ch: Chamber) -> dict:
     }
 
 
-def _chamber_from_json(item: dict) -> Chamber:
-    return Chamber(
-        rays=parse_vectors(item["rays"]),
-        sample=parse_vector(item["sample"]),
-        label=item["label"],
-        pieces=tuple(parse_vectors(piece) for piece in item["pieces"]),
-        erased_walls=parse_vectors(item["erased"]),
-    )
-
-
 def fan_report(s: SpaceSpec, fan: ChamberFan, *,
                duration_ns: int | None = None,
                threads: int | None = None) -> dict:
@@ -134,17 +112,6 @@ def fan_report(s: SpaceSpec, fan: ChamberFan, *,
         },
         "meta": _meta(duration_ns=duration_ns, threads=threads),
     }
-
-
-def fan_from_report(s: SpaceSpec, doc: dict) -> ChamberFan:
-    fan = doc["fan"]
-    chambers = tuple(_chamber_from_json(item) for item in fan["chambers"])
-    walls = tuple(
-        Wall(item["first"], item["second"], parse_vector(item["normal"]))
-        for item in fan["walls"]
-    )
-    return ChamberFan(s, chambers, walls, kind=fan["kind"],
-                      notes=tuple(fan["notes"]))
 
 
 @dataclass(frozen=True)

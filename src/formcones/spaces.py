@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cones import Cone, cone_from_halfspaces, cone_from_rays, extremal_rays
 from .errors import DegenerateSpace, DimensionMismatch, RankUnsupported
@@ -33,7 +33,6 @@ __all__ = [
     "GradingMatrix",
     "collineations",
     "quadrics",
-    "picard_rank",
     "divisor_D",
     "divisor_E",
     "canonical_class",
@@ -148,10 +147,6 @@ class GradingMatrix:
 
     def multiplicity_one_coords(self) -> tuple[Vec, ...]:
         return tuple(cls.coords for cls, mult in self.columns if mult == 1)
-
-
-def picard_rank(s: SpaceSpec) -> int:
-    return s.picard_rank
 
 
 def _require_cones(s: SpaceSpec) -> int:

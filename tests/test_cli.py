@@ -1,13 +1,13 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from formcones.chambers import gkz_fan
+from formcones import refdata
 from formcones.cli import main, parse_n_range, resolve_threads
 from formcones.refdata import bundled_fan_keys
-from formcones.reports import fan_from_report, fan_report, parse_vectors
-from formcones.spaces import collineations, nef_cone, quadrics
+from formcones.spaces import nef_cone, quadrics
 
 X3_MOV_JSON = (
     '{"basis":["H","E_1","E_2"],"cone":"mov",'
@@ -37,7 +37,7 @@ def test_cone_json_rays_parse_back(capsys):
                      "--cone", "nef", "--format", "json")
     assert rc == 0
     doc = json.loads(out)
-    rays = parse_vectors(doc["rays"])
+    rays = tuple(tuple(int(x) for x in ray) for ray in doc["rays"])
     assert rays == nef_cone(quadrics(4)).rays
     assert doc["ray_count"] == len(rays)
     assert doc["space"] == {"family": "quadrics", "m": 4, "n": 4, "stage": None}
@@ -173,14 +173,6 @@ def test_sbl_json_digest(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_fan_report_round_trip():
-    s = collineations(3)
-    f = gkz_fan(s)
-    doc = fan_report(s, f, duration_ns=None, threads=None)
-    back = fan_from_report(s, doc)
-    assert back == f
-
-
 def test_missing_m_is_usage_error(capsys):
     rc, _, err = run(capsys, "cone", "--family", "xnm", "--n", "2",
                      "--cone", "nef")
@@ -216,6 +208,22 @@ def test_verify_ok(capsys):
     assert rc == 0
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_sbl_count_fails_on_a_repeated_label(monkeypatch, capsys):
+    # A stable-base-locus fan has one chamber per locus, so labelling the
+    # merged chamber E_2 as E_3 leaves a merge missed.
+    key = "collineations-3-eq"
+    table = refdata._TABLES[key]
+    (a, b, label), = table.merges
+    assert label == "E_2"
+    monkeypatch.setitem(refdata._TABLES, key,
+                        dataclasses.replace(table, merges=((a, b, "E_3"),)))
+    rc, out, _ = run(capsys, "verify", "--suite", "fans")
+    assert rc == 1
+    failed = [line.split()[1] for line in out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == [f"fans.{key}.sbl-count"]
 
 
 def test_bench_range(capsys):

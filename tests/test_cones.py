@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from formcones.cones import (
     Cone,
+    _polar,
     cone_from_halfspaces,
     cone_from_rays,
-    contains,
     dd_convert,
     dual,
     extremal_rays,
@@ -18,6 +18,7 @@ from formcones.errors import (
     NotFullDimensional,
     NotPointed,
 )
+from formcones.linalg import dot
 from formcones.verify import (
     _DUALITY_ORACLES,
     FUZZ_COUNT,
@@ -107,7 +108,7 @@ def test_intersect():
     b = cone_from_rays(2, [(0, 1), (2, 1)])
     both = intersect(a, b)
     assert both.rays == ((1, 2), (2, 1))
-    assert contains(a, (1, 1)) and contains(b, (1, 1)) and contains(both, (1, 1))
+    assert a.contains((1, 1)) and b.contains((1, 1)) and both.contains((1, 1))
 
 
 def test_strictly_contains():
@@ -194,6 +195,22 @@ def test_fuzz_corpus_all_pass():
     assert len(cases) == FUZZ_COUNT
     failures = [check_cone_case(rank, gens) for rank, gens in cases]
     assert [f for f in failures if f] == []
+
+
+def test_polar_masks_are_the_zero_sets_of_its_rays():
+    # ``_polar`` decides adjacency and ``_read_back`` picks maximal faces
+    # from these masks alone, so each must be exactly the rows tight on its
+    # ray, recomputed here by inner products, and no two may be equal.
+    cases = fuzz_cases(FUZZ_SEED, FUZZ_COUNT)
+    cases += [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
+    for rank_, gens in cases:
+        for normals in (gens, cone_from_rays(rank_, gens).facets):
+            (_, pointed), (rows, masks) = _polar(normals, rank_)
+            assert len(masks) == len(pointed)
+            for r, mask in zip(pointed, masks):
+                tight = sum(1 << i for i, a in enumerate(rows) if dot(a, r) == 0)
+                assert mask == tight, (rank_, normals, r)
+            assert len(set(masks)) == len(masks), (rank_, normals)
 
 
 @settings(deadline=None, max_examples=60)

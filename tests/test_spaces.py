@@ -20,7 +20,6 @@ from formcones.spaces import (
     moving_curve_cone,
     nef_cone,
     pairing,
-    picard_rank,
     quadrics,
 )
 
@@ -52,11 +51,11 @@ def test_describe_and_square():
 
 
 def test_picard_rank():
-    assert picard_rank(collineations(3)) == 3
-    assert picard_rank(quadrics(5)) == 5
-    assert picard_rank(collineations(3, 7)) == 4
-    assert picard_rank(collineations(4, stage=1)) == 2
-    assert picard_rank(quadrics(5, stage=2)) == 3
+    assert collineations(3).picard_rank == 3
+    assert quadrics(5).picard_rank == 5
+    assert collineations(3, 7).picard_rank == 4
+    assert collineations(4, stage=1).picard_rank == 2
+    assert quadrics(5, stage=2).picard_rank == 3
 
 
 def test_divisor_classes():
