@@ -18,12 +18,12 @@ tight input rows of each output vector, from which :func:`_read_back`
 recovers the canonical pair of the given side without a second pass.  So
 each cone runs at most one pass.
 
-Both functions reason on zero sets alone, without computing a rank.  This
-is exact because every vector they look at is extreme: an extreme ray is
-fixed by the set of rows tight on it, and the smallest face holding a few
-extreme rays is cut out by the rows tight on all of them.  The only rank
-test left is the certificate of :func:`extremal_rays`, which recomputes
-its tight rows by inner products and stays independent of the pass.
+Both functions work on zero sets alone and compute no rank.  This is
+exact because the rays involved are extreme: an extreme ray is fixed by
+the rows tight on it, and the smallest face holding some extreme rays is
+cut out by the rows tight on all of them.  The only rank test left is the
+certificate of :func:`extremal_rays`, which recomputes its tight rows by
+inner products and so stays independent of the pass.
 """
 
 from __future__ import annotations
@@ -60,12 +60,10 @@ __all__ = [
 
 
 def _bit_indices(mask: int):
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _polar(normals: Sequence[Vec], d: int
@@ -87,7 +85,9 @@ def _polar(normals: Sequence[Vec], d: int
     nmask`` and holds every ray whose mask contains ``common``, so the
     pair is adjacent (that face is two-dimensional) exactly when no third
     ray's mask contains ``common`` (Fukuda & Prodon, "Double description
-    method revisited", 1996).  Pairs with fewer than
+    method revisited", 1996).  The rays whose masks contain ``common``
+    are found at once by intersecting, over the rows in ``common``, the
+    sets of rays tight on each row.  Pairs with fewer than
     ``d - dim lineality - 2`` common rows are skipped before that test.
     Each adjacent pair meets the new hyperplane inside its own face, so
     no new ray is made twice.
@@ -127,29 +127,37 @@ def _polar(normals: Sequence[Vec], d: int
             rays = new_rays
             continue
 
-        pos: list[tuple[Vec, int, int]] = []
-        neg: list[tuple[Vec, int, int]] = []
+        pos: list[tuple[Vec, int, int, int]] = []
+        neg: list[tuple[Vec, int, int, int]] = []
         zero: list[tuple[Vec, int]] = []
-        for r, mask in rays:
+        for j, (r, mask) in enumerate(rays):
             s = sum(p * q for p, q in zip(a, r))
             if s > 0:
-                pos.append((r, mask, s))
+                pos.append((r, mask, s, 1 << j))
             elif s < 0:
-                neg.append((r, mask, s))
+                neg.append((r, mask, s, 1 << j))
             else:
                 zero.append((r, mask | bit))
         if not neg:
-            rays = [(r, m) for r, m, _ in pos] + zero
+            rays = [(r, m) for r, m, _, _ in pos] + zero
             continue
-        out = [(r, m) for r, m, _ in pos] + zero
+        out = [(r, m) for r, m, _, _ in pos] + zero
         target = d - len(lin) - 2
-        masks = [m for _, m in rays]
-        for p, pmask, ap in pos:
-            for nvec, nmask, an in neg:
+        # holding[i]: the current rays tight on rows[i], one bit per ray.
+        holding = [0] * idx
+        for j, (_, mask) in enumerate(rays):
+            for i in _bit_indices(mask):
+                holding[i] |= 1 << j
+        everyone = (1 << len(rays)) - 1
+        for p, pmask, ap, pbit in pos:
+            for nvec, nmask, an, nbit in neg:
                 common = pmask & nmask
-                if common.bit_count() < target or any(
-                        m & common == common and m != pmask and m != nmask
-                        for m in masks):
+                if common.bit_count() < target:
+                    continue
+                face = everyone
+                for i in _bit_indices(common):
+                    face &= holding[i]
+                if face != pbit | nbit:
                     continue
                 comb = primitive(
                     tuple(x * (-an) + y * ap for x, y in zip(p, nvec))
