@@ -127,21 +127,21 @@ def _polar(normals: Sequence[Vec], d: int
             rays = new_rays
             continue
 
-        pos: list[tuple[Vec, int, int, int]] = []
-        neg: list[tuple[Vec, int, int, int]] = []
+        pos: list[tuple[Vec, int, int]] = []
+        neg: list[tuple[Vec, int, int]] = []
         zero: list[tuple[Vec, int]] = []
-        for j, (r, mask) in enumerate(rays):
+        for r, mask in rays:
             s = sum(p * q for p, q in zip(a, r))
             if s > 0:
-                pos.append((r, mask, s, 1 << j))
+                pos.append((r, mask, s))
             elif s < 0:
-                neg.append((r, mask, s, 1 << j))
+                neg.append((r, mask, s))
             else:
                 zero.append((r, mask | bit))
         if not neg:
-            rays = [(r, m) for r, m, _, _ in pos] + zero
+            rays = [(r, m) for r, m, _ in pos] + zero
             continue
-        out = [(r, m) for r, m, _, _ in pos] + zero
+        out = [(r, m) for r, m, _ in pos] + zero
         target = d - len(lin) - 2
         # holding[i]: the current rays tight on rows[i], one bit per ray.
         holding = [0] * idx
@@ -149,15 +149,16 @@ def _polar(normals: Sequence[Vec], d: int
             for i in _bit_indices(mask):
                 holding[i] |= 1 << j
         everyone = (1 << len(rays)) - 1
-        for p, pmask, ap, pbit in pos:
-            for nvec, nmask, an, nbit in neg:
+        for p, pmask, ap in pos:
+            for nvec, nmask, an in neg:
                 common = pmask & nmask
                 if common.bit_count() < target:
                     continue
+                # The rays holding ``common``: ``p``, ``n`` and any third.
                 face = everyone
                 for i in _bit_indices(common):
                     face &= holding[i]
-                if face != pbit | nbit:
+                if face.bit_count() > 2:
                     continue
                 comb = primitive(
                     tuple(x * (-an) + y * ap for x, y in zip(p, nvec))
