@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,7 @@ from formcones.errors import (
     NotFullDimensional,
     NotPointed,
 )
-from formcones.linalg import dot
+from formcones.linalg import dot, negate, primitive, rank
 from formcones.verify import (
     _DUALITY_ORACLES,
     FUZZ_COUNT,
@@ -229,3 +232,80 @@ def test_random_cone_double_description(case):
         assert c.contains(g)
     assert cone_from_rays(rank_, list(c.rays) + list(gens)) == c
     assert cone_from_halfspaces(rank_, c.facets) == c
+
+
+# -- extreme-ray oracle ------------------------------------------------------
+#
+# Every extreme ray of a pointed cone {x : Ax >= 0} is fixed by d - 1 of its
+# tight rows: it is plus or minus their cofactor vector (the signed
+# (d-1)-minors), and that vector satisfies every row.  Conversely each such
+# vector is tight on rows of rank d - 1, so it is extreme.  The oracle below
+# enumerates row subsets with its own determinant and uses neither the
+# double-description pass nor ``row_space_basis``.
+
+
+def _det(m):
+    """Determinant of a square integer matrix (Bareiss elimination)."""
+    m = [list(r) for r in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def _cofactor_rays(d, vectors):
+    """Extreme rays of ``{x : <a, x> >= 0}``, for vectors of rank ``d``."""
+    rows = sorted({primitive(v) for v in vectors})
+    found = set()
+    for sub in combinations(rows, d - 1):
+        c = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in sub])
+                  for j in range(d))
+        if not any(c):
+            continue
+        for v in (c, negate(c)):
+            if all(dot(a, v) >= 0 for a in rows):
+                found.add(primitive(v))
+    return tuple(sorted(found))
+
+
+def _oracle_corpus(seed=20261018, count=120):
+    """Small integer vector sets of full rank, some with negated pairs."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        d = rng.randint(1, 6)
+        # Half the sets keep a nonnegative first coordinate, so that their
+        # halfspace cone holds (1, 0, ..., 0) and is not just the apex.
+        low = rng.choice((-2, 0))
+        vecs = {(rng.randint(low, 2),) + tuple(rng.randint(-2, 2)
+                                               for _ in range(d - 1))
+                for _ in range(rng.randint(d, 12))}
+        vecs.discard((0,) * d)
+        vecs = sorted(vecs)
+        for v in list(vecs):
+            if len(vecs) < 12 and rng.random() < 0.15:
+                vecs.append(negate(v))
+        vecs = vecs[:12]
+        if rank(vecs) == d:
+            cases.append((d, tuple(vecs)))
+    return cases
+
+
+def test_extreme_rays_match_the_cofactor_oracle():
+    # Compared on both sides: the rays of {x : Ax >= 0} directly, and the
+    # facets of the cone G generates, which are the rays of {a : Ga >= 0}.
+    # Negated pairs make implicit equalities, so degenerate rays occur.
+    for d, vecs in _oracle_corpus():
+        expected = _cofactor_rays(d, vecs)
+        assert cone_from_halfspaces(d, vecs).rays == expected, (d, vecs)
+        assert cone_from_rays(d, vecs).facets == expected, (d, vecs)
