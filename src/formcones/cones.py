@@ -28,6 +28,7 @@ inner products and so stays independent of the pass.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -64,6 +65,15 @@ def _bit_indices(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _maximal(sets: Iterable[int]) -> list[int]:
+    """The bitsets not strictly contained in another one, largest first."""
+    maximal: list[int] = []
+    for s in sorted(sets, key=int.bit_count, reverse=True):
+        if all(s & big != s for big in maximal):
+            maximal.append(s)
+    return maximal
 
 
 def _polar(normals: Sequence[Vec], d: int
@@ -127,21 +137,12 @@ def _polar(normals: Sequence[Vec], d: int
             rays = new_rays
             continue
 
-        pos: list[tuple[Vec, int, int]] = []
-        neg: list[tuple[Vec, int, int]] = []
-        zero: list[tuple[Vec, int]] = []
-        for r, mask in rays:
-            s = sum(p * q for p, q in zip(a, r))
-            if s > 0:
-                pos.append((r, mask, s))
-            elif s < 0:
-                neg.append((r, mask, s))
-            else:
-                zero.append((r, mask | bit))
-        if not neg:
-            rays = [(r, m) for r, m, _ in pos] + zero
+        values = [sum(map(mul, a, r)) for r, _ in rays]
+        out = [(r, mask | bit) if not s else (r, mask)
+               for (r, mask), s in zip(rays, values) if s >= 0]
+        if len(out) == len(rays):
+            rays = out
             continue
-        out = [(r, m) for r, m, _ in pos] + zero
         target = d - len(lin) - 2
         # holding[i]: the current rays tight on rows[i], one bit per ray.
         holding = [0] * idx
@@ -149,14 +150,53 @@ def _polar(normals: Sequence[Vec], d: int
             for i in _bit_indices(mask):
                 holding[i] |= 1 << j
         everyone = (1 << len(rays)) - 1
-        for p, pmask, ap in pos:
-            for nvec, nmask, an in neg:
+        # The kept rows: one per facet of the current cone, and every
+        # implicit equality.
+        keep = 0
+        first: dict[int, int] = {}
+        for i, h in enumerate(holding):
+            if h == everyone:
+                keep |= 1 << i
+            else:
+                first.setdefault(h, i)
+        for h in _maximal(first):
+            keep |= 1 << first[h]
+        fallback = []
+        for j, an in enumerate(values):
+            if an >= 0:
+                continue
+            nvec, nmask = rays[j]
+            tight = nmask & keep
+            if tight.bit_count() != target + 1:
+                fallback.append((nvec, nmask, an))
+                continue
+            # A simple ray: dropping one of its facets leaves an edge, whose
+            # other ray is the AND of the remaining facets' ray sets.
+            sets = [holding[i] for i in _bit_indices(tight)]
+            suffix = [everyone]
+            for h in reversed(sets):
+                suffix.append(suffix[-1] & h)
+            prefix = everyone ^ 1 << j
+            for h in sets:
+                suffix.pop()
+                k = (prefix & suffix[-1]).bit_length() - 1
+                prefix &= h
+                ap = values[k]
+                if ap > 0:
+                    p, pmask = rays[k]
+                    comb = primitive(
+                        tuple(x * (-an) + y * ap for x, y in zip(p, nvec)))
+                    out.append((comb, pmask & nmask | bit))
+        for (p, pmask), ap in zip(rays, values):
+            if ap <= 0 or not fallback:
+                continue
+            for nvec, nmask, an in fallback:
                 common = pmask & nmask
-                if common.bit_count() < target:
+                if (common & keep).bit_count() < target:
                     continue
                 # The rays holding ``common``: ``p``, ``n`` and any third.
                 face = everyone
-                for i in _bit_indices(common):
+                for i in _bit_indices(common & keep):
                     face &= holding[i]
                 if face.bit_count() > 2:
                     continue
@@ -201,11 +241,8 @@ def _read_back(rows: Mat, masks: Sequence[int], d: int) -> tuple[Mat, Mat]:
     for i, zeros in enumerate(zero_sets):
         if not everywhere >> i & 1:
             first.setdefault(zeros, i)
-    maximal: list[int] = []
-    for zeros in sorted(first, key=int.bit_count, reverse=True):
-        if all(zeros & big != zeros for big in maximal):
-            maximal.append(zeros)
-    pointed = {reduce_mod_rowspace(rows[first[z]], basis) for z in maximal}
+    pointed = {reduce_mod_rowspace(rows[first[z]], basis)
+               for z in _maximal(first)}
     return tuple(sorted(basis)), tuple(sorted(pointed))
 
 
