@@ -309,3 +309,45 @@ def test_extreme_rays_match_the_cofactor_oracle():
         expected = _cofactor_rays(d, vecs)
         assert cone_from_halfspaces(d, vecs).rays == expected, (d, vecs)
         assert cone_from_rays(d, vecs).facets == expected, (d, vecs)
+
+
+# -- the two ray steps of the pass ---------------------------------------------
+#
+# A negative ray tight on exactly d - 1 current facets is simple and its
+# edges are read off by the pivot; any other negative ray goes through the
+# pair loop.  The lexicographic row order makes each cone below use both.
+
+CUBE_RAYS = ((-1, -1, -1, 1), (-1, -1, 1, 1), (-1, 1, -1, 1), (-1, 1, 1, 1),
+             (1, -1, -1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, 1))
+OCTAHEDRON_RAYS = ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1),
+                   (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1))
+
+
+def test_cone_over_a_cube():
+    # Every ray lies on 3 of the 6 facets, in rank 4: all are simple.  The
+    # first four rows cut out a simplicial cone, which (0, 1, 0, 1) cuts by
+    # the pivot; that leaves (-1, 0, 0, 0) on four facets, and the last
+    # row removes it through the pair loop.  The facets of the cone over
+    # the octahedron are the rows of the same pass.
+    assert cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays == CUBE_RAYS
+    assert cone_from_rays(4, OCTAHEDRON_RAYS).facets == CUBE_RAYS
+
+
+def test_cone_over_an_octahedron():
+    # Every ray lies on 4 of the 8 facets, in rank 4: none is simple, so
+    # the step that makes the last of them runs the pair loop.
+    assert cone_from_halfspaces(4, CUBE_RAYS).rays == OCTAHEDRON_RAYS
+    assert cone_from_rays(4, CUBE_RAYS).facets == OCTAHEDRON_RAYS
+
+
+def test_cone_with_an_implicit_equality():
+    # The negated pair makes x3 = x4 an implicit equality: a cone over a
+    # square in a hyperplane.  When the last row cuts off (-1, 0, 0, 0),
+    # the edges from it lie on one facet and both equality rows, so they
+    # reach the d - 2 common rows only with the equalities counted.
+    rows = ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1), (0, 0, 1, -1),
+            (0, 1, 0, 1), (1, 0, 0, 1))
+    c = cone_from_halfspaces(4, rows)
+    assert c.rays == ((-1, -1, 1, 1), (-1, 1, 1, 1), (1, -1, 1, 1),
+                      (1, 1, 1, 1))
+    assert c.dim == 3
