@@ -28,7 +28,8 @@ inner products and so stays independent of the pass.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -67,6 +68,17 @@ def _bit_indices(mask: int):
         mask ^= low
 
 
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """Bit ``j`` of ``result[i]`` is bit ``i`` of ``masks[j]``.
+
+    Every mask must lie below ``1 << width``.  The masks are written out
+    as one string of ``width`` binary digits each, last mask first, so
+    column ``i`` is every ``width``-th digit and reads as a binary number.
+    """
+    digits = "".join(map(format, reversed(masks), repeat(f"0{width}b")))
+    return [int(digits[width - 1 - i::width] or "0", 2) for i in range(width)]
+
+
 def _maximal(sets: Iterable[int]) -> list[int]:
     """The bitsets not strictly contained in another one, largest first."""
     maximal: list[int] = []
@@ -90,21 +102,38 @@ def _polar(normals: Sequence[Vec], d: int
     Adjacency is decided on zero sets, as in :func:`_read_back`.  After
     each constraint the current rays are exactly the extreme rays (modulo
     the lineality space) of the cone cut out so far, and each mask is
-    exactly its ray's zero set, so no two masks are equal.  The smallest
-    face holding rays ``p`` and ``n`` is cut out by ``common = pmask &
-    nmask`` and holds every ray whose mask contains ``common``, so the
-    pair is adjacent (that face is two-dimensional) exactly when no third
-    ray's mask contains ``common`` (Fukuda & Prodon, "Double description
-    method revisited", 1996).  The rays whose masks contain ``common``
-    are found at once by intersecting, over the rows in ``common``, the
-    sets of rays tight on each row.  Pairs with fewer than
-    ``d - dim lineality - 2`` common rows are skipped before that test.
-    Each adjacent pair meets the new hyperplane inside its own face, so
-    no new ray is made twice.
+    exactly its ray's zero set, so no two masks are equal.
+
+    At each constraint that leaves a negative ray, the pass keeps the rows
+    that cut out the current cone: one row per maximal set of tight rays
+    (a facet) and every row tight on all rays (an implicit equality).
+    Every face is cut out by the kept rows that hold it, so the smallest
+    face holding rays ``p`` and ``n`` holds exactly the rays in the
+    intersection of the ray sets of the kept rows in ``pmask & nmask``.
+    The pair is adjacent (that face is two-dimensional) exactly when it
+    holds no third ray (Fukuda & Prodon, "Double description method
+    revisited", 1996).  The kept rows of such a face have rank
+    ``d - dim lineality - 2``, so pairs with fewer common kept rows are
+    skipped first.  Implicit equalities cut nothing out but count toward
+    that number: without them the edges of a cone that is not
+    full-dimensional fall short of it.
+
+    A negative ray on exactly ``d - dim lineality - 1`` kept rows is
+    simple: those rows are independent facets (so there is no implicit
+    equality, as equality rows are linearly dependent), and dropping any
+    one of them leaves an edge from the ray.  The other ray of each edge
+    is the intersection of the remaining facets' ray sets, found for all
+    of them by prefix and suffix ANDs.  This is the pivot step of reverse
+    search (Avis & Fukuda, "A pivoting algorithm for convex hulls and
+    vertex enumeration", 1992).  Only the negative rays that are not
+    simple go through the pair loop.  Each adjacent pair meets the new
+    hyperplane inside its own face, so no new ray is made twice.
     """
     rows = sorted({primitive(a) for a in normals if any(a)})
     lin: list[Vec] = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    rays: list[tuple[Vec, int]] = []
+    vecs: list[Vec] = []
+    masks: list[int] = []
+    cols: list[tuple[int, ...]] = []  # the coordinates of ``vecs``, by column
 
     for idx, a in enumerate(rows):
         bit = 1 << idx
@@ -127,29 +156,36 @@ def _polar(normals: Sequence[Vec], d: int
                     v = primitive(tuple(x * aw - y * av for x, y in zip(v, w)))
                 new_lin.append(v)
             lin = new_lin
-            new_rays = []
-            for r, mask in rays:
+            new_vecs = []
+            for r in vecs:
                 ar = sum(p * q for p, q in zip(a, r))
                 if ar:
                     r = primitive(tuple(x * aw - y * ar for x, y in zip(r, w)))
-                new_rays.append((r, mask | bit))
-            new_rays.append((w, bit - 1))
-            rays = new_rays
+                new_vecs.append(r)
+            vecs = new_vecs + [w]
+            masks = [mask | bit for mask in masks] + [bit - 1]
+            cols = list(zip(*vecs))
+            continue
+        if not vecs:
             continue
 
-        values = [sum(map(mul, a, r)) for r, _ in rays]
-        out = [(r, mask | bit) if not s else (r, mask)
-               for (r, mask), s in zip(rays, values) if s >= 0]
-        if len(out) == len(rays):
-            rays = out
+        # <a, r> for every ray at once, column by column over the nonzero
+        # entries of ``a``.
+        values = None
+        for c, col in zip(a, cols):
+            if c:
+                term = map(mul, col, repeat(c))
+                values = term if values is None else map(add, values, term)
+        values = list(values)
+        if min(values) >= 0:
+            for j, s in enumerate(values):
+                if not s:
+                    masks[j] |= bit
             continue
         target = d - len(lin) - 2
         # holding[i]: the current rays tight on rows[i], one bit per ray.
-        holding = [0] * idx
-        for j, (_, mask) in enumerate(rays):
-            for i in _bit_indices(mask):
-                holding[i] |= 1 << j
-        everyone = (1 << len(rays)) - 1
+        holding = _transpose(masks, idx)
+        everyone = (1 << len(vecs)) - 1
         # The kept rows: one per facet of the current cone, and every
         # implicit equality.
         keep = 0
@@ -161,11 +197,17 @@ def _polar(normals: Sequence[Vec], d: int
                 first.setdefault(h, i)
         for h in _maximal(first):
             keep |= 1 << first[h]
+        new_vecs = []
+        new_masks = []
+        for r, mask, s in zip(vecs, masks, values):
+            if s >= 0:
+                new_vecs.append(r)
+                new_masks.append(mask if s else mask | bit)
         fallback = []
         for j, an in enumerate(values):
             if an >= 0:
                 continue
-            nvec, nmask = rays[j]
+            nvec, nmask = vecs[j], masks[j]
             tight = nmask & keep
             if tight.bit_count() != target + 1:
                 fallback.append((nvec, nmask, an))
@@ -183,12 +225,11 @@ def _polar(normals: Sequence[Vec], d: int
                 prefix &= h
                 ap = values[k]
                 if ap > 0:
-                    p, pmask = rays[k]
-                    comb = primitive(
-                        tuple(x * (-an) + y * ap for x, y in zip(p, nvec)))
-                    out.append((comb, pmask & nmask | bit))
-        for (p, pmask), ap in zip(rays, values):
-            if ap <= 0 or not fallback:
+                    new_vecs.append(primitive(
+                        tuple(x * (-an) + y * ap for x, y in zip(vecs[k], nvec))))
+                    new_masks.append(masks[k] & nmask | bit)
+        for p, pmask, ap in zip(vecs, masks, values):
+            if ap <= 0:
                 continue
             for nvec, nmask, an in fallback:
                 common = pmask & nmask
@@ -200,15 +241,15 @@ def _polar(normals: Sequence[Vec], d: int
                     face &= holding[i]
                 if face.bit_count() > 2:
                     continue
-                comb = primitive(
-                    tuple(x * (-an) + y * ap for x, y in zip(p, nvec))
-                )
-                out.append((comb, common | bit))
-        rays = out
+                new_vecs.append(primitive(
+                    tuple(x * (-an) + y * ap for x, y in zip(p, nvec))))
+                new_masks.append(common | bit)
+        vecs, masks = new_vecs, new_masks
+        cols = list(zip(*vecs))
 
     lin_basis = row_space_basis(lin, width=d)
     tight: dict[Vec, int] = {}
-    for r, mask in rays:
+    for r, mask in zip(vecs, masks):
         rr = reduce_mod_rowspace(r, lin_basis)
         if rr is not None:
             tight[rr] = mask
@@ -233,10 +274,7 @@ def _read_back(rows: Mat, masks: Sequence[int], d: int) -> tuple[Mat, Mat]:
     for mask in masks:
         everywhere &= mask
     basis = row_space_basis([rows[i] for i in _bit_indices(everywhere)], width=d)
-    zero_sets = [0] * len(rows)
-    for j, mask in enumerate(masks):
-        for i in _bit_indices(mask & ~everywhere):
-            zero_sets[i] |= 1 << j
+    zero_sets = _transpose(masks, len(rows))
     first: dict[int, int] = {}
     for i, zeros in enumerate(zero_sets):
         if not everywhere >> i & 1:
