@@ -92,7 +92,8 @@ class ChamberFan:
     notes: tuple[str, ...] = ()
 
 
-@lru_cache(maxsize=None)
+# perfbench's fans-verify command list fills 90 entries in one process.
+@lru_cache(maxsize=128)
 def _cone_of(rho: int, rays: tuple[Vec, ...]) -> Cone:
     return cone_from_rays(rho, rays)
 
