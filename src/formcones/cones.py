@@ -79,13 +79,20 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
     return [int(digits[width - 1 - i::width] or "0", 2) for i in range(width)]
 
 
-def _maximal(sets: Iterable[int]) -> list[int]:
-    """The bitsets not strictly contained in another one, largest first."""
+def _facet_rows(zero_sets: Sequence[int], everyone: int) -> list[int]:
+    """One row per maximal zero set, among rows whose zero set is not ``everyone``.
+
+    The first row with each zero set stands for it.
+    """
+    first: dict[int, int] = {}
+    for i, zeros in enumerate(zero_sets):
+        if zeros != everyone:
+            first.setdefault(zeros, i)
     maximal: list[int] = []
-    for s in sorted(sets, key=int.bit_count, reverse=True):
-        if all(s & big != s for big in maximal):
-            maximal.append(s)
-    return maximal
+    for zeros in sorted(first, key=int.bit_count, reverse=True):
+        if all(zeros & big != zeros for big in maximal):
+            maximal.append(zeros)
+    return [first[zeros] for zeros in maximal]
 
 
 def _polar(normals: Sequence[Vec], d: int
@@ -167,7 +174,7 @@ def _polar(normals: Sequence[Vec], d: int
             cols = list(zip(*vecs))
             continue
         if not vecs:
-            continue
+            continue  # the cone is its lineality space, inside the hyperplane
 
         # <a, r> for every ray at once, column by column over the nonzero
         # entries of ``a``.
@@ -186,17 +193,11 @@ def _polar(normals: Sequence[Vec], d: int
         # holding[i]: the current rays tight on rows[i], one bit per ray.
         holding = _transpose(masks, idx)
         everyone = (1 << len(vecs)) - 1
-        # The kept rows: one per facet of the current cone, and every
-        # implicit equality.
-        keep = 0
-        first: dict[int, int] = {}
-        for i, h in enumerate(holding):
-            if h == everyone:
-                keep |= 1 << i
-            else:
-                first.setdefault(h, i)
-        for h in _maximal(first):
-            keep |= 1 << first[h]
+        # The kept rows: every implicit equality, and one row per facet of
+        # the current cone.
+        keep = sum(1 << i for i, h in enumerate(holding) if h == everyone)
+        for i in _facet_rows(holding, everyone):
+            keep |= 1 << i
         new_vecs = []
         new_masks = []
         for r, mask, s in zip(vecs, masks, values):
@@ -270,17 +271,12 @@ def _read_back(rows: Mat, masks: Sequence[int], d: int) -> tuple[Mat, Mat]:
     Rows with the same zero set agree modulo the space up to a positive
     factor, so one row per zero set is reduced.  No rank is computed.
     """
-    everywhere = (1 << len(rows)) - 1
-    for mask in masks:
-        everywhere &= mask
-    basis = row_space_basis([rows[i] for i in _bit_indices(everywhere)], width=d)
     zero_sets = _transpose(masks, len(rows))
-    first: dict[int, int] = {}
-    for i, zeros in enumerate(zero_sets):
-        if not everywhere >> i & 1:
-            first.setdefault(zeros, i)
-    pointed = {reduce_mod_rowspace(rows[first[z]], basis)
-               for z in _maximal(first)}
+    everyone = (1 << len(masks)) - 1
+    basis = row_space_basis([a for a, zeros in zip(rows, zero_sets)
+                             if zeros == everyone], width=d)
+    pointed = {reduce_mod_rowspace(rows[i], basis)
+               for i in _facet_rows(zero_sets, everyone)}
     return tuple(sorted(basis)), tuple(sorted(pointed))
 
 
