@@ -296,7 +296,8 @@ def is_fano(s: SpaceSpec) -> bool:
 
 
 # quadrics(16) has 2^15 movable rays and takes about 3.3 s on a 2-vCPU Xeon
-# VM (quadrics(15): 1.5 s); larger ranks are refused.
+# VM (quadrics(15): 1.5 s).  Each further rank doubles the ray count; rank
+# 17 has not been timed or its memory measured, so larger ranks stay refused.
 _MAX_MOVABLE_RANK = 16
 
 

@@ -1,9 +1,12 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from formcones import cones as cones_module
 from formcones.cones import (
     Cone,
     _polar,
@@ -315,7 +318,35 @@ def test_extreme_rays_match_the_cofactor_oracle():
 #
 # A negative ray tight on exactly d - 1 current facets is simple and its
 # edges are read off by the pivot; any other negative ray goes through the
-# pair loop.  The lexicographic row order makes each cone below use both.
+# pair loop.  _ray_steps records which of the two runs at which row, by
+# tracing the lines of _polar that only each step executes.
+
+
+def _ray_steps(build):
+    """``(row index, step)`` for every ray step ``_polar`` runs in ``build``."""
+    lines, first = inspect.getsourcelines(cones_module._polar)
+    markers = {"pivot": "prefix &= h", "pair loop": "face &= holding[i]"}
+    steps = {first + i: step for i, line in enumerate(lines)
+             for step, text in markers.items() if text in line}
+    assert sorted(steps.values()) == sorted(markers), "a marker line moved"
+    seen = set()
+
+    def in_polar(frame, event, arg):
+        if event == "line" and frame.f_lineno in steps:
+            seen.add((frame.f_locals["idx"], steps[frame.f_lineno]))
+        return in_polar
+
+    def calls(frame, event, arg):
+        return in_polar if frame.f_code is cones_module._polar.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        build()
+    finally:
+        sys.settrace(previous)
+    return sorted(seen)
+
 
 CUBE_RAYS = ((-1, -1, -1, 1), (-1, -1, 1, 1), (-1, 1, -1, 1), (-1, 1, 1, 1),
              (1, -1, -1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, 1))
@@ -331,23 +362,31 @@ def test_cone_over_a_cube():
     # the octahedron are the rows of the same pass.
     assert cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays == CUBE_RAYS
     assert cone_from_rays(4, OCTAHEDRON_RAYS).facets == CUBE_RAYS
+    assert _ray_steps(lambda: cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays) \
+        == [(4, "pivot"), (5, "pair loop")]
 
 
 def test_cone_over_an_octahedron():
-    # Every ray lies on 4 of the 8 facets, in rank 4: none is simple, so
-    # the step that makes the last of them runs the pair loop.
+    # Every ray lies on 4 of the 8 facets, in rank 4: none is simple.  The
+    # cones cut out on the way have simple rays, so the pivot runs at rows
+    # 3, 5 and 7, and the pair loop at row 6.
     assert cone_from_halfspaces(4, CUBE_RAYS).rays == OCTAHEDRON_RAYS
     assert cone_from_rays(4, CUBE_RAYS).facets == OCTAHEDRON_RAYS
+    assert _ray_steps(lambda: cone_from_halfspaces(4, CUBE_RAYS).rays) == [
+        (3, "pivot"), (5, "pivot"), (6, "pair loop"), (7, "pivot")]
 
 
 def test_cone_with_an_implicit_equality():
     # The negated pair makes x3 = x4 an implicit equality: a cone over a
     # square in a hyperplane.  When the last row cuts off (-1, 0, 0, 0),
     # the edges from it lie on one facet and both equality rows, so they
-    # reach the d - 2 common rows only with the equalities counted.
+    # reach the d - 2 common rows only with the equalities counted.  That
+    # step runs the pair loop; the pivot runs at the negated row.
     rows = ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1), (0, 0, 1, -1),
             (0, 1, 0, 1), (1, 0, 0, 1))
     c = cone_from_halfspaces(4, rows)
     assert c.rays == ((-1, -1, 1, 1), (-1, 1, 1, 1), (1, -1, 1, 1),
                       (1, 1, 1, 1))
     assert c.dim == 3
+    assert _ray_steps(lambda: cone_from_halfspaces(4, rows).rays) \
+        == [(3, "pivot"), (5, "pair loop")]
