@@ -2,13 +2,13 @@
 
 The chamber fan is computed from the grading-matrix columns: two divisor
 classes share a chamber exactly when they lie in the same positive hulls
-of column subsets.  One breadth-first walk serves every rank: it starts
-at the chamber holding an interior point of Nef, and for each chamber
-facet inside the effective cone it classifies a point just past the
-facet's relative interior, found by exact symbolic perturbation, as the
-intersection of the simplicial column cones that hold it.  The walk
-yields the walls directly, and every interior wall must be crossed from
-both of its chambers, which is checked.  Arithmetic is integer only.
+of column subsets, so a chamber is named by the set of hulls holding it.
+One breadth-first walk serves every rank.  It starts at Nef, and across
+each chamber facet inside the effective cone it finds the hull set of a
+point just past the facet's relative interior, by exact symbolic
+perturbation.  Each new hull set is cut out once, by one halfspace pass.
+Every interior wall must be crossed from both of its chambers, which is
+checked.  Arithmetic is integer only.
 Picard rank 4 and above is refused until invariant checks for it exist.
 
 Merged fans (stable-base-locus decompositions) are data-driven: the wall
@@ -105,27 +105,28 @@ def _undirected(v: Vec) -> Vec:
     raise InternalError("zero vector has no direction")
 
 
-def _chamber_at(rho: int, hulls: list[tuple[Vec, ...]], q: Vec, d: Vec
-                ) -> tuple[Vec, ...]:
-    """Rays of the chamber that holds ``q + e*d`` for every small ``e > 0``.
+def _chamber_at(hulls: list[tuple[Vec, ...]], q: Vec, d: Vec) -> frozenset[int]:
+    """Hull set of the chamber holding ``q + e*d`` for every small ``e > 0``.
 
     ``hulls`` are the facet lists of the full-dimensional column cones.  A
     cone holds the point exactly when each facet normal ``g`` has
     ``<g, q> > 0``, or ``<g, q> = 0`` and ``<g, d> >= 0``, so no ``e`` is
     ever chosen.
     """
-    normals: set[Vec] = set()
-    for facets in hulls:
-        if all(dot(g, q) > 0 or (dot(g, q) == 0 and dot(g, d) >= 0)
-               for g in facets):
-            normals.update(facets)
-    if not normals:
+    held = frozenset(i for i, facets in enumerate(hulls)
+                     if all(dot(g, q) > 0 or (dot(g, q) == 0 and dot(g, d) >= 0)
+                            for g in facets))
+    if not held:
         raise InternalError(f"point {q} escapes every column hull")
-    return cone_from_halfspaces(rho, tuple(sorted(normals))).rays
+    return held
 
 
 def _walk(s: SpaceSpec, cols: tuple[Vec, ...]) -> tuple[list[Chamber], list[Wall]]:
-    """Breadth-first walk of the chamber fan, starting at Nef."""
+    """Breadth-first walk of the chamber fan, starting at Nef.
+
+    Chambers are keyed by their hull sets, and each one is cut out by a
+    single halfspace pass, whose cone gives its rays, facets and sample.
+    """
     rho = s.picard_rank
     # By Caratheodory, intersecting the simplicial column cones that hold a
     # generic point gives the same chamber as intersecting all column hulls.
@@ -133,27 +134,29 @@ def _walk(s: SpaceSpec, cols: tuple[Vec, ...]) -> tuple[list[Chamber], list[Wall
                                       for c in combinations(cols, rho))
              if cone.is_full_dimensional]
     boundary = set(effective_cone(s).facets)
-    found = [_chamber_at(rho, hulls, interior_point(nef_cone(s)), (0,) * rho)]
+    nef_rays = extremal_rays(nef_cone(s))
+    found = [_chamber_at(hulls, interior_point(nef_cone(s)), (0,) * rho)]
     index = {found[0]: 0}
+    chambers: list[Chamber] = []
     crossed: set[tuple[int, int, Vec]] = set()
-    for i, rays in enumerate(found):  # ``found`` grows as the walk goes
-        for f in _cone_of(rho, rays).facets:
+    for i, held in enumerate(found):  # ``found`` grows as the walk goes
+        cone = cone_from_halfspaces(rho, {g for h in held for g in hulls[h]})
+        rays = cone.rays
+        chambers.append(Chamber(rays=rays, sample=interior_point(cone),
+                                label="Nef" if rays == nef_rays else None))
+        for f in cone.facets:
             if f in boundary:
                 continue
             q = tuple(map(sum, zip(*(r for r in rays if dot(f, r) == 0))))
-            beyond = _chamber_at(rho, hulls, q, negate(f))
+            beyond = _chamber_at(hulls, q, negate(f))
             if beyond not in index:
                 index[beyond] = len(found)
                 found.append(beyond)
             crossed.add((i, index[beyond], _undirected(f)))
     for i, j, normal in crossed:
         if i == j or (j, i, normal) not in crossed:
-            raise InternalError(
-                f"wall {normal} was crossed from chamber {i} into {j} "
-                "but not back"
-            )
-    chambers = [Chamber(rays=rays, sample=interior_point(_cone_of(rho, rays)))
-                for rays in found]
+            raise InternalError(f"wall {normal} was crossed from chamber {i} "
+                                f"into {j} but not back")
     walls = [Wall(i, j, normal) for i, j, normal in crossed if i < j]
     return chambers, walls
 
@@ -161,11 +164,11 @@ def _walk(s: SpaceSpec, cols: tuple[Vec, ...]) -> tuple[list[Chamber], list[Wall
 def gkz_fan(s: SpaceSpec) -> ChamberFan:
     """Chamber decomposition of the effective cone from the grading columns.
 
-    Walks the fan from the Nef chamber across each interior facet; see the
-    module docstring.  The walk itself works in any Picard rank, but only
-    rank 2 and 3 are checked against reference counts, so higher ranks
-    raise :class:`RankUnsupported` as a matter of policy.  Chambers are
-    sorted by their rays and walls by their chamber indices.
+    Walks the fan from the Nef chamber and cuts out each chamber, named by
+    its hull set, once; see the module docstring.  The walk works in any
+    Picard rank, but only rank 2 and 3 are checked against reference
+    counts, so higher ranks raise :class:`RankUnsupported` as a matter of
+    policy.  Chambers are sorted by their rays, walls by chamber indices.
     """
     rho = s.picard_rank
     if rho < 2:
@@ -178,10 +181,6 @@ def gkz_fan(s: SpaceSpec) -> ChamberFan:
             f"got rank {rho} for {s.describe()}"
         )
     chambers, walls = _walk(s, grading_matrix(s).distinct_coords())
-    nef_rays = extremal_rays(nef_cone(s))
-    chambers = [Chamber(rays=ch.rays, sample=ch.sample,
-                        label="Nef" if ch.rays == nef_rays else None)
-                for ch in chambers]
     return _sorted_fan(s, chambers, walls, kind="gkz")
 
 

@@ -193,6 +193,9 @@ def cmd_bench(args) -> int:
 
 def cmd_info(args) -> int:
     if args.family is None:
+        for flag in ("n", "m", "stage"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} requires --family")
         print(f"formcones {VERSION}")
         print("families: xnm (wide collineations), xn (square collineations), "
               "qn (quadrics)")
@@ -201,6 +204,8 @@ def cmd_info(args) -> int:
         print(f"bundled merged fans: {' '.join(bundled_fan_keys())}")
         print(f"default threads: {os.cpu_count() or 1}")
         return 0
+    if args.n is None:
+        raise ValueError("--n is required with --family")
     s = _space(args)
     print(f"space: {s.describe()}")
     print(f"picard rank: {s.picard_rank}")
@@ -263,9 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "info" and args.family is not None and args.n is None:
-        print("error: --n is required with --family", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except InternalError as e:  # a failed self-check

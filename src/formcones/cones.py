@@ -42,6 +42,7 @@ from .errors import (
 from .linalg import (
     Mat,
     Vec,
+    dot,
     negate,
     primitive,
     rank,
@@ -149,27 +150,22 @@ def _polar(normals: Sequence[Vec], d: int
         # other generator is projected along it onto the hyperplane.
         w = None
         for t, v in enumerate(lin):
-            s = sum(p * q for p, q in zip(a, v))
+            s = dot(a, v)
             if s:
                 w = v if s > 0 else negate(v)
                 del lin[t]
                 break
         if w is not None:
-            aw = sum(p * q for p, q in zip(a, w))
-            new_lin = []
-            for v in lin:
-                av = sum(p * q for p, q in zip(a, v))
-                if av:
-                    v = primitive(tuple(x * aw - y * av for x, y in zip(v, w)))
-                new_lin.append(v)
-            lin = new_lin
-            new_vecs = []
-            for r in vecs:
-                ar = sum(p * q for p, q in zip(a, r))
-                if ar:
-                    r = primitive(tuple(x * aw - y * ar for x, y in zip(r, w)))
-                new_vecs.append(r)
-            vecs = new_vecs + [w]
+            aw = dot(a, w)
+
+            def project(v: Vec) -> Vec:
+                av = dot(a, v)
+                if not av:
+                    return v
+                return primitive(tuple(x * aw - y * av for x, y in zip(v, w)))
+
+            lin = [project(v) for v in lin]
+            vecs = [project(r) for r in vecs] + [w]
             masks = [mask | bit for mask in masks] + [bit - 1]
             cols = list(zip(*vecs))
             continue

@@ -22,7 +22,13 @@ from formcones.errors import (
 from formcones.linalg import dot, rank
 from formcones.refdata import bundled_fan_keys, bundled_spaces, space_key
 from formcones.reports import fan_report
-from formcones.spaces import DivisorClass, collineations, effective_cone, quadrics
+from formcones.spaces import (
+    DivisorClass,
+    collineations,
+    effective_cone,
+    grading_matrix,
+    quadrics,
+)
 
 X3_CHAMBER_RAYS = (
     ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
@@ -146,6 +152,31 @@ def test_walk_certificate_rejects_a_one_way_crossing(monkeypatch, s):
     monkeypatch.setattr(chambers_module, "negate", lambda v: v)
     with pytest.raises(InternalError, match="not back"):
         gkz_fan(s)
+
+
+@pytest.mark.parametrize("s, chambers", [(collineations(3), 9),
+                                         (quadrics(4, stage=1), 5)])
+def test_walk_cuts_each_chamber_once(monkeypatch, s, chambers):
+    calls = []
+    cut = chambers_module.cone_from_halfspaces
+
+    def counting(*args):
+        calls.append(args)
+        return cut(*args)
+
+    monkeypatch.setattr(chambers_module, "cone_from_halfspaces", counting)
+    assert len(gkz_fan(s).chambers) == len(calls) == chambers
+
+
+@pytest.mark.parametrize("s, chambers, walls", [
+    (collineations(4), 34, 68), (quadrics(4), 34, 68),
+    (collineations(3, 4), 15, 28)])
+def test_walk_counts_beyond_rank_3(s, chambers, walls):
+    # Regression values, not numbers from the paper: gkz_fan still refuses
+    # rank 4, so the walk is called directly.
+    found, crossed = chambers_module._walk(s, grading_matrix(s).distinct_coords())
+    assert (len(found), len(crossed)) == (chambers, walls)
+    assert [c.label for c in found].count("Nef") == 1
 
 
 def test_gkz_fan_is_deterministic():

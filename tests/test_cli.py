@@ -258,7 +258,9 @@ def test_info_plain(capsys):
 
 
 def test_movable_cone_size_guard_exit_code(capsys):
-    # Without the guard this pass would run for hours.
+    # Rank 20 is past the bound of 16: each further rank doubles the
+    # movable ray count, and no rank above 16 has been timed or had its
+    # memory measured.
     rc, out, err = run(capsys, "cone", "--family", "qn", "--n", "20",
                        "--cone", "mov")
     assert rc == 3
@@ -277,6 +279,15 @@ def test_info_space(capsys):
 def test_info_family_without_n(capsys):
     rc, _, _ = run(capsys, "info", "--family", "qn")
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "3"), ("--m", "4"),
+                                         ("--stage", "1")])
+def test_info_space_flag_without_family(capsys, flag, value):
+    rc, out, err = run(capsys, "info", flag, value)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {flag} requires --family\n"
 
 
 def test_threads_env_honoured(monkeypatch, capsys):
