@@ -10,15 +10,20 @@ reduced modulo that space, everything sorted lexicographically.  Two
 equal cones therefore compare equal structurally.
 
 The single conversion primitive is :func:`_polar`, an incremental double
-description pass: minimal generators of ``{x : <a, x> >= 0}``.  Run over
-the given vectors, it yields the canonical pair of the other side, since
-the minimal generators of the dual cone are exactly the irredundant facet
-normals of the primal one.  It also returns its final incidence, the
-tight input rows of each output vector, from which :func:`_read_back`
-recovers the canonical pair of the given side without a second pass.  So
-each cone runs at most one pass.
+description pass: minimal generators of ``{x : <a, x> >= 0}``, one
+:func:`_insert` step per row.  Run over the given vectors, it yields the
+canonical pair of the other side, since the minimal generators of the
+dual cone are exactly the irredundant facet normals of the primal one.
+It also returns its final incidence, the tight input rows of each output
+vector, from which :func:`_read_back` recovers the canonical pair of the
+given side without a second pass.  So each cone runs at most one pass.
 
-Both functions work on zero sets alone and compute no rank.  This is
+The one place that computes facets without building a cone is
+:func:`omit_one_hulls`: it drives the same step over many cones whose
+generators differ by one vector, sharing the steps they have in common,
+and gives each cone's facets as the pass over its own generators would.
+
+The step and :func:`_read_back` work on zero sets alone and compute no rank.  This is
 exact because the rays involved are extreme: an extreme ray is fixed by
 the rows tight on it, and the smallest face holding some extreme rays is
 cut out by the rows tight on all of them.  The only rank test left is the
@@ -59,6 +64,7 @@ __all__ = [
     "intersect",
     "extremal_rays",
     "interior_point",
+    "omit_one_hulls",
 ]
 
 
@@ -105,18 +111,46 @@ def _polar(normals: Sequence[Vec], d: int
     final incidence: ``rows`` are the input normals made primitive,
     deduplicated and sorted, and ``masks[j]`` has bit ``i`` set exactly
     when ``rows[i]`` is tight on ``rays[j]``.  Constraints are processed
-    in lexicographic order.
+    in lexicographic order, one :func:`_insert` step each.
+    """
+    rows = sorted({primitive(a) for a in normals if any(a)})
+    pair, masks = _canonical(_inserted(_start(d), 0, rows), d)
+    return pair, (tuple(rows), masks)
+
+
+def _start(d: int):
+    """The state of a pass before its first row: all of ``Q^d``, as lineality."""
+    lin = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    return lin, [], [], []
+
+
+def _inserted(state, idx: int, rows: Iterable[Vec]):
+    """The state after ``rows`` are inserted as rows ``idx, idx + 1, ...``."""
+    for i, a in enumerate(rows, idx):
+        state = _insert(state, i, a)
+    return state
+
+
+def _insert(state, idx: int, a: Vec):
+    """The state of a pass after it inserts ``<a, x> >= 0`` as row ``idx``.
+
+    A state is ``(lin, vecs, masks, cols)``: a spanning set of the current
+    lineality space, the current rays, each ray's tight rows as a bitmask
+    (bit ``i`` for the row inserted as row ``i``), and the rays'
+    coordinates by column.  Rows ``0 .. idx - 1`` must have been inserted,
+    ``a`` must be nonzero, and the lists of ``state`` are left unchanged,
+    so one state can be the start of several passes.
 
     Adjacency is decided on zero sets, as in :func:`_read_back`.  After
-    each constraint the current rays are exactly the extreme rays (modulo
-    the lineality space) of the cone cut out so far, and each mask is
-    exactly its ray's zero set, so no two masks are equal.
+    each row the current rays are exactly the extreme rays (modulo the
+    lineality space) of the cone cut out so far, and each mask is exactly
+    its ray's zero set, so no two masks are equal.
 
-    At each constraint that leaves a negative ray, the pass keeps the rows
-    that cut out the current cone: one row per maximal set of tight rays
-    (a facet) and every row tight on all rays (an implicit equality).
-    Every face is cut out by the kept rows that hold it, so the smallest
-    face holding rays ``p`` and ``n`` holds exactly the rays in the
+    At each row that leaves a negative ray, the step keeps the rows that
+    cut out the current cone: one row per maximal set of tight rays (a
+    facet) and every row tight on all rays (an implicit equality).  Every
+    face is cut out by the kept rows that hold it, so the smallest face
+    holding rays ``p`` and ``n`` holds exactly the rays in the
     intersection of the ray sets of the kept rows in ``pmask & nmask``.
     The pair is adjacent (that face is two-dimensional) exactly when it
     holds no third ray (Fukuda & Prodon, "Double description method
@@ -137,25 +171,16 @@ def _polar(normals: Sequence[Vec], d: int
     simple go through the pair loop.  Each adjacent pair meets the new
     hyperplane inside its own face, so no new ray is made twice.
     """
-    rows = sorted({primitive(a) for a in normals if any(a)})
-    lin: list[Vec] = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    vecs: list[Vec] = []
-    masks: list[int] = []
-    cols: list[tuple[int, ...]] = []  # the coordinates of ``vecs``, by column
-
-    for idx, a in enumerate(rows):
-        bit = 1 << idx
-        # If some lineality direction leaves the hyperplane of ``a``, it is
-        # retired: it becomes the single ray off the hyperplane and every
-        # other generator is projected along it onto the hyperplane.
-        w = None
-        for t, v in enumerate(lin):
-            s = dot(a, v)
-            if s:
-                w = v if s > 0 else negate(v)
-                del lin[t]
-                break
-        if w is not None:
+    lin, vecs, masks, cols = state
+    d = len(a)
+    bit = 1 << idx
+    # If some lineality direction leaves the hyperplane of ``a``, it is
+    # retired: it becomes the single ray off the hyperplane and every
+    # other generator is projected along it onto the hyperplane.
+    for t, v in enumerate(lin):
+        s = dot(a, v)
+        if s:
+            w = v if s > 0 else negate(v)
             aw = dot(a, w)
 
             def project(v: Vec) -> Vec:
@@ -164,86 +189,85 @@ def _polar(normals: Sequence[Vec], d: int
                     return v
                 return primitive(tuple(x * aw - y * av for x, y in zip(v, w)))
 
-            lin = [project(v) for v in lin]
             vecs = [project(r) for r in vecs] + [w]
-            masks = [mask | bit for mask in masks] + [bit - 1]
-            cols = list(zip(*vecs))
-            continue
-        if not vecs:
-            continue  # the cone is its lineality space, inside the hyperplane
+            return ([project(v) for v in lin[:t] + lin[t + 1:]], vecs,
+                    [mask | bit for mask in masks] + [bit - 1], list(zip(*vecs)))
+    if not vecs:
+        return state  # the cone is its lineality space, inside the hyperplane
 
-        # <a, r> for every ray at once, column by column over the nonzero
-        # entries of ``a``.
-        values = None
-        for c, col in zip(a, cols):
-            if c:
-                term = map(mul, col, repeat(c))
-                values = term if values is None else map(add, values, term)
-        values = list(values)
-        if min(values) >= 0:
-            for j, s in enumerate(values):
-                if not s:
-                    masks[j] |= bit
+    # <a, r> for every ray at once, column by column over the nonzero
+    # entries of ``a``.
+    values = None
+    for c, col in zip(a, cols):
+        if c:
+            term = map(mul, col, repeat(c))
+            values = term if values is None else map(add, values, term)
+    values = list(values)
+    if min(values) >= 0:
+        return lin, vecs, [mask if s else mask | bit
+                           for mask, s in zip(masks, values)], cols
+    target = d - len(lin) - 2
+    # holding[i]: the current rays tight on row i, one bit per ray.
+    holding = _transpose(masks, idx)
+    everyone = (1 << len(vecs)) - 1
+    # The kept rows: every implicit equality, and one row per facet of
+    # the current cone.
+    keep = sum(1 << i for i, h in enumerate(holding) if h == everyone)
+    for i in _facet_rows(holding, everyone):
+        keep |= 1 << i
+    new_vecs = []
+    new_masks = []
+    for r, mask, s in zip(vecs, masks, values):
+        if s >= 0:
+            new_vecs.append(r)
+            new_masks.append(mask if s else mask | bit)
+    fallback = []
+    for j, an in enumerate(values):
+        if an >= 0:
             continue
-        target = d - len(lin) - 2
-        # holding[i]: the current rays tight on rows[i], one bit per ray.
-        holding = _transpose(masks, idx)
-        everyone = (1 << len(vecs)) - 1
-        # The kept rows: every implicit equality, and one row per facet of
-        # the current cone.
-        keep = sum(1 << i for i, h in enumerate(holding) if h == everyone)
-        for i in _facet_rows(holding, everyone):
-            keep |= 1 << i
-        new_vecs = []
-        new_masks = []
-        for r, mask, s in zip(vecs, masks, values):
-            if s >= 0:
-                new_vecs.append(r)
-                new_masks.append(mask if s else mask | bit)
-        fallback = []
-        for j, an in enumerate(values):
-            if an >= 0:
-                continue
-            nvec, nmask = vecs[j], masks[j]
-            tight = nmask & keep
-            if tight.bit_count() != target + 1:
-                fallback.append((nvec, nmask, an))
-                continue
-            # A simple ray: dropping one of its facets leaves an edge, whose
-            # other ray is the AND of the remaining facets' ray sets.
-            sets = [holding[i] for i in _bit_indices(tight)]
-            suffix = [everyone]
-            for h in reversed(sets):
-                suffix.append(suffix[-1] & h)
-            prefix = everyone ^ 1 << j
-            for h in sets:
-                suffix.pop()
-                k = (prefix & suffix[-1]).bit_length() - 1
-                prefix &= h
-                ap = values[k]
-                if ap > 0:
-                    new_vecs.append(primitive(
-                        tuple(x * (-an) + y * ap for x, y in zip(vecs[k], nvec))))
-                    new_masks.append(masks[k] & nmask | bit)
-        for p, pmask, ap in zip(vecs, masks, values):
-            if ap <= 0:
-                continue
-            for nvec, nmask, an in fallback:
-                common = pmask & nmask
-                if (common & keep).bit_count() < target:
-                    continue
-                # The rays holding ``common``: ``p``, ``n`` and any third.
-                face = everyone
-                for i in _bit_indices(common & keep):
-                    face &= holding[i]
-                if face.bit_count() > 2:
-                    continue
+        nvec, nmask = vecs[j], masks[j]
+        tight = nmask & keep
+        if tight.bit_count() != target + 1:
+            fallback.append((nvec, nmask, an))
+            continue
+        # A simple ray: dropping one of its facets leaves an edge, whose
+        # other ray is the AND of the remaining facets' ray sets.
+        sets = [holding[i] for i in _bit_indices(tight)]
+        suffix = [everyone]
+        for h in reversed(sets):
+            suffix.append(suffix[-1] & h)
+        prefix = everyone ^ 1 << j
+        for h in sets:
+            suffix.pop()
+            k = (prefix & suffix[-1]).bit_length() - 1
+            prefix &= h
+            ap = values[k]
+            if ap > 0:
                 new_vecs.append(primitive(
-                    tuple(x * (-an) + y * ap for x, y in zip(p, nvec))))
-                new_masks.append(common | bit)
-        vecs, masks = new_vecs, new_masks
-        cols = list(zip(*vecs))
+                    tuple(x * (-an) + y * ap for x, y in zip(vecs[k], nvec))))
+                new_masks.append(masks[k] & nmask | bit)
+    for p, pmask, ap in zip(vecs, masks, values):
+        if ap <= 0:
+            continue
+        for nvec, nmask, an in fallback:
+            common = pmask & nmask
+            if (common & keep).bit_count() < target:
+                continue
+            # The rays holding ``common``: ``p``, ``n`` and any third.
+            face = everyone
+            for i in _bit_indices(common & keep):
+                face &= holding[i]
+            if face.bit_count() > 2:
+                continue
+            new_vecs.append(primitive(
+                tuple(x * (-an) + y * ap for x, y in zip(p, nvec))))
+            new_masks.append(common | bit)
+    return lin, new_vecs, new_masks, list(zip(*new_vecs))
 
+
+def _canonical(state, d: int) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
+    """``((lineality_basis, rays), masks)`` of a state, in canonical form."""
+    lin, vecs, masks, _ = state
     lin_basis = row_space_basis(lin, width=d)
     tight: dict[Vec, int] = {}
     for r, mask in zip(vecs, masks):
@@ -251,8 +275,39 @@ def _polar(normals: Sequence[Vec], d: int
         if rr is not None:
             tight[rr] = mask
     pointed = tuple(sorted(tight))
-    return ((tuple(sorted(lin_basis)), pointed),
-            (tuple(rows), tuple(tight[r] for r in pointed)))
+    return (tuple(sorted(lin_basis)), pointed), tuple(tight[r] for r in pointed)
+
+
+def omit_one_hulls(d: int, shared: Iterable[Vec],
+                   omitted: Sequence[Vec]) -> dict[Vec, Mat]:
+    """The facets of the cone over all vectors but one, for each one left out.
+
+    Maps each vector ``c`` of ``omitted`` to ``cone_from_rays(d, shared +
+    omitted - {c}).facets``; the vectors must be nonzero.  The rows of
+    those passes are the vectors, and they share all but one row, so the
+    shared vectors are inserted once and the omitted ones by halves: each
+    half is inserted into the state before the other half is split
+    further.  At a leaf every vector but one has been inserted.  That is
+    about ``n log2 n`` insertions for ``n`` omitted vectors, where one
+    pass per hull makes ``n (n - 1)`` of them besides the shared rows.
+    """
+    out: dict[Vec, Mat] = {}
+
+    def split(state, idx: int, group: list[Vec]) -> None:
+        if len(group) == 1:
+            out[group[0]] = _merge_pairs(*_canonical(state, d)[0])
+            return
+        half = len(group) // 2
+        for rest, added in ((group[:half], group[half:]),
+                            (group[half:], group[:half])):
+            split(_inserted(state, idx, map(primitive, added)),
+                  idx + len(added), rest)
+
+    group = sorted(set(omitted))
+    if group:
+        rows = sorted({primitive(a) for a in shared})
+        split(_inserted(_start(d), 0, rows), len(rows), group)
+    return out
 
 
 def _read_back(rows: Mat, masks: Sequence[int], d: int) -> tuple[Mat, Mat]:

@@ -21,7 +21,13 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .cones import Cone, cone_from_halfspaces, cone_from_rays, extremal_rays
+from .cones import (
+    Cone,
+    cone_from_halfspaces,
+    cone_from_rays,
+    extremal_rays,
+    omit_one_hulls,
+)
 from .errors import DegenerateSpace, DimensionMismatch, RankUnsupported
 from .formulas import ambient_projective_dim, dim_section_space, secant_codim
 from .linalg import Vec
@@ -309,13 +315,15 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False,
     columns with one generator left out, over all generators.  Leaving out
     one copy of a repeated column changes nothing, so by default only the
     multiplicity-1 columns are omitted and the effective cone supplies the
-    rest; ``brute_force=True`` runs the unoptimized omit-every-generator
-    version for cross-checking.
+    rest.  Their hulls share every column but one, so
+    :func:`~formcones.cones.omit_one_hulls` computes all of them in one
+    divide-and-conquer pass that inserts the shared columns once.
+    ``brute_force=True`` runs the unoptimized omit-every-generator version
+    for cross-checking, one pass per hull.
 
     ``threads`` is accepted for compatibility and changes neither the
-    result nor the work done: the omit-one hulls are a small share of the
-    cost and run serially.  Picard rank above 16 raises
-    :class:`RankUnsupported`.
+    result nor the work done: everything runs serially.  Picard rank
+    above 16 raises :class:`RankUnsupported`.
     """
     rho = _require_cones(s)
     if rho > _MAX_MOVABLE_RANK:
@@ -325,13 +333,15 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False,
         )
     gm = grading_matrix(s)
     distinct = set(gm.distinct_coords())
+    normals: set[Vec] = set()
     if brute_force:
         omitted = {frozenset(distinct - {cls.coords} if mult == 1 else distinct)
                    for cls, mult in gm.columns}
-        normals: set[Vec] = set()
+        for gens in omitted:
+            normals.update(cone_from_rays(rho, sorted(gens)).facets)
     else:
-        omitted = {frozenset(distinct - {c}) for c in gm.multiplicity_one_coords()}
-        normals = set(effective_cone(s).facets)
-    for gens in omitted:
-        normals.update(cone_from_rays(rho, sorted(gens)).facets)
+        once = set(gm.multiplicity_one_coords())
+        normals.update(effective_cone(s).facets)
+        for facets in omit_one_hulls(rho, distinct - once, sorted(once)).values():
+            normals.update(facets)
     return cone_from_halfspaces(rho, tuple(sorted(normals)))

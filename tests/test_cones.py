@@ -314,30 +314,43 @@ def test_extreme_rays_match_the_cofactor_oracle():
         assert cone_from_rays(d, vecs).facets == expected, (d, vecs)
 
 
+def test_insert_leaves_its_state_unchanged():
+    # omit_one_hulls starts sibling branches from one state, so a step must
+    # build new lists rather than change the ones it was given.
+    for d, vecs in _oracle_corpus():
+        state = cones_module._start(d)
+        for idx, a in enumerate(sorted({primitive(v) for v in vecs})):
+            before = [list(part) for part in state]
+            after = cones_module._insert(state, idx, a)
+            assert [list(part) for part in state] == before, (d, vecs, idx)
+            state = after
+
+
 # -- the two ray steps of the pass ---------------------------------------------
 #
 # A negative ray tight on exactly d - 1 current facets is simple and its
 # edges are read off by the pivot; any other negative ray goes through the
 # pair loop.  _ray_steps records which of the two runs at which row, by
-# tracing the lines of _polar that only each step executes.
+# tracing the lines of _polar's row step, _insert, that only each ray step
+# executes; the row is _insert's ``idx`` argument.
 
 
 def _ray_steps(build):
-    """``(row index, step)`` for every ray step ``_polar`` runs in ``build``."""
-    lines, first = inspect.getsourcelines(cones_module._polar)
+    """``(row index, step)`` for every ray step ``_insert`` runs in ``build``."""
+    lines, first = inspect.getsourcelines(cones_module._insert)
     markers = {"pivot": "prefix &= h", "pair loop": "face &= holding[i]"}
     steps = {first + i: step for i, line in enumerate(lines)
              for step, text in markers.items() if text in line}
     assert sorted(steps.values()) == sorted(markers), "a marker line moved"
     seen = set()
 
-    def in_polar(frame, event, arg):
+    def in_insert(frame, event, arg):
         if event == "line" and frame.f_lineno in steps:
             seen.add((frame.f_locals["idx"], steps[frame.f_lineno]))
-        return in_polar
+        return in_insert
 
     def calls(frame, event, arg):
-        return in_polar if frame.f_code is cones_module._polar.__code__ else None
+        return in_insert if frame.f_code is cones_module._insert.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(calls)

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formcones.cones import cone_from_rays
+from formcones import spaces as spaces_module
+from formcones.cones import cone_from_halfspaces, cone_from_rays, omit_one_hulls
 from formcones.errors import DegenerateSpace, DimensionMismatch
 from formcones.spaces import (
     CurveClass,
     DivisorClass,
+    GradingMatrix,
     SpaceSpec,
     anticanonical_class,
     canonical_class,
@@ -161,6 +165,67 @@ def test_movable_ray_count_law_small():
 def test_movable_brute_force_agrees_small():
     for s in (collineations(2), collineations(3), collineations(2, 4), quadrics(4)):
         assert movable_cone(s, brute_force=True) == movable_cone(s)
+
+
+def _omit_one_spaces():
+    """Every space of Picard rank 2..10 in the families xn, qn and xnm.
+
+    xnm means collineations(n, m) with m = n+1..n+3; every stage of each
+    space is included.
+    """
+    bases = [make(n) for n in range(2, 11) for make in (collineations, quadrics)]
+    bases += [collineations(n, n + k) for n in range(1, 10) for k in (1, 2, 3)]
+    out = []
+    for s in bases:
+        out.append(s)
+        out += [replace(s, stage=i) for i in range(1, s.n)]
+    return [s for s in out if 2 <= s.picard_rank <= 10]
+
+
+def test_omit_one_hulls_match_one_pass_per_hull():
+    # The default route of movable_cone inserts the shared columns once and
+    # the omitted ones by halves; each hull must equal its own pass.  Many
+    # stages share their columns, so 243 spaces pose 90 distinct problems.
+    spaces = _omit_one_spaces()
+    assert len(spaces) == 243
+    problems = {}
+    for s in spaces:
+        gm = grading_matrix(s)
+        problems.setdefault((s.picard_rank, frozenset(gm.distinct_coords()),
+                             frozenset(gm.multiplicity_one_coords())), s)
+    assert len(problems) == 90
+    for (rho, distinct, once), s in problems.items():
+        expected = {c: cone_from_rays(rho, sorted(distinct - {c})).facets
+                    for c in once}
+        assert omit_one_hulls(rho, distinct - once, sorted(once)) == expected, s
+
+
+def test_omit_one_hulls_edge_cases():
+    square = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]
+    # One omitted vector: its hull is the pass over the shared ones.
+    assert omit_one_hulls(3, square[1:], square[:1]) == {
+        square[0]: cone_from_rays(3, square[1:]).facets}
+    # No shared vectors: the halves alone make every hull.
+    assert omit_one_hulls(3, (), square) == {
+        c: cone_from_rays(3, [v for v in square if v != c]).facets
+        for c in square}
+    # Two omitted vectors and nothing shared: each hull is one ray.
+    assert omit_one_hulls(2, (), [(1, 0), (2, 1)]) == {
+        (1, 0): cone_from_rays(2, [(2, 1)]).facets,
+        (2, 1): cone_from_rays(2, [(1, 0)]).facets}
+    # No omitted vectors: no hull at all.
+    assert omit_one_hulls(3, square, ()) == {}
+
+
+def test_movable_without_multiplicity_one_columns_is_effective(monkeypatch):
+    # With every column repeated, leaving one copy out changes no hull, so
+    # Mov is cut out by Eff's facets alone.
+    s = collineations(3)
+    gm = grading_matrix(s)
+    repeated = GradingMatrix(s, tuple((cls, 2) for cls, _ in gm.columns))
+    monkeypatch.setattr(spaces_module, "grading_matrix", lambda _: repeated)
+    assert movable_cone(s) == cone_from_halfspaces(3, effective_cone(s).facets)
+    assert movable_cone(s, brute_force=True) == movable_cone(s)
 
 
 def test_movable_threads_do_not_change_result():
