@@ -301,9 +301,10 @@ def is_fano(s: SpaceSpec) -> bool:
     return all(pairing(r, mk) > 0 for r in extremal_rays(mori_cone(s)))
 
 
-# quadrics(16) has 2^15 movable rays and takes about 3.3 s on a 2-vCPU Xeon
-# VM (quadrics(15): 1.5 s).  Each further rank doubles the ray count; rank
-# 17 has not been timed or its memory measured, so larger ranks stay refused.
+# quadrics(16) has 2^15 movable rays and takes 2.3-2.8 s on a 2-vCPU Xeon VM
+# (quadrics(15): 1.0-1.1 s), omit-one hulls included.  Each further rank
+# doubles the ray count; rank 17 has not been timed or its memory measured,
+# so larger ranks stay refused.
 _MAX_MOVABLE_RANK = 16
 
 
