@@ -279,7 +279,7 @@ def _canonical(state, d: int) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
 
 
 def omit_one_hulls(d: int, shared: Iterable[Vec],
-                   omitted: Sequence[Vec]) -> dict[Vec, Mat]:
+                   omitted: Iterable[Vec]) -> dict[Vec, Mat]:
     """The facets of the cone over all vectors but one, for each one left out.
 
     Maps each vector ``c`` of ``omitted`` to ``cone_from_rays(d, shared +

@@ -343,6 +343,6 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False,
     else:
         once = set(gm.multiplicity_one_coords())
         normals.update(effective_cone(s).facets)
-        for facets in omit_one_hulls(rho, distinct - once, sorted(once)).values():
+        for facets in omit_one_hulls(rho, distinct - once, once).values():
             normals.update(facets)
     return cone_from_halfspaces(rho, tuple(sorted(normals)))
