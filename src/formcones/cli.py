@@ -11,7 +11,6 @@ above 3 for chambers or above 16 for movable cones),
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -39,28 +38,11 @@ from .spaces import (
     moving_curve_cone,
     nef_cone,
     quadrics,
+    require_movable,
 )
 from .verify import SUITES, render, run_suite
 
-THREADS_ENV = "FORMCONES_THREADS"
-
 CONE_NAMES = ("eff", "nef", "mov", "mori", "movcurves")
-
-
-def resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get(THREADS_ENV)
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        else:
-            return os.cpu_count() or 1
-    if value < 1:
-        raise ValueError("thread count must be at least 1")
-    return value
 
 
 def parse_n_range(text: str) -> list[int]:
@@ -99,13 +81,13 @@ def _fmt_vec(v) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-def _build_cone(s: SpaceSpec, name: str, threads: int):
+def _build_cone(s: SpaceSpec, name: str):
     if name == "eff":
         return effective_cone(s)
     if name == "nef":
         return nef_cone(s)
     if name == "mov":
-        return movable_cone(s, threads=threads)
+        return movable_cone(s)
     if name == "mori":
         return mori_cone(s)
     return moving_curve_cone(s)
@@ -113,23 +95,20 @@ def _build_cone(s: SpaceSpec, name: str, threads: int):
 
 def cmd_cone(args) -> int:
     s = _space(args)
-    threads = resolve_threads(args.threads)
     t0 = time.perf_counter_ns()
-    cone = _build_cone(s, args.cone, threads)
+    cone = _build_cone(s, args.cone)
     dd_convert(cone)
     elapsed = time.perf_counter_ns() - t0
     if args.format == "json":
-        doc = cone_report(
-            s, args.cone, cone,
-            duration_ns=elapsed if args.timings else None,
-            threads=threads if args.timings else None)
+        doc = cone_report(s, args.cone, cone,
+                          duration_ns=elapsed if args.timings else None)
         print(canonical_json(doc))
     else:
         print(f"{args.cone} of {s.describe()}: {len(cone.rays)} rays")
         for r in cone.rays:
             print(" ".join(str(x) for x in r))
         if args.timings:
-            print(f"time: {format_ns(elapsed)}  threads: {threads}")
+            print(f"time: {format_ns(elapsed)}")
     return 0
 
 
@@ -141,9 +120,7 @@ def cmd_chambers(args) -> int:
         fan = sbl_merge(fan, s)
     elapsed = time.perf_counter_ns() - t0
     if args.format == "json":
-        doc = fan_report(s, fan,
-                         duration_ns=elapsed if args.timings else None,
-                         threads=1 if args.timings else None)
+        doc = fan_report(s, fan, duration_ns=elapsed if args.timings else None)
         print(canonical_json(doc))
         return 0
     print(f"{fan.kind} fan of {s.describe()}: {len(fan.chambers)} chambers, "
@@ -168,25 +145,28 @@ def cmd_chambers(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, threads=resolve_threads(args.threads))
+    results = run_suite(args.suite)
     print(render(results))
     return 0 if all(r.ok for r in results) else 1
 
 
 def cmd_bench(args) -> int:
-    threads = resolve_threads(args.threads)
+    # Build and check every space of the range before timing the first, so
+    # a range that cannot finish is refused before any work starts.
+    spaces = [_space(args, n) for n in parse_n_range(args.n)]
+    for s in spaces:
+        require_movable(s)
     records = []
-    for n in parse_n_range(args.n):
-        s = _space(args, n)
-        expected = 2 ** (n - 1) + (1 if s.n < s.m else 0)
+    for s in spaces:
+        expected = 2 ** (s.n - 1) + (1 if s.n < s.m else 0)
         t0 = time.perf_counter_ns()
         # Reading the rays runs the double-description pass, so the clock
         # stops after it.
-        measured = len(movable_cone(s, threads=threads).rays)
+        measured = len(movable_cone(s).rays)
         elapsed = time.perf_counter_ns() - t0
         records.append(BenchRecord(
             space=s.describe(), expected=expected, measured=measured,
-            duration_ns=elapsed, threads=threads))
+            duration_ns=elapsed))
     print(bench_table(records))
     return 0 if all(r.ok for r in records) else 1
 
@@ -202,7 +182,6 @@ def cmd_info(args) -> int:
         print("cones: " + " ".join(CONE_NAMES))
         print("verify suites: all " + " ".join(SUITES))
         print(f"bundled merged fans: {' '.join(bundled_fan_keys())}")
-        print(f"default threads: {os.cpu_count() or 1}")
         return 0
     if args.n is None:
         raise ValueError("--n is required with --family")
@@ -228,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _space_flags(p)
     p.add_argument("--cone", required=True, choices=CONE_NAMES)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_cone)
 
@@ -243,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("bench", help="time movable-cone computations "
@@ -252,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True,
                    help='single value "14" or range "10..12"')
     p.add_argument("--m", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     # bench times whole spaces only, so _space sees no --stage.
     p.set_defaults(func=cmd_bench, stage=None)
 
@@ -269,6 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # cone, verify and bench keep --threads for existing command lines.
+        # Every computation runs serially, so the count is only validated.
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("thread count must be at least 1")
         return args.func(args)
     except InternalError as e:  # a failed self-check
         print(f"error: {e}", file=sys.stderr)

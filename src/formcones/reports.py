@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .chambers import Chamber, ChamberFan
-from .cones import Cone, dd_convert
+from .cones import Cone
 from .spaces import SpaceSpec
 
 VERSION = "0.1.0"
@@ -58,19 +58,15 @@ def space_json(s: SpaceSpec) -> dict:
     return {"family": s.family, "n": s.n, "m": s.m, "stage": s.stage}
 
 
-def _meta(*, duration_ns: int | None = None, threads: int | None = None) -> dict:
+def _meta(duration_ns: int | None) -> dict:
     meta: dict[str, Any] = {"version": VERSION}
     if duration_ns is not None:
         meta["duration_ns"] = str(duration_ns)
-    if threads is not None:
-        meta["threads"] = threads
     return meta
 
 
 def cone_report(s: SpaceSpec, name: str, cone: Cone, *,
-                duration_ns: int | None = None,
-                threads: int | None = None) -> dict:
-    dd_convert(cone)
+                duration_ns: int | None = None) -> dict:
     basis = curve_basis_labels(s) if name in ("mori", "movcurves") \
         else divisor_basis_labels(s)
     return {
@@ -80,7 +76,7 @@ def cone_report(s: SpaceSpec, name: str, cone: Cone, *,
         "rays": vectors_json(cone.rays),
         "ray_count": len(cone.rays),
         "facets": vectors_json(cone.facets),
-        "meta": _meta(duration_ns=duration_ns, threads=threads),
+        "meta": _meta(duration_ns),
     }
 
 
@@ -95,8 +91,7 @@ def _chamber_json(ch: Chamber) -> dict:
 
 
 def fan_report(s: SpaceSpec, fan: ChamberFan, *,
-               duration_ns: int | None = None,
-               threads: int | None = None) -> dict:
+               duration_ns: int | None = None) -> dict:
     return {
         "space": space_json(s),
         "basis": divisor_basis_labels(s),
@@ -110,7 +105,7 @@ def fan_report(s: SpaceSpec, fan: ChamberFan, *,
                 for w in fan.walls
             ],
         },
-        "meta": _meta(duration_ns=duration_ns, threads=threads),
+        "meta": _meta(duration_ns),
     }
 
 
@@ -120,7 +115,6 @@ class BenchRecord:
     expected: int
     measured: int
     duration_ns: int
-    threads: int
 
     @property
     def ok(self) -> bool:
@@ -133,10 +127,12 @@ def format_ns(ns: int) -> str:
 
 
 def bench_table(records: Sequence[BenchRecord]) -> str:
+    # The work runs serially, so the threads column always reads 1; it stays
+    # because readers of the table, perfbench among them, expect six fields.
     headers = ["space", "expected", "rays", "time", "threads", "status"]
     rows = [
         [r.space, str(r.expected), str(r.measured), format_ns(r.duration_ns),
-         str(r.threads), "ok" if r.ok else "MISMATCH"]
+         "1", "ok" if r.ok else "MISMATCH"]
         for r in records
     ]
     widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)

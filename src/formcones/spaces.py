@@ -47,6 +47,7 @@ __all__ = [
     "effective_cone",
     "nef_cone",
     "movable_cone",
+    "require_movable",
     "mori_cone",
     "moving_curve_cone",
     "pairing",
@@ -308,8 +309,18 @@ def is_fano(s: SpaceSpec) -> bool:
 _MAX_MOVABLE_RANK = 16
 
 
-def movable_cone(s: SpaceSpec, *, brute_force: bool = False,
-                 threads: int | None = None) -> Cone:
+def require_movable(s: SpaceSpec) -> int:
+    """The Picard rank of ``s``, or the error :func:`movable_cone` raises for it."""
+    rho = _require_cones(s)
+    if rho > _MAX_MOVABLE_RANK:
+        raise RankUnsupported(
+            f"movable cones are computed up to Picard rank {_MAX_MOVABLE_RANK}, "
+            f"got rank {rho} for {s.describe()}"
+        )
+    return rho
+
+
+def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
     """Cone of movable divisor classes.
 
     Computed as the intersection of the positive hulls of the grading
@@ -322,16 +333,10 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False,
     ``brute_force=True`` runs the unoptimized omit-every-generator version
     for cross-checking, one pass per hull.
 
-    ``threads`` is accepted for compatibility and changes neither the
-    result nor the work done: everything runs serially.  Picard rank
-    above 16 raises :class:`RankUnsupported`.
+    Picard rank above 16 raises :class:`RankUnsupported`, as does
+    :func:`require_movable`.
     """
-    rho = _require_cones(s)
-    if rho > _MAX_MOVABLE_RANK:
-        raise RankUnsupported(
-            f"movable cones are computed up to Picard rank {_MAX_MOVABLE_RANK}, "
-            f"got rank {rho} for {s.describe()}"
-        )
+    rho = require_movable(s)
     gm = grading_matrix(s)
     distinct = set(gm.distinct_coords())
     normals: set[Vec] = set()

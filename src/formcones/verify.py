@@ -1,8 +1,7 @@
 """Runnable invariant suites: engine fuzz, count laws, fan counts, formulas.
 
 Every check is deterministic: fixed seed, sorted names, no timing data in
-the rendered output, so two runs produce identical bytes regardless of
-thread count.
+the rendered output, so two runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -137,17 +136,17 @@ def _suite_cones() -> list[CheckResult]:
     return out
 
 
-def _suite_counts(threads: int | None) -> list[CheckResult]:
+def _suite_counts() -> list[CheckResult]:
     out = []
     for n in range(2, 11):
         for label, s in ((f"collineations-{n:02d}", collineations(n)),
                          (f"quadrics-{n:02d}", quadrics(n))):
-            got = len(movable_cone(s, threads=threads).rays)
+            got = len(movable_cone(s).rays)
             want = 2 ** (n - 1)
             out.append(CheckResult(f"counts.{label}", got == want,
                                    f"expected {want} rays, got {got}"))
     for n in range(2, 9):
-        got = len(movable_cone(collineations(n, n + 1), threads=threads).rays)
+        got = len(movable_cone(collineations(n, n + 1)).rays)
         want = 2 ** (n - 1) + 1
         out.append(CheckResult(f"counts.collineations-{n:02d}-{n + 1:02d}",
                                got == want, f"expected {want} rays, got {got}"))
@@ -212,7 +211,7 @@ def _suite_formulas() -> list[CheckResult]:
     return out
 
 
-def run_suite(suite: str, *, threads: int | None = None) -> list[CheckResult]:
+def run_suite(suite: str) -> list[CheckResult]:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from all, "
                          + ", ".join(SUITES))
@@ -220,7 +219,7 @@ def run_suite(suite: str, *, threads: int | None = None) -> list[CheckResult]:
     if suite in ("all", "cones"):
         out += sorted(_suite_cones(), key=lambda r: r.name)
     if suite in ("all", "counts"):
-        out += sorted(_suite_counts(threads), key=lambda r: r.name)
+        out += sorted(_suite_counts(), key=lambda r: r.name)
     if suite in ("all", "fans"):
         out += sorted(_suite_fans(), key=lambda r: r.name)
     if suite in ("all", "formulas"):

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from formcones import refdata
-from formcones.cli import main, parse_n_range, resolve_threads
+from formcones import cli
+from formcones.cli import main, parse_n_range
 from formcones.refdata import bundled_fan_keys
 from formcones.spaces import nef_cone, quadrics
 
@@ -232,6 +233,35 @@ def test_bench_range(capsys):
     lines = [l for l in out.splitlines() if "quadrics" in l]
     assert len(lines) == 3
     assert all("ok" in l for l in lines)
+    # perfbench reads six fields per row: space, expected, rays, time,
+    # threads (the work is serial, so always 1) and status.
+    for line in lines:
+        fields = line.split()
+        assert len(fields) == 6
+        assert fields[1] == fields[2]
+        assert fields[4] == "1"
+        assert fields[5] == "ok"
+
+
+def test_bench_refuses_a_range_before_any_work(monkeypatch, capsys):
+    calls = []
+
+    def recording_movable_cone(s, **kwargs):
+        calls.append(s)
+        raise AssertionError(f"bench computed {s.describe()}")
+
+    monkeypatch.setattr(cli, "movable_cone", recording_movable_cone)
+    # quadrics(17) is past the movable-cone rank bound of 16.
+    rc, out, err = run(capsys, "bench", "--family", "qn", "--n", "15..17")
+    assert rc == 3
+    assert out == ""
+    assert "16" in err
+    # collineations(5, 4) is not a valid format.
+    rc, out, _ = run(capsys, "bench", "--family", "xnm", "--n", "2..5",
+                     "--m", "4")
+    assert rc == 2
+    assert out == ""
+    assert calls == []
 
 
 def test_bench_bad_ranges(capsys):
@@ -290,19 +320,17 @@ def test_info_space_flag_without_family(capsys, flag, value):
     assert err == f"error: {flag} requires --family\n"
 
 
-def test_threads_env_honoured(monkeypatch, capsys):
-    monkeypatch.setenv("FORMCONES_THREADS", "3")
-    rc, out, _ = run(capsys, "cone", "--family", "xn", "--n", "3",
-                     "--cone", "mov", "--format", "json", "--timings")
-    assert rc == 0
-    assert json.loads(out)["meta"]["threads"] == 3
-
-
 def test_threads_env_invalid(monkeypatch, capsys):
+    # FORMCONES_THREADS is no longer read, so even an invalid value changes
+    # nothing.
+    args = ("cone", "--family", "xn", "--n", "3", "--cone", "mov",
+            "--format", "json")
+    monkeypatch.delenv("FORMCONES_THREADS", raising=False)
+    rc1, out1, _ = run(capsys, *args)
     monkeypatch.setenv("FORMCONES_THREADS", "zero")
-    rc, _, _ = run(capsys, "cone", "--family", "xn", "--n", "3",
-                   "--cone", "mov")
-    assert rc == 2
+    rc2, out2, _ = run(capsys, *args)
+    assert rc1 == rc2 == 0
+    assert out1.encode() == out2.encode() == (X3_MOV_JSON + "\n").encode()
 
 
 def test_threads_flag_must_be_positive(capsys):
@@ -311,12 +339,8 @@ def test_threads_flag_must_be_positive(capsys):
     assert rc == 2
 
 
-def test_resolve_threads_and_ranges():
-    assert resolve_threads(2) == 2
-    assert resolve_threads(None) >= 1
+def test_parse_n_range():
     assert parse_n_range("3") == [3]
     assert parse_n_range("2..5") == [2, 3, 4, 5]
     with pytest.raises(ValueError):
         parse_n_range("5..2")
-    with pytest.raises(ValueError):
-        resolve_threads(0)

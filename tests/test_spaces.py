@@ -228,11 +228,6 @@ def test_movable_without_multiplicity_one_columns_is_effective(monkeypatch):
     assert movable_cone(s, brute_force=True) == movable_cone(s)
 
 
-def test_movable_threads_do_not_change_result():
-    s = collineations(4)
-    assert movable_cone(s, threads=2) == movable_cone(s, threads=1)
-
-
 def test_nested_cone_inclusions():
     for s in (collineations(3), collineations(2, 5), quadrics(4), collineations(5)):
         nef = nef_cone(s)
