@@ -22,13 +22,11 @@ list of convex pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 from . import refdata
 from .cones import (
-    Cone,
     cone_from_halfspaces,
     cone_from_rays,
     extremal_rays,
@@ -92,12 +90,6 @@ class ChamberFan:
     notes: tuple[str, ...] = ()
 
 
-# perfbench's fans-verify command list fills 90 entries in one process.
-@lru_cache(maxsize=128)
-def _cone_of(rho: int, rays: tuple[Vec, ...]) -> Cone:
-    return cone_from_rays(rho, rays)
-
-
 def _undirected(v: Vec) -> Vec:
     for x in v:
         if x:
@@ -130,7 +122,7 @@ def _walk(s: SpaceSpec, cols: tuple[Vec, ...]) -> tuple[list[Chamber], list[Wall
     rho = s.picard_rank
     # By Caratheodory, intersecting the simplicial column cones that hold a
     # generic point gives the same chamber as intersecting all column hulls.
-    hulls = [cone.facets for cone in (_cone_of(rho, tuple(sorted(c)))
+    hulls = [cone.facets for cone in (cone_from_rays(rho, c)
                                       for c in combinations(cols, rho))
              if cone.is_full_dimensional]
     boundary = set(effective_cone(s).facets)
@@ -200,7 +192,7 @@ def _strictly_inside(ch: Chamber, rho: int, d: Vec) -> bool:
     erased = {_undirected(n) for n in ch.erased_walls}
     inside_closed = False
     for piece in ch.convex_pieces():
-        cone = _cone_of(rho, piece)
+        cone = cone_from_rays(rho, piece)
         if not cone.contains(d):
             continue
         inside_closed = True
@@ -227,7 +219,7 @@ def locate(f: ChamberFan, d: Sequence[int]) -> int:
         raise OutsideEffective(f"{d} is not an effective class of {f.space.describe()}")
     containing = [
         i for i, ch in enumerate(f.chambers)
-        if any(_cone_of(rho, piece).contains(d) for piece in ch.convex_pieces())
+        if any(cone_from_rays(rho, piece).contains(d) for piece in ch.convex_pieces())
     ]
     if not containing:
         raise InternalError(f"{d} is effective but lies in no chamber")

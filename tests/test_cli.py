@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from formcones import refdata
+from formcones import formulas, refdata
 from formcones import cli
 from formcones.cli import main, parse_n_range
 from formcones.refdata import bundled_fan_keys
@@ -318,6 +318,18 @@ def test_info_space_flag_without_family(capsys, flag, value):
     assert rc == 2
     assert out == ""
     assert err == f"error: {flag} requires --family\n"
+
+
+def test_route_mismatch_is_an_internal_error(monkeypatch, capsys):
+    # Two routes of dim_section_space that disagree can only mean a bug:
+    # exit 1 with one message, and no partial output.
+    monkeypatch.setattr(formulas, "section_space_routes", lambda n, k: (
+        formulas.FormulaResult(1, "closed"), formulas.FormulaResult(2, "product")))
+    rc, out, err = run(capsys, "info", "--family", "qn", "--n", "3")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dim_section_space" in err
 
 
 def test_threads_env_invalid(monkeypatch, capsys):

@@ -1,7 +1,9 @@
+import ast
 import inspect
 import random
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +165,36 @@ def test_cones_hashable_and_comparable():
     assert a != c
     table = {a: "quadrant"}
     assert table[b] == "quadrant"
+
+
+def test_equal_generators_share_one_cone():
+    assert cone_from_rays(3, [(2, 0, 0), (0, 1, 0)]) \
+        is cone_from_rays(3, [(0, 1, 0), (1, 0, 0)])
+    assert cone_from_halfspaces(2, [(1, 0)]) \
+        is not cone_from_halfspaces(2, [(1, 0)])
+
+
+def test_every_cache_is_bounded():
+    # A cache without a bound keeps every cone a long-running process has
+    # built; each lru_cache in the package must give a finite maxsize.
+    package = Path(cones_module.__file__).parent
+    found = 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        calls = {id(node.func): node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if "lru_cache" not in (getattr(node, "id", None), getattr(node, "attr", None)):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert id(node) in calls, f"{where}: lru_cache without a maxsize"
+            call = calls[id(node)]
+            sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+            assert len(sizes) == 1 and isinstance(sizes[0], ast.Constant) \
+                and type(sizes[0].value) is int and sizes[0].value > 0, \
+                f"{where}: lru_cache needs a positive integer maxsize"
+            found += 1
+    assert found
 
 
 def test_cone_is_a_plain_record():
