@@ -170,6 +170,7 @@ def test_cones_hashable_and_comparable():
 def test_equal_generators_share_one_cone():
     assert cone_from_rays(3, [(2, 0, 0), (0, 1, 0)]) \
         is cone_from_rays(3, [(0, 1, 0), (1, 0, 0)])
+    # Cones cut out by halfspaces (Mov, the chambers) are not kept.
     assert cone_from_halfspaces(2, [(1, 0)]) \
         is not cone_from_halfspaces(2, [(1, 0)])
 
