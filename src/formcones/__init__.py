@@ -46,6 +46,7 @@ from .formulas import (
     dim_cox,
     dim_section_space,
     minor_multiplicity,
+    movable_ray_count,
     osculating_degree,
     plucker_relation_count,
     secant_codim,
@@ -125,6 +126,7 @@ __all__ = [
     "ambient_projective_dim",
     "cox_generator_count",
     "dim_cox",
+    "movable_ray_count",
     "osculating_degree",
     # errors
     "FormconesError",

@@ -102,12 +102,11 @@ def _chamber_at(hulls: list[tuple[Vec, ...]], q: Vec, d: Vec) -> frozenset[int]:
 
     ``hulls`` are the facet lists of the full-dimensional column cones.  A
     cone holds the point exactly when each facet normal ``g`` has
-    ``<g, q> > 0``, or ``<g, q> = 0`` and ``<g, d> >= 0``, so no ``e`` is
-    ever chosen.
+    ``(<g, q>, <g, d>) >= (0, 0)`` lexicographically, so no ``e`` is ever
+    chosen.
     """
     held = frozenset(i for i, facets in enumerate(hulls)
-                     if all(dot(g, q) > 0 or (dot(g, q) == 0 and dot(g, d) >= 0)
-                            for g in facets))
+                     if all((dot(g, q), dot(g, d)) >= (0, 0) for g in facets))
     if not held:
         raise InternalError(f"point {q} escapes every column hull")
     return held
@@ -197,7 +196,7 @@ def _strictly_inside(ch: Chamber, rho: int, d: Vec) -> bool:
             continue
         inside_closed = True
         for f in cone.facets:
-            if sum(a * b for a, b in zip(f, d)) == 0 and _undirected(f) not in erased:
+            if dot(f, d) == 0 and _undirected(f) not in erased:
                 return False
     return inside_closed
 

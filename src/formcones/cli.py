@@ -17,7 +17,12 @@ import time
 from .chambers import gkz_fan, sbl_merge
 from .cones import dd_convert
 from .errors import DegenerateSpace, InternalError, NoReferenceData, RankUnsupported
-from .formulas import ambient_projective_dim, cox_generator_count, dim_cox
+from .formulas import (
+    ambient_projective_dim,
+    cox_generator_count,
+    dim_cox,
+    movable_ray_count,
+)
 from .refdata import bundled_fan_keys
 from .reports import (
     VERSION,
@@ -158,7 +163,7 @@ def cmd_bench(args) -> int:
         require_movable(s)
     records = []
     for s in spaces:
-        expected = 2 ** (s.n - 1) + (1 if s.n < s.m else 0)
+        expected = movable_ray_count(s)
         t0 = time.perf_counter_ns()
         # Reading the rays runs the double-description pass, so the clock
         # stops after it.
@@ -245,8 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process, for callers that run many command lines in one.
+# The handlers bound by set_defaults look their callees up when they run.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # cone, verify and bench keep --threads for existing command lines.
         # Every computation runs serially, so the count is only validated.

@@ -438,8 +438,7 @@ class Cone:
             raise DimensionMismatch(
                 f"point of length {len(v)} in ambient rank {self.ambient_rank}"
             )
-        return all(sum(a * b for a, b in zip(n, v)) >= 0
-                   for n in self._halfspace_list())
+        return all(dot(n, v) >= 0 for n in self._halfspace_list())
 
     def strictly_contains(self, v: Sequence[int]) -> bool:
         """True when ``v`` satisfies every facet inequality strictly."""
@@ -451,7 +450,7 @@ class Cone:
         eqs, facets = self._pair(_H)
         if eqs:
             return False
-        return all(sum(a * b for a, b in zip(n, v)) > 0 for n in facets)
+        return all(dot(n, v) > 0 for n in facets)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
@@ -551,8 +550,7 @@ def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
     if certify and pointed:
         normals = c._halfspace_list()
         for r in pointed:
-            tight = [n for n in normals
-                     if sum(a * b for a, b in zip(n, r)) == 0]
+            tight = [n for n in normals if dot(n, r) == 0]
             if rank(tight) != c.ambient_rank - 1:
                 raise InternalError(
                     f"extremality certificate failed for ray {r}"

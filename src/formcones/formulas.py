@@ -29,6 +29,7 @@ __all__ = [
     "ambient_projective_dim",
     "cox_generator_count",
     "dim_cox",
+    "movable_ray_count",
     "osculating_degree",
 ]
 
@@ -155,6 +156,13 @@ def cox_generator_count(s: SpaceSpec) -> int:
         return sum(dim_section_space(n, k) for k in range(n)) + n
     total = sum(comb(n + 1, k) * comb(m + 1, k) for k in range(1, n + 2))
     return total + (n - 1 if n == m else n)
+
+
+def movable_ray_count(s: SpaceSpec) -> int:
+    """Ray count of the movable cone of a full space: 2^(n-1), plus 1 if n < m."""
+    if s.stage is not None:
+        raise ValueError("movable ray count applies to full-stage spaces only")
+    return 2 ** (s.n - 1) + (1 if s.n < s.m else 0)
 
 
 def dim_cox(s: SpaceSpec) -> int:

@@ -1,16 +1,20 @@
 """Exact linear algebra on small dense integer matrices.
 
 Vectors are tuples of Python ints, matrices are sequences of row tuples.
-Elimination is fraction-free; nothing in this package ever touches
-floating point.  The :class:`fractions.Fraction` echelon form
-:func:`_rref` and :func:`_clear_denominators` are kept only as the
-independent reference the tests check :func:`row_space_basis` against.
+Nothing in this package ever touches floating point.  One fraction-free
+elimination, :func:`_echelon`, serves both :func:`rank` and
+:func:`row_space_basis`.  Every row operation, in it, in the upward
+reduction of :func:`row_space_basis` and in :func:`reduce_mod_rowspace`,
+is :func:`_combine`, which divides the new row by its content.  The :class:`fractions.Fraction` echelon form :func:`_rref` and
+:func:`_clear_denominators` are kept only as the independent reference the
+tests check :func:`row_space_basis` against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DegenerateRay, DimensionMismatch
@@ -22,7 +26,7 @@ Mat = tuple[Vec, ...]
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def primitive(v: Sequence[int]) -> Vec:
@@ -31,9 +35,7 @@ def primitive(v: Sequence[int]) -> Vec:
     Orientation is preserved: the result is never sign-flipped.  A zero
     vector has no direction and raises :class:`DegenerateRay`.
     """
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise DegenerateRay("the zero vector has no primitive representative")
     if g == 1:
@@ -45,43 +47,42 @@ def negate(v: Sequence[int]) -> Vec:
     return tuple(-x for x in v)
 
 
-def rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free elimination."""
+def _combine(row: Sequence[int], prow: Sequence[int], c: int) -> list[int]:
+    """``prow[c]*row - row[c]*prow`` divided by its content: column ``c`` cleared."""
+    pc, x = prow[c], row[c]
+    new = [a * pc - b * x for a, b in zip(row, prow)]
+    g = gcd(*new)
+    return [y // g for y in new] if g > 1 else new
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form by fraction-free elimination, and its pivot columns.
+
+    Zero rows are dropped before the rows are checked for equal length.
+    """
     work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    for r in work:
-        if len(r) != ncols:
-            raise DimensionMismatch("ragged matrix")
-    nrows = len(work)
-    rk = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rk, nrows):
-            if work[i][c]:
-                piv = i
-                break
+    if any(len(r) != len(work[0]) for r in work):
+        raise DimensionMismatch("ragged matrix")
+    pivots: list[int] = []
+    for c in range(len(work[0]) if work else 0):
+        rk = len(pivots)
+        piv = next((i for i in range(rk, len(work)) if work[i][c]), None)
         if piv is None:
             continue
         work[rk], work[piv] = work[piv], work[rk]
         prow = work[rk]
-        pc = prow[c]
-        for i in range(rk + 1, nrows):
-            x = work[i][c]
-            if x:
-                row = work[i]
-                new = [a * pc - b * x for a, b in zip(row, prow)]
-                g = 0
-                for y in new:
-                    g = gcd(g, y)
-                if g > 1:
-                    new = [y // g for y in new]
-                work[i] = new
-        rk += 1
-        if rk == nrows:
+        for i in range(rk + 1, len(work)):
+            if work[i][c]:
+                work[i] = _combine(work[i], prow, c)
+        pivots.append(c)
+        if len(pivots) == len(work):
             break
-    return rk
+    return work[:len(pivots)], pivots
+
+
+def rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    return len(_echelon(rows)[1])
 
 
 def _rref(rows: Sequence[Sequence[int]], width: int):
@@ -131,42 +132,19 @@ def row_space_basis(rows: Sequence[Sequence[int]], *, width: int | None = None) 
     """Canonical primitive basis of the row space (reduced echelon form).
 
     Rows come back in pivot order; each has a positive leading entry and
-    zeros in the pivot columns of the other rows.  Fraction-free
-    Gauss-Jordan elimination: every row is kept divided by its content,
-    which yields the primitive multiple of each reduced-echelon row.
+    zeros in the pivot columns of the other rows: the rows of
+    :func:`_echelon`, reduced upward pivot by pivot and made primitive.
     """
-    rows = [tuple(r) for r in rows]
-    if rows:
-        width = len(rows[0])
-    elif width is None:
+    if not rows and width is None:
         raise ValueError("width is required for an empty matrix")
-    work = [list(r) for r in rows if any(r)]
-    rk = 0
-    for c in range(width):
-        piv = next((i for i in range(rk, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        prow = work[rk]
-        pc = prow[c]
-        for i, row in enumerate(work):
-            x = row[c]
-            if x and i != rk:
-                new = [a * pc - b * x for a, b in zip(row, prow)]
-                g = 0
-                for y in new:
-                    g = gcd(g, y)
-                work[i] = [y // g for y in new] if g > 1 else new
-        rk += 1
-        if rk == len(work):
-            break
-    basis = []
-    for row in work[:rk]:
-        v = primitive(row)
-        if next(x for x in v if x) < 0:
-            v = negate(v)
-        basis.append(v)
-    return tuple(basis)
+    work, pivots = _echelon(rows)
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        for j in range(k):
+            if work[j][c]:
+                work[j] = _combine(work[j], work[k], c)
+    basis = (primitive(row) for row in work)
+    return tuple(negate(v) if v[c] < 0 else v for v, c in zip(basis, pivots))
 
 
 def reduce_mod_rowspace(v: Sequence[int], basis: Mat) -> Vec | None:
@@ -181,9 +159,7 @@ def reduce_mod_rowspace(v: Sequence[int], basis: Mat) -> Vec | None:
     for b in basis:
         j = next(i for i, x in enumerate(b) if x)
         if out[j]:
-            pj = b[j]
-            xj = out[j]
-            out = [a * pj - c * xj for a, c in zip(out, b)]
+            out = _combine(out, b, j)
     if not any(out):
         return None
     return primitive(tuple(out))

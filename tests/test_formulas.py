@@ -9,6 +9,7 @@ from formcones.formulas import (
     dim_cox,
     dim_section_space,
     minor_multiplicity,
+    movable_ray_count,
     osculating_degree,
     plucker_relation_count,
     secant_codim,
@@ -111,6 +112,16 @@ def test_cox_generator_count_matches_grading_matrix():
 def test_cox_generator_count_rejects_stages():
     with pytest.raises(ValueError):
         cox_generator_count(collineations(3, stage=1))
+
+
+def test_movable_ray_count_law():
+    # The movable cone of X(3) is pinned at 4 rays in the CLI's golden JSON.
+    assert movable_ray_count(collineations(3)) == 4
+    assert movable_ray_count(quadrics(5)) == 16
+    assert movable_ray_count(collineations(2, 3)) == 3
+    assert movable_ray_count(collineations(2, 5)) == 3
+    with pytest.raises(ValueError):
+        movable_ray_count(collineations(3, stage=1))
 
 
 def test_dim_cox():

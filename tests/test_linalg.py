@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from formcones.errors import DegenerateRay
+from formcones import linalg as linalg_module
+from formcones.errors import DegenerateRay, DimensionMismatch
 from formcones.linalg import (
     _clear_denominators,
     _rref,
@@ -24,6 +28,39 @@ def test_dot():
     assert dot((1, 2, 3), (4, 5, 6)) == 32
     assert dot((), ()) == 0
     assert dot((-1, 1), (1, 1)) == 0
+    with pytest.raises(DimensionMismatch):
+        dot((1, 2), (1, 2, 3))
+
+
+def _is_hand_written_dot(node) -> bool:
+    """``sum(<x * y> for ... in zip(...))``, the loop that :func:`dot` replaces."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+            and node.args and isinstance(node.args[0], ast.GeneratorExp)):
+        return False
+    gen = node.args[0]
+    return (isinstance(gen.elt, ast.BinOp) and isinstance(gen.elt.op, ast.Mult)
+            and any(getattr(g.iter, "func", None) is not None
+                    and getattr(g.iter.func, "id", None) == "zip"
+                    for g in gen.generators))
+
+
+def test_integer_kernels_live_only_in_linalg():
+    # Content and inner products each have one kernel in linalg: no other
+    # module imports gcd, and no module writes its own dot product.
+    package = Path(linalg_module.__file__).parent
+    scanned = 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if path.name != "linalg.py":
+                assert not (isinstance(node, ast.alias) and node.name == "gcd"), \
+                    f"{where}: gcd imported outside linalg"
+                assert not (isinstance(node, ast.Attribute) and node.attr == "gcd"), \
+                    f"{where}: gcd used outside linalg"
+            assert not _is_hand_written_dot(node), f"{where}: inner product written by hand"
+        scanned += 1
+    assert scanned > 1
 
 
 def test_primitive_divides_out_gcd():
