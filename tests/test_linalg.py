@@ -39,8 +39,7 @@ def _is_hand_written_dot(node) -> bool:
         return False
     gen = node.args[0]
     return (isinstance(gen.elt, ast.BinOp) and isinstance(gen.elt.op, ast.Mult)
-            and any(getattr(g.iter, "func", None) is not None
-                    and getattr(g.iter.func, "id", None) == "zip"
+            and any(getattr(getattr(g.iter, "func", None), "id", None) == "zip"
                     for g in gen.generators))
 
 
