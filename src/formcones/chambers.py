@@ -7,8 +7,9 @@ One breadth-first walk serves every rank.  It starts at Nef, and across
 each chamber facet inside the effective cone it finds the hull set of a
 point just past the facet's relative interior, by exact symbolic
 perturbation.  Each new hull set is cut out once, by one halfspace pass.
-Every interior wall must be crossed from both of its chambers, which is
-checked.  Arithmetic is integer only.
+Every interior wall must be crossed from both of its chambers, and
+exactly one chamber must have Nef's rays; both are checked.  Arithmetic
+is integer only.
 Picard rank 4 and above is refused until invariant checks for it exist.
 
 Merged fans (stable-base-locus decompositions) are data-driven: the wall
@@ -148,6 +149,9 @@ def _walk(s: SpaceSpec, cols: tuple[Vec, ...]) -> tuple[list[Chamber], list[Wall
         if i == j or (j, i, normal) not in crossed:
             raise InternalError(f"wall {normal} was crossed from chamber {i} "
                                 f"into {j} but not back")
+    nef = sum(ch.label == "Nef" for ch in chambers)
+    if nef != 1:
+        raise InternalError(f"{nef} chambers of {s.describe()} are Nef, not one")
     walls = [Wall(i, j, normal) for i, j, normal in crossed if i < j]
     return chambers, walls
 
@@ -187,20 +191,6 @@ def _sorted_fan(s: SpaceSpec, chambers: list[Chamber], walls, *, kind: str,
                       kind=kind, notes=notes)
 
 
-def _strictly_inside(ch: Chamber, rho: int, d: Vec) -> bool:
-    erased = {_undirected(n) for n in ch.erased_walls}
-    inside_closed = False
-    for piece in ch.convex_pieces():
-        cone = cone_from_rays(rho, piece)
-        if not cone.contains(d):
-            continue
-        inside_closed = True
-        for f in cone.facets:
-            if dot(f, d) == 0 and _undirected(f) not in erased:
-                return False
-    return inside_closed
-
-
 def locate(f: ChamberFan, d: Sequence[int]) -> int:
     """Index of the chamber whose interior contains the divisor class ``d``.
 
@@ -224,8 +214,10 @@ def locate(f: ChamberFan, d: Sequence[int]) -> int:
         raise InternalError(f"{d} is effective but lies in no chamber")
     if len(containing) > 1:
         raise BoundaryPoint(f"{d} lies on a wall between chambers {containing}")
+    # The chambers cover Eff, so a point of Eff's interior on the boundary
+    # of its chamber lies in a second chamber as well.
     idx = containing[0]
-    if not _strictly_inside(f.chambers[idx], rho, d):
+    if not effective_cone(f.space).strictly_contains(d):
         raise BoundaryPoint(f"{d} lies on the boundary of chamber {idx}")
     return idx
 

@@ -23,12 +23,15 @@ The one place that computes facets without building a cone is
 generators differ by one vector, sharing the steps they have in common,
 and gives each cone's facets as the pass over its own generators would.
 
-The step and :func:`_read_back` work on zero sets alone and compute no rank.  This is
+The step and :func:`_read_back` pick the rows that cut out a cone by one
+:func:`_kept_rows`, on zero sets alone, and compute no rank.  This is
 exact because the rays involved are extreme: an extreme ray is fixed by
 the rows tight on it, and the smallest face holding some extreme rays is
 cut out by the rows tight on all of them.  The only rank test left is the
 certificate of :func:`extremal_rays`, which recomputes its tight rows by
-inner products and so stays independent of the pass.
+inner products and so stays independent of the pass.  Every vector the
+step makes comes from :func:`formcones.linalg.combine`, the row operation
+that the elimination in :mod:`formcones.linalg` uses too.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .errors import (
 from .linalg import (
     Mat,
     Vec,
+    combine,
     dot,
     negate,
     primitive,
@@ -87,20 +91,27 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
     return [int(digits[width - 1 - i::width] or "0", 2) for i in range(width)]
 
 
-def _facet_rows(zero_sets: Sequence[int], everyone: int) -> list[int]:
-    """One row per maximal zero set, among rows whose zero set is not ``everyone``.
+def _kept_rows(zero_sets: Sequence[int],
+               everyone: int) -> tuple[list[int], list[int]]:
+    """``(equalities, facets)``: the rows that cut out a cone, by index.
 
-    The first row with each zero set stands for it.
+    ``zero_sets`` are the rows' zero sets over the cone's extreme rays.
+    The equalities are every row tight on all of them (zero set
+    ``everyone``); the facets are one row per maximal other zero set, the
+    first row with it.
     """
+    equalities: list[int] = []
     first: dict[int, int] = {}
     for i, zeros in enumerate(zero_sets):
-        if zeros != everyone:
+        if zeros == everyone:
+            equalities.append(i)
+        else:
             first.setdefault(zeros, i)
     maximal: list[int] = []
     for zeros in sorted(first, key=int.bit_count, reverse=True):
         if all(zeros & big != zeros for big in maximal):
             maximal.append(zeros)
-    return [first[zeros] for zeros in maximal]
+    return equalities, [first[zeros] for zeros in maximal]
 
 
 def _polar(normals: Sequence[Vec], d: int
@@ -115,7 +126,7 @@ def _polar(normals: Sequence[Vec], d: int
     in lexicographic order, one :func:`_insert` step each.
     """
     rows = sorted({primitive(a) for a in normals if any(a)})
-    pair, masks = _canonical(_inserted(_start(d), 0, rows), d)
+    pair, masks = _canonical(_inserted(_start(d), 0, rows))
     return pair, (tuple(rows), masks)
 
 
@@ -170,7 +181,9 @@ def _insert(state, idx: int, a: Vec):
     search (Avis & Fukuda, "A pivoting algorithm for convex hulls and
     vertex enumeration", 1992).  Only the negative rays that are not
     simple go through the pair loop.  Each adjacent pair meets the new
-    hyperplane inside its own face, so no new ray is made twice.
+    hyperplane inside its own face, so no new ray is made twice.  Every
+    new vector, there and in the lineality step, is :func:`combine` of two
+    current ones, the row operation of :mod:`formcones.linalg`.
     """
     lin, vecs, masks, cols = state
     d = len(a)
@@ -182,17 +195,10 @@ def _insert(state, idx: int, a: Vec):
         s = dot(a, v)
         if s:
             w = v if s > 0 else negate(v)
-            aw = dot(a, w)
-
-            def project(v: Vec) -> Vec:
-                av = dot(a, v)
-                if not av:
-                    return v
-                return primitive(tuple(x * aw - y * av for x, y in zip(v, w)))
-
-            vecs = [project(r) for r in vecs] + [w]
-            return ([project(v) for v in lin[:t] + lin[t + 1:]], vecs,
-                    [mask | bit for mask in masks] + [bit - 1], list(zip(*vecs)))
+            lin = [combine(u, dot(a, u), w, abs(s)) for u in lin[:t] + lin[t + 1:]]
+            vecs = [combine(r, dot(a, r), w, abs(s)) for r in vecs] + [w]
+            masks = [mask | bit for mask in masks] + [bit - 1]
+            return lin, vecs, masks, list(zip(*vecs))
     if not vecs:
         return state  # the cone is its lineality space, inside the hyperplane
 
@@ -204,24 +210,19 @@ def _insert(state, idx: int, a: Vec):
             term = map(mul, col, repeat(c))
             values = term if values is None else map(add, values, term)
     values = list(values)
-    if min(values) >= 0:
-        return lin, vecs, [mask if s else mask | bit
-                           for mask, s in zip(masks, values)], cols
+    new_masks = [mask if s else mask | bit
+                 for mask, s in zip(masks, values) if s >= 0]
+    if len(new_masks) == len(vecs):
+        return lin, vecs, new_masks, cols
+    new_vecs = [r for r, s in zip(vecs, values) if s >= 0]
     target = d - len(lin) - 2
     # holding[i]: the current rays tight on row i, one bit per ray.
     holding = _transpose(masks, idx)
     everyone = (1 << len(vecs)) - 1
     # The kept rows: every implicit equality, and one row per facet of
     # the current cone.
-    keep = sum(1 << i for i, h in enumerate(holding) if h == everyone)
-    for i in _facet_rows(holding, everyone):
-        keep |= 1 << i
-    new_vecs = []
-    new_masks = []
-    for r, mask, s in zip(vecs, masks, values):
-        if s >= 0:
-            new_vecs.append(r)
-            new_masks.append(mask if s else mask | bit)
+    equalities, facets = _kept_rows(holding, everyone)
+    keep = sum(1 << i for i in equalities + facets)
     fallback = []
     for j, an in enumerate(values):
         if an >= 0:
@@ -244,8 +245,7 @@ def _insert(state, idx: int, a: Vec):
             prefix &= h
             ap = values[k]
             if ap > 0:
-                new_vecs.append(primitive(
-                    tuple(x * (-an) + y * ap for x, y in zip(vecs[k], nvec))))
+                new_vecs.append(combine(nvec, an, vecs[k], ap))
                 new_masks.append(masks[k] & nmask | bit)
     for p, pmask, ap in zip(vecs, masks, values):
         if ap <= 0:
@@ -260,16 +260,15 @@ def _insert(state, idx: int, a: Vec):
                 face &= holding[i]
             if face.bit_count() > 2:
                 continue
-            new_vecs.append(primitive(
-                tuple(x * (-an) + y * ap for x, y in zip(p, nvec))))
+            new_vecs.append(combine(nvec, an, p, ap))
             new_masks.append(common | bit)
     return lin, new_vecs, new_masks, list(zip(*new_vecs))
 
 
-def _canonical(state, d: int) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
+def _canonical(state) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
     """``((lineality_basis, rays), masks)`` of a state, in canonical form."""
     lin, vecs, masks, _ = state
-    lin_basis = row_space_basis(lin, width=d)
+    lin_basis = row_space_basis(lin)
     tight: dict[Vec, int] = {}
     for r, mask in zip(vecs, masks):
         rr = reduce_mod_rowspace(r, lin_basis)
@@ -296,7 +295,7 @@ def omit_one_hulls(d: int, shared: Iterable[Vec],
 
     def split(state, idx: int, group: list[Vec]) -> None:
         if len(group) == 1:
-            out[group[0]] = _merge_pairs(*_canonical(state, d)[0])
+            out[group[0]] = _merge_pairs(*_canonical(state)[0])
             return
         half = len(group) // 2
         for rest, added in ((group[:half], group[half:]),
@@ -311,7 +310,7 @@ def omit_one_hulls(d: int, shared: Iterable[Vec],
     return out
 
 
-def _read_back(rows: Mat, masks: Sequence[int], d: int) -> tuple[Mat, Mat]:
+def _read_back(rows: Mat, masks: Sequence[int]) -> tuple[Mat, Mat]:
     """Canonical pair of a pass's input side, from its final incidence.
 
     ``(rows, masks)`` is the second value :func:`_polar` returns.  The rows
@@ -323,12 +322,10 @@ def _read_back(rows: Mat, masks: Sequence[int], d: int) -> tuple[Mat, Mat]:
     Rows with the same zero set agree modulo the space up to a positive
     factor, so one row per zero set is reduced.  No rank is computed.
     """
-    zero_sets = _transpose(masks, len(rows))
-    everyone = (1 << len(masks)) - 1
-    basis = row_space_basis([a for a, zeros in zip(rows, zero_sets)
-                             if zeros == everyone], width=d)
-    pointed = {reduce_mod_rowspace(rows[i], basis)
-               for i in _facet_rows(zero_sets, everyone)}
+    equalities, facets = _kept_rows(_transpose(masks, len(rows)),
+                                    (1 << len(masks)) - 1)
+    basis = row_space_basis([rows[i] for i in equalities])
+    pointed = {reduce_mod_rowspace(rows[i], basis) for i in facets}
     return tuple(sorted(basis)), tuple(sorted(pointed))
 
 
@@ -393,8 +390,7 @@ class Cone:
                 self._pairs[1 - given_side], self._incidence = _polar(
                     vectors, self.ambient_rank)
             if side == given_side:
-                self._pairs[side] = _read_back(*self._incidence,
-                                               self.ambient_rank)
+                self._pairs[side] = _read_back(*self._incidence)
                 self._incidence = None
         return self._pairs[side]
 

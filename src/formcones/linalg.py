@@ -3,9 +3,12 @@
 Vectors are tuples of Python ints, matrices are sequences of row tuples.
 Nothing in this package ever touches floating point.  One fraction-free
 elimination, :func:`_echelon`, serves both :func:`rank` and
-:func:`row_space_basis`.  Every row operation, in it, in the upward
-reduction of :func:`row_space_basis` and in :func:`reduce_mod_rowspace`,
-is :func:`_combine`, which divides the new row by its content.  The :class:`fractions.Fraction` echelon form :func:`_rref` and
+:func:`row_space_basis`.  The one row operation is :func:`combine`, which
+combines two vectors so that a form vanishes and divides the result by
+its content.  The elimination, the upward reduction of
+:func:`row_space_basis`, :func:`reduce_mod_rowspace` and the
+double-description pass in :mod:`formcones.cones` all call it.  The
+:class:`fractions.Fraction` echelon form :func:`_rref` and
 :func:`_clear_denominators` are kept only as the independent reference the
 tests check :func:`row_space_basis` against.
 """
@@ -47,20 +50,24 @@ def negate(v: Sequence[int]) -> Vec:
     return tuple(-x for x in v)
 
 
-def _combine(row: Sequence[int], prow: Sequence[int], c: int) -> list[int]:
-    """``prow[c]*row - row[c]*prow`` divided by its content: column ``c`` cleared."""
-    pc, x = prow[c], row[c]
-    new = [a * pc - b * x for a, b in zip(row, prow)]
+def combine(u: Sequence[int], su: int, v: Sequence[int], sv: int) -> Vec:
+    """``sv*u - su*v`` divided by its content.
+
+    With ``su`` and ``sv`` the values of one linear form at ``u`` and
+    ``v``, the form vanishes on the result.  A zero result is returned
+    as is.
+    """
+    new = tuple([x * sv - y * su for x, y in zip(u, v)])
     g = gcd(*new)
-    return [y // g for y in new] if g > 1 else new
+    return tuple([x // g for x in new]) if g > 1 else new
 
 
-def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[Vec], list[int]]:
     """Row echelon form by fraction-free elimination, and its pivot columns.
 
     Zero rows are dropped before the rows are checked for equal length.
     """
-    work = [list(r) for r in rows if any(r)]
+    work = [tuple(r) for r in rows if any(r)]
     if any(len(r) != len(work[0]) for r in work):
         raise DimensionMismatch("ragged matrix")
     pivots: list[int] = []
@@ -73,7 +80,7 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]
         prow = work[rk]
         for i in range(rk + 1, len(work)):
             if work[i][c]:
-                work[i] = _combine(work[i], prow, c)
+                work[i] = combine(work[i], work[i][c], prow, prow[c])
         pivots.append(c)
         if len(pivots) == len(work):
             break
@@ -128,21 +135,19 @@ def _clear_denominators(row: Sequence[Fraction]) -> Vec:
     return primitive(tuple(int(x * lcm) for x in row))
 
 
-def row_space_basis(rows: Sequence[Sequence[int]], *, width: int | None = None) -> Mat:
+def row_space_basis(rows: Iterable[Sequence[int]]) -> Mat:
     """Canonical primitive basis of the row space (reduced echelon form).
 
     Rows come back in pivot order; each has a positive leading entry and
     zeros in the pivot columns of the other rows: the rows of
     :func:`_echelon`, reduced upward pivot by pivot and made primitive.
     """
-    if not rows and width is None:
-        raise ValueError("width is required for an empty matrix")
     work, pivots = _echelon(rows)
     for k in range(len(pivots) - 1, 0, -1):
         c = pivots[k]
         for j in range(k):
             if work[j][c]:
-                work[j] = _combine(work[j], work[k], c)
+                work[j] = combine(work[j], work[j][c], work[k], work[k][c])
     basis = (primitive(row) for row in work)
     return tuple(negate(v) if v[c] < 0 else v for v, c in zip(basis, pivots))
 
@@ -155,11 +160,11 @@ def reduce_mod_rowspace(v: Sequence[int], basis: Mat) -> Vec | None:
     to the subspace is preserved.  Returns ``None`` when ``v`` lies in the
     subspace.
     """
-    out = list(v)
+    out = tuple(v)
     for b in basis:
         j = next(i for i, x in enumerate(b) if x)
         if out[j]:
-            out = _combine(out, b, j)
+            out = combine(out, out[j], b, b[j])
     if not any(out):
         return None
-    return primitive(tuple(out))
+    return primitive(out)

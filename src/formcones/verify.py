@@ -79,7 +79,7 @@ def check_cone_case(rank: int, gens: tuple) -> str:
     for g in gens:
         if not c.contains(g):
             return f"generator {g} violates a computed halfspace"
-    if cone_from_rays(rank, c.rays + tuple(gens)) != c:
+    if cone_from_halfspaces(rank, c.rays).rays != c.facets:
         return "canonical rays do not regenerate the cone"
     if cone_from_halfspaces(rank, c.facets) != c:
         return "canonical facets do not regenerate the cone"

@@ -155,6 +155,14 @@ def test_walk_certificate_rejects_a_one_way_crossing(monkeypatch, s):
         gkz_fan(s)
 
 
+@pytest.mark.parametrize("s", [collineations(2), collineations(3)])
+def test_walk_requires_exactly_one_nef_chamber(monkeypatch, s):
+    # With Nef's rays read as empty, no chamber carries the label.
+    monkeypatch.setattr(chambers_module, "extremal_rays", lambda c: ())
+    with pytest.raises(InternalError, match="0 chambers .* are Nef, not one"):
+        gkz_fan(s)
+
+
 @pytest.mark.parametrize("s, chambers", [(collineations(3), 9),
                                          (quadrics(4, stage=1), 5)])
 def test_walk_cuts_each_chamber_once(monkeypatch, s, chambers):

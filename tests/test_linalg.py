@@ -43,9 +43,23 @@ def _is_hand_written_dot(node) -> bool:
                     for g in gen.generators))
 
 
+def _is_hand_written_combine(node) -> bool:
+    """A comprehension over ``zip(...)`` of ``x * s +/- y * t``, the loop that
+    :func:`combine` replaces."""
+    if not isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        return False
+    elt = node.elt
+    return (isinstance(elt, ast.BinOp) and isinstance(elt.op, (ast.Add, ast.Sub))
+            and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                    for side in (elt.left, elt.right))
+            and any(getattr(getattr(g.iter, "func", None), "id", None) == "zip"
+                    for g in node.generators))
+
+
 def test_integer_kernels_live_only_in_linalg():
-    # Content and inner products each have one kernel in linalg: no other
-    # module imports gcd, and no module writes its own dot product.
+    # Content, inner products and two-vector combinations each have one
+    # kernel in linalg: no other module imports gcd, no module writes its
+    # own dot product, and only linalg combines two vectors.
     package = Path(linalg_module.__file__).parent
     scanned = 0
     for path in sorted(package.glob("*.py")):
@@ -57,6 +71,8 @@ def test_integer_kernels_live_only_in_linalg():
                     f"{where}: gcd imported outside linalg"
                 assert not (isinstance(node, ast.Attribute) and node.attr == "gcd"), \
                     f"{where}: gcd used outside linalg"
+                assert not _is_hand_written_combine(node), \
+                    f"{where}: two vectors combined outside linalg"
             assert not _is_hand_written_dot(node), f"{where}: inner product written by hand"
         scanned += 1
     assert scanned > 1
@@ -89,8 +105,9 @@ def test_rank_oracles():
 def test_row_space_basis_canonical():
     b = row_space_basis([(2, 4), (1, 2), (3, 6)])
     assert b == ((1, 2),)
-    again = row_space_basis(b, width=2)
+    again = row_space_basis(b)
     assert again == b
+    assert row_space_basis([]) == ()
 
 
 def test_reduce_mod_rowspace():
@@ -103,7 +120,7 @@ def test_reduce_mod_rowspace():
 
 @given(st.lists(vectors(3), min_size=1, max_size=5))
 def test_row_space_basis_preserves_span(rows):
-    basis = row_space_basis(rows, width=3)
+    basis = row_space_basis(rows)
     assert rank(basis) == len(basis) == rank(rows)
     for r in rows:
         assert reduce_mod_rowspace(r, basis) is None
@@ -113,7 +130,7 @@ def test_row_space_basis_preserves_span(rows):
 def test_row_space_basis_matches_rational_rref(rows):
     # Reference: reduced echelon form over Fraction, denominators cleared.
     _, reduced = _rref(rows, 4)
-    assert row_space_basis(rows, width=4) == tuple(
+    assert row_space_basis(rows) == tuple(
         _clear_denominators(r) for r in reduced)
 
 
