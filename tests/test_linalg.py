@@ -9,6 +9,7 @@ from formcones.errors import DegenerateRay, DimensionMismatch
 from formcones.linalg import (
     _clear_denominators,
     _rref,
+    combine,
     dot,
     negate,
     primitive,
@@ -92,6 +93,13 @@ def test_primitive_rejects_zero():
 
 def test_negate():
     assert negate((1, -2, 0)) == (-1, 2, 0)
+
+
+def test_combine():
+    # sv*u - su*v, divided by its content and never sign-flipped.
+    assert combine((2, 0), 2, (0, 3), 3) == (1, -1)
+    assert combine((0, 3), 3, (2, 0), 2) == (-1, 1)
+    assert combine((1, 1), 2, (2, 2), 4) == (0, 0)
 
 
 def test_rank_oracles():

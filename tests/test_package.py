@@ -1,9 +1,8 @@
 import formcones
+from formcones import collineations, gkz_fan, locate, movable_cone
 
 
 def test_readme_python_api_example_through_the_package_root():
-    from formcones import collineations, gkz_fan, locate, movable_cone
-
     s = collineations(3)
     assert movable_cone(s).rays == (
         (1, 0, 0), (2, -1, 0), (3, -2, -1), (6, -3, -2))
