@@ -35,14 +35,13 @@ from .cones import (
 )
 from .errors import (
     BoundaryPoint,
-    DegenerateSpace,
     DimensionMismatch,
     InternalError,
     OutsideEffective,
-    RankUnsupported,
 )
 from .linalg import Vec, dot, negate, primitive
-from .spaces import SpaceSpec, effective_cone, grading_matrix, nef_cone
+from .spaces import (_MAX_FAN_RANK, SpaceSpec, _require_rank, effective_cone,
+                     grading_matrix, nef_cone)
 
 __all__ = [
     "Chamber",
@@ -165,16 +164,7 @@ def gkz_fan(s: SpaceSpec) -> ChamberFan:
     counts, so higher ranks raise :class:`RankUnsupported` as a matter of
     policy.  Chambers are sorted by their rays, walls by chamber indices.
     """
-    rho = s.picard_rank
-    if rho < 2:
-        raise DegenerateSpace(
-            f"{s.describe()} has Picard rank 1; there is no chamber structure"
-        )
-    if rho > 3:
-        raise RankUnsupported(
-            f"chamber enumeration supports Picard rank 2 and 3, "
-            f"got rank {rho} for {s.describe()}"
-        )
+    _require_rank(s, "chamber fans", _MAX_FAN_RANK)
     chambers, walls = _walk(s, grading_matrix(s).distinct_coords())
     return _sorted_fan(s, chambers, walls, kind="gkz")
 

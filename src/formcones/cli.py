@@ -1,11 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification or count failure, or a failed
-internal self-check such as a computed fan that disagrees with the
-bundled merge table, 2 usage error,
-3 unsupported computation (degenerate space, or a Picard rank
-above 3 for chambers or above 16 for movable cones),
-4 missing reference data.
+Each error class maps to one exit code through ``_EXIT_CODES``; the
+README's paragraph on exit codes states the policy, and
+:mod:`formcones.spaces` holds the Picard-rank bounds behind exit 3.
 """
 
 from __future__ import annotations
@@ -47,18 +44,32 @@ from .spaces import (
 )
 from .verify import SUITES, render, run_suite
 
-CONE_NAMES = ("eff", "nef", "mov", "mori", "movcurves")
+# Each cone by name.  The builders are looked up when a command runs, so a
+# rebinding of this module's names (as a tracer does) is seen.
+_CONES = {
+    "eff": lambda s: effective_cone(s),
+    "nef": lambda s: nef_cone(s),
+    "mov": lambda s: movable_cone(s),
+    "mori": lambda s: mori_cone(s),
+    "movcurves": lambda s: moving_curve_cone(s),
+}
+
+# The exit code of each error class, the first match winning: RouteMismatch
+# is an InternalError.  Any other exception is a bug and keeps its traceback.
+_EXIT_CODES = ((InternalError, 1), (DegenerateSpace, 3), (RankUnsupported, 3),
+               (NoReferenceData, 4), (ValueError, 2))
 
 
-def parse_n_range(text: str) -> list[int]:
+def parse_n_range(text: str) -> range:
     """Either a single value "14" or an inclusive range "10..12"."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+        return range(lo, hi + 1)
+    n = int(text)
+    return range(n, n + 1)
 
 
 def _space(args, n: int | None = None) -> SpaceSpec:
@@ -86,22 +97,10 @@ def _fmt_vec(v) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-def _build_cone(s: SpaceSpec, name: str):
-    if name == "eff":
-        return effective_cone(s)
-    if name == "nef":
-        return nef_cone(s)
-    if name == "mov":
-        return movable_cone(s)
-    if name == "mori":
-        return mori_cone(s)
-    return moving_curve_cone(s)
-
-
 def cmd_cone(args) -> int:
     s = _space(args)
     t0 = time.perf_counter_ns()
-    cone = _build_cone(s, args.cone)
+    cone = _CONES[args.cone](s)
     dd_convert(cone)
     elapsed = time.perf_counter_ns() - t0
     if args.format == "json":
@@ -156,13 +155,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    # Build and check every space of the range before timing the first, so
-    # a range that cannot finish is refused before any work starts.
-    spaces = [_space(args, n) for n in parse_n_range(args.n)]
-    for s in spaces:
+    # Refuse a range that cannot finish before any work starts.  Whether the
+    # format is valid and the Picard rank are monotone in n: the ends decide.
+    ns = parse_n_range(args.n)
+    for s in (_space(args, ns[0]), _space(args, ns[-1])):
         require_movable(s)
     records = []
-    for s in spaces:
+    for n in ns:
+        s = _space(args, n)
         expected = movable_ray_count(s)
         t0 = time.perf_counter_ns()
         # Reading the rays runs the double-description pass, so the clock
@@ -184,19 +184,21 @@ def cmd_info(args) -> int:
         print(f"formcones {VERSION}")
         print("families: xnm (wide collineations), xn (square collineations), "
               "qn (quadrics)")
-        print("cones: " + " ".join(CONE_NAMES))
+        print("cones: " + " ".join(_CONES))
         print("verify suites: all " + " ".join(SUITES))
         print(f"bundled merged fans: {' '.join(bundled_fan_keys())}")
         return 0
     if args.n is None:
         raise ValueError("--n is required with --family")
     s = _space(args)
+    # Refuses a Picard rank past the cone bound before the Cox count runs.
+    fano = is_fano(s)
     lines = [f"space: {s.describe()}", f"picard rank: {s.picard_rank}",
              f"ambient projective dimension: {ambient_projective_dim(s)}",
              f"cox ring dimension: {dim_cox(s)}"]
     if s.stage is None:
         lines.append(f"cox ring generators: {cox_generator_count(s)}")
-    lines.append(f"fano: {is_fano(s)}")
+    lines.append(f"fano: {fano}")
     print("\n".join(lines))  # once every value is computed: a failure prints none
     return 0
 
@@ -210,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("cone", help="print a cone's extremal rays")
     _space_flags(p)
-    p.add_argument("--cone", required=True, choices=CONE_NAMES)
+    p.add_argument("--cone", required=True, choices=_CONES)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timings", action="store_true")
@@ -263,18 +265,9 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValueError("thread count must be at least 1")
         return args.func(args)
-    except InternalError as e:  # a failed self-check
+    except tuple(cls for cls, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (DegenerateSpace, RankUnsupported) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NoReferenceData as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -428,25 +428,23 @@ class Cone:
     def is_full_dimensional(self) -> bool:
         return self.dim == self.ambient_rank
 
-    def contains(self, v: Sequence[int]) -> bool:
+    def _point(self, v: Sequence[int]) -> Vec:
         v = tuple(v)
         if len(v) != self.ambient_rank:
             raise DimensionMismatch(
                 f"point of length {len(v)} in ambient rank {self.ambient_rank}"
             )
+        return v
+
+    def contains(self, v: Sequence[int]) -> bool:
+        v = self._point(v)
         return all(dot(n, v) >= 0 for n in self._halfspace_list())
 
     def strictly_contains(self, v: Sequence[int]) -> bool:
         """True when ``v`` satisfies every facet inequality strictly."""
-        v = tuple(v)
-        if len(v) != self.ambient_rank:
-            raise DimensionMismatch(
-                f"point of length {len(v)} in ambient rank {self.ambient_rank}"
-            )
+        v = self._point(v)
         eqs, facets = self._pair(_H)
-        if eqs:
-            return False
-        return all(dot(n, v) > 0 for n in facets)
+        return not eqs and all(dot(n, v) > 0 for n in facets)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):

@@ -31,7 +31,10 @@ class DegenerateSpace(FormconesError):
 
 
 class RankUnsupported(FormconesError):
-    """Refused size: a chamber fan above Picard rank 3, a movable cone above 16."""
+    """Refused size: a Picard rank above the computation's bound.
+
+    The README's paragraph on exit codes lists the bounds.
+    """
 
 
 class OutsideEffective(FormconesError):

@@ -55,9 +55,9 @@ def combine(u: Sequence[int], su: int, v: Sequence[int], sv: int) -> Vec:
 
     With ``su`` and ``sv`` the values of one linear form at ``u`` and
     ``v``, the form vanishes on the result.  A zero result is returned
-    as is.
+    as is.  Vectors of different lengths raise :class:`ValueError`.
     """
-    new = tuple([x * sv - y * su for x, y in zip(u, v)])
+    new = tuple([x * sv - y * su for x, y in zip(u, v, strict=True)])
     g = gcd(*new)
     return tuple([x // g for x in new]) if g > 1 else new
 
@@ -161,6 +161,9 @@ def reduce_mod_rowspace(v: Sequence[int], basis: Mat) -> Vec | None:
     subspace.
     """
     out = tuple(v)
+    if basis and len(out) != len(basis[0]):
+        raise DimensionMismatch(f"vector of length {len(out)} against "
+                                f"a basis of length {len(basis[0])}")
     for b in basis:
         j = next(i for i, x in enumerate(b) if x)
         if out[j]:

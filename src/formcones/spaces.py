@@ -155,12 +155,37 @@ class GradingMatrix:
         return tuple(cls.coords for cls, mult in self.columns if mult == 1)
 
 
-def _require_cones(s: SpaceSpec) -> int:
+# The largest Picard rank each computation accepts; _require_rank raises
+# every refusal.  Eff and Nef are cones over rho generators in rank rho, and
+# the Mori and moving-curve cones are their duals, so their passes cost
+# about rho^3.  At rank 128 (quadrics(128)) on a 2-vCPU Xeon VM with Python
+# 3.11, `cone --format json` took 0.47 s for Eff, 0.52 s for Nef, 1.14 s for
+# the Mori cone and 1.59 s for the moving-curve cone, and `info` 0.57 s, each
+# in a fresh process.  At rank 200 the moving-curve cone alone took 4.5 s.
+_MAX_CONE_RANK = 128
+# quadrics(16) has 2^15 movable rays and takes 1.9-2.8 s on a 2-vCPU Xeon VM
+# (quadrics(15): 1.0-1.1 s), omit-one hulls included.  Each further rank
+# doubles the ray count: quadrics(17), with this bound raised, took 4.97 s at
+# 94.5 MB peak RSS in one fresh process.  Rank 17 stays refused until tested.
+_MAX_MOVABLE_RANK = 16
+# The chamber walk runs in any rank, but only ranks 2 and 3 are checked
+# against reference counts.
+_MAX_FAN_RANK = 3
+
+
+def _require_rank(s: SpaceSpec, what: str = "cones of divisors and curves",
+                  top: int = _MAX_CONE_RANK) -> int:
+    """The Picard rank of ``s``: rank 1 and ranks above ``top`` are refused."""
     rho = s.picard_rank
     if rho < 2:
         raise DegenerateSpace(
             f"{s.describe()} has Picard rank 1; its cones of divisors are "
             "single rays and are not modeled"
+        )
+    if rho > top:
+        raise RankUnsupported(
+            f"{what} are computed up to Picard rank {top}, "
+            f"got rank {rho} for {s.describe()}"
         )
     return rho
 
@@ -242,7 +267,7 @@ def effective_cone(s: SpaceSpec) -> Cone:
     Generated by the exceptional classes together with the determinant
     divisor, uniformly across families and stages.
     """
-    rho = _require_cones(s)
+    rho = _require_rank(s)
     rays = [tuple(1 if j == h else 0 for j in range(rho)) for h in range(1, rho)]
     rays.append(divisor_D(s, s.n + 1).coords)
     return cone_from_rays(rho, rays)
@@ -250,7 +275,7 @@ def effective_cone(s: SpaceSpec) -> Cone:
 
 def nef_cone(s: SpaceSpec) -> Cone:
     """Cone of nef divisor classes, generated by the minor divisors."""
-    rho = _require_cones(s)
+    rho = _require_rank(s)
     return cone_from_rays(rho, [divisor_D(s, k).coords for k in range(1, rho + 1)])
 
 
@@ -291,29 +316,15 @@ def pairing(c, d) -> int:
 
 
 def is_fano(s: SpaceSpec) -> bool:
-    """Whether the anticanonical class is ample (positive on the Mori cone)."""
+    """Whether the anticanonical class is ample: interior to Nef, by Kleiman."""
     if s.picard_rank == 1:
         return True
-    mk = anticanonical_class(s)
-    return all(pairing(r, mk) > 0 for r in extremal_rays(mori_cone(s)))
-
-
-# quadrics(16) has 2^15 movable rays and takes 1.9-2.8 s on a 2-vCPU Xeon VM
-# (quadrics(15): 1.0-1.1 s), omit-one hulls included.  Each further rank
-# doubles the ray count: quadrics(17), with this bound raised, took 4.97 s at
-# 94.5 MB peak RSS in one fresh process.  Rank 17 stays refused until tested.
-_MAX_MOVABLE_RANK = 16
+    return nef_cone(s).strictly_contains(anticanonical_class(s).coords)
 
 
 def require_movable(s: SpaceSpec) -> int:
     """The Picard rank of ``s``, or the error :func:`movable_cone` raises for it."""
-    rho = _require_cones(s)
-    if rho > _MAX_MOVABLE_RANK:
-        raise RankUnsupported(
-            f"movable cones are computed up to Picard rank {_MAX_MOVABLE_RANK}, "
-            f"got rank {rho} for {s.describe()}"
-        )
-    return rho
+    return _require_rank(s, "movable cones", _MAX_MOVABLE_RANK)
 
 
 def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
@@ -329,8 +340,8 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
     ``brute_force=True`` runs the unoptimized omit-every-generator version
     for cross-checking, one pass per hull.
 
-    Picard rank above 16 raises :class:`RankUnsupported`, as does
-    :func:`require_movable`.
+    Picard rank above ``_MAX_MOVABLE_RANK`` raises :class:`RankUnsupported`,
+    as does :func:`require_movable`.
     """
     rho = require_movable(s)
     gm = grading_matrix(s)

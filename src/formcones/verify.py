@@ -33,8 +33,6 @@ from .spaces import collineations, movable_cone, quadrics
 FUZZ_SEED = 20260822
 FUZZ_COUNT = 200
 
-SUITES = ("cones", "counts", "fans", "formulas")
-
 __all__ = [
     "FUZZ_SEED",
     "FUZZ_COUNT",
@@ -138,20 +136,17 @@ def _suite_cones() -> list[CheckResult]:
 
 
 def _suite_counts() -> list[CheckResult]:
+    labelled = [(f"{family}-{n:02d}", make(n)) for n in range(2, 11)
+                for family, make in (("collineations", collineations),
+                                     ("quadrics", quadrics))]
+    labelled += [(f"collineations-{n:02d}-{n + 1:02d}", collineations(n, n + 1))
+                 for n in range(2, 9)]
     out = []
-    for n in range(2, 11):
-        for label, s in ((f"collineations-{n:02d}", collineations(n)),
-                         (f"quadrics-{n:02d}", quadrics(n))):
-            got = len(movable_cone(s).rays)
-            want = movable_ray_count(s)
-            out.append(CheckResult(f"counts.{label}", got == want,
-                                   f"expected {want} rays, got {got}"))
-    for n in range(2, 9):
-        s = collineations(n, n + 1)
+    for label, s in labelled:
         got = len(movable_cone(s).rays)
         want = movable_ray_count(s)
-        out.append(CheckResult(f"counts.collineations-{n:02d}-{n + 1:02d}",
-                               got == want, f"expected {want} rays, got {got}"))
+        out.append(CheckResult(f"counts.{label}", got == want,
+                               f"expected {want} rays, got {got}"))
     return out
 
 
@@ -213,19 +208,23 @@ def _suite_formulas() -> list[CheckResult]:
     return out
 
 
+# Each suite by name, in the order "all" runs them.
+_SUITES = {
+    "cones": _suite_cones,
+    "counts": _suite_counts,
+    "fans": _suite_fans,
+    "formulas": _suite_formulas,
+}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(suite: str) -> list[CheckResult]:
-    if suite != "all" and suite not in SUITES:
+    if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from all, "
                          + ", ".join(SUITES))
     out: list[CheckResult] = []
-    if suite in ("all", "cones"):
-        out += sorted(_suite_cones(), key=lambda r: r.name)
-    if suite in ("all", "counts"):
-        out += sorted(_suite_counts(), key=lambda r: r.name)
-    if suite in ("all", "fans"):
-        out += sorted(_suite_fans(), key=lambda r: r.name)
-    if suite in ("all", "formulas"):
-        out += sorted(_suite_formulas(), key=lambda r: r.name)
+    for name in SUITES if suite == "all" else (suite,):
+        out += sorted(_SUITES[name](), key=lambda r: r.name)
     return out
 
 

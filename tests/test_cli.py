@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from formcones import formulas, refdata
-from formcones import cli
+from formcones import cli, cones, errors, formulas, refdata, spaces, verify
 from formcones.cli import main, parse_n_range
 from formcones.refdata import bundled_fan_keys
 from formcones.spaces import nef_cone, quadrics
@@ -273,6 +272,11 @@ def test_bench_refuses_a_range_before_any_work(monkeypatch, capsys):
                      "--m", "4")
     assert rc == 2
     assert out == ""
+    # A range too long to list is refused from its two ends alone.
+    rc, out, err = run(capsys, "bench", "--family", "qn", "--n", "2..100000000")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert calls == []
 
 
@@ -316,6 +320,31 @@ def test_info_space(capsys):
     assert "picard rank: 2" in out
     assert "cox ring generators: 14" in out
     assert "fano: True" in out
+    rc, out, _ = run(capsys, "info", "--family", "xn", "--n", "1")
+    assert rc == 0
+    assert "picard rank: 1" in out
+    assert "fano: True" in out
+
+
+@pytest.mark.parametrize("command", ["cone --cone eff", "cone --cone nef",
+                                     "cone --cone mori", "cone --cone movcurves",
+                                     "info"])
+def test_one_rank_past_the_cone_bound_is_refused_before_any_work(
+        monkeypatch, capsys, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused space was computed")
+
+    monkeypatch.setattr(cones, "_polar", refuse)
+    monkeypatch.setattr(cli, "cox_generator_count", refuse)
+    top = spaces._MAX_CONE_RANK
+    assert top >= 16
+    # The Picard rank of quadrics(n) is n.
+    rc, out, err = run(capsys, *command.split(), "--family", "qn",
+                       "--n", str(top + 1))
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(top) in err
 
 
 def test_info_family_without_n(capsys):
@@ -344,6 +373,37 @@ def test_route_mismatch_is_an_internal_error(monkeypatch, capsys):
     assert "dim_section_space" in err
 
 
+@pytest.mark.parametrize("error, code", [
+    (errors.InternalError, 1), (errors.RouteMismatch, 1),
+    (errors.DegenerateSpace, 3), (errors.RankUnsupported, 3),
+    (errors.NoReferenceData, 4), (ValueError, 2),
+])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code):
+    def fail(suite):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    rc, out, err = run(capsys, "verify", "--suite", "formulas")
+    assert (rc, out, err) == (code, "", "error: planted\n")
+
+
+def test_an_error_outside_the_exit_code_table_propagates(monkeypatch):
+    def fail(suite):
+        raise errors.DimensionMismatch("planted")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    with pytest.raises(errors.DimensionMismatch):
+        main(["verify", "--suite", "formulas"])
+
+
+def test_run_suite_all_concatenates_the_suites_in_order():
+    assert verify.SUITES == ("cones", "counts", "fans", "formulas")
+    assert verify.run_suite("all") == [
+        r for name in verify.SUITES for r in verify.run_suite(name)]
+    with pytest.raises(ValueError):
+        verify.run_suite("nowhere")
+
+
 def test_threads_env_invalid(monkeypatch, capsys):
     # FORMCONES_THREADS is no longer read, so even an invalid value changes
     # nothing.
@@ -364,7 +424,7 @@ def test_threads_flag_must_be_positive(capsys):
 
 
 def test_parse_n_range():
-    assert parse_n_range("3") == [3]
-    assert parse_n_range("2..5") == [2, 3, 4, 5]
+    assert parse_n_range("3") == range(3, 4)
+    assert parse_n_range("2..5") == range(2, 6)
     with pytest.raises(ValueError):
         parse_n_range("5..2")

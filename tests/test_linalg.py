@@ -100,6 +100,8 @@ def test_combine():
     assert combine((2, 0), 2, (0, 3), 3) == (1, -1)
     assert combine((0, 3), 3, (2, 0), 2) == (-1, 1)
     assert combine((1, 1), 2, (2, 2), 4) == (0, 0)
+    with pytest.raises(ValueError):
+        combine((1, 2), 1, (1, 2, 3), 1)
 
 
 def test_rank_oracles():
@@ -124,6 +126,9 @@ def test_reduce_mod_rowspace():
     reduced = reduce_mod_rowspace((3, -2, 5), basis)
     assert reduced is not None
     assert reduced[2] != 0
+    for v in ((1, 2, 3), (0, 2, 3), (1,)):
+        with pytest.raises(DimensionMismatch):
+            reduce_mod_rowspace(v, ((1, 0),))
 
 
 @given(st.lists(vectors(3), min_size=1, max_size=5))

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formcones import spaces as spaces_module
-from formcones.cones import cone_from_halfspaces, cone_from_rays, omit_one_hulls
+from formcones.cones import (
+    cone_from_halfspaces,
+    cone_from_rays,
+    extremal_rays,
+    omit_one_hulls,
+)
 from formcones.errors import DegenerateSpace, DimensionMismatch
 from formcones.spaces import (
     CurveClass,
@@ -270,6 +275,34 @@ def test_is_fano():
         assert is_fano(s)
     assert not is_fano(collineations(3, stage=1))
     assert is_fano(collineations(2, stage=1))
+
+
+def _fano_by_mori_cone(s):
+    """The reference route: -K pairs positively with every Mori extremal ray."""
+    if s.picard_rank == 1:
+        return True
+    mk = anticanonical_class(s)
+    return all(pairing(r, mk) > 0 for r in extremal_rays(mori_cone(s)))
+
+
+def test_is_fano_matches_the_mori_cone_route():
+    # The spaces of acceptance criterion 06 and every blow-up stage of them.
+    whole = [collineations(n, m) for n in range(1, 7) for m in range(n, 7)]
+    whole += [quadrics(n) for n in range(2, 7)]
+    spaces = whole + [replace(s, stage=i) for s in whole for i in range(1, s.n)]
+    got = [is_fano(s) for s in spaces]
+    assert got == [_fano_by_mori_cone(s) for s in spaces]
+    assert True in got and False in got
+
+
+def test_is_fano_builds_no_curve_cone(monkeypatch):
+    def refuse(s):
+        raise AssertionError(f"is_fano built the Mori cone of {s.describe()}")
+
+    monkeypatch.setattr(spaces_module, "mori_cone", refuse)
+    assert is_fano(collineations(3))
+    assert is_fano(quadrics(5))
+    assert not is_fano(collineations(3, stage=1))
 
 
 def test_grading_matrix_columns_live_in_effective_cone():
