@@ -23,6 +23,12 @@ The one place that computes facets without building a cone is
 generators differ by one vector, sharing the steps they have in common,
 and gives each cone's facets as the pass over its own generators would.
 
+Most rows of a large pass come after the cone is cut out and keep every
+ray.  The step classifies the rays against such rows on packed lanes, one
+big-int multiply-add per nonzero entry of the row for all rays at once;
+the ray set is packed once, on the first row that leaves it whole, and the
+lanes are dropped at the next row that cuts.
+
 The step and :func:`_read_back` pick the rows that cut out a cone by one
 :func:`_kept_rows`, on zero sets alone, and compute no rank.  This is
 exact because the rays involved are extreme: an extreme ray is fixed by
@@ -36,10 +42,12 @@ that the elimination in :mod:`formcones.linalg` uses too.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateRay,
@@ -143,15 +151,114 @@ def _inserted(state, idx: int, rows: Iterable[Vec]):
     return state
 
 
+# A ray set is packed into lanes once it holds this many rays and a row
+# leaves it whole.  On a 2-vCPU Xeon VM with Python 3.11, in rank 12, one
+# pack cost as much as the column route saves on 3.5-5 later rows at 16 to
+# 2,048 rays, and on 10 rows at 8 rays.  In perfbench's fans-verify command
+# list the ray sets under 64 rays would serve 2.4 lane rows per pack (187
+# packs), those of 64 rays or more 23 (10 packs).
+_PACK_MIN = 64
+# Byte ``b`` reads as the binary digit of its top bit.
+_TOP_BIT = bytes(b"01"[b >> 7] for b in range(256))
+
+
+class _Lanes(NamedTuple):
+    """The coordinates of a ray set by column, packed into lanes.
+
+    Column ``i`` is one int, the sum of ``r_j[i] << (8 * size * j)`` over
+    the rays ``r_j``: a lane of ``size`` bytes per ray, holding a signed
+    value.  The values ``<a, r_j>`` of every ray are then one int, one
+    big-int multiply-add per nonzero entry of ``a`` (SIMD within a
+    register: Lamport, "Multiple byte processing with full-word
+    instructions", 1975).  ``half`` holds ``2 ** (8 * size - 1)`` in every
+    lane; adding it moves each lane's value ``v`` to ``v + 2 ** (8 * size -
+    1)`` with no carry into the next lane as long as ``|v| < 2 ** (8 * size
+    - 2)``, one sign bit and one guard bit, and the lane's top bit is then
+    set exactly when ``v >= 0``.  ``reach`` is the largest absolute
+    coordinate, so ``sum(|a_i|) * reach`` bounds ``|<a, r_j>|``.
+    """
+
+    count: int
+    size: int
+    reach: int
+    half: int
+    cols: tuple[int, ...]
+
+
+def _pack(cols: Sequence[Vec], a: Vec) -> _Lanes:
+    """The columns ``cols`` in lanes of ``64 * k`` bits.
+
+    The lanes are as narrow as row ``a`` allows; a later row that needs
+    wider ones fails :func:`_fits`.
+    """
+    reach = max(max(max(col), -min(col)) for col in cols)
+    words = ((sum(map(abs, a)) * reach).bit_length() + 2 + 63) // 64
+    count, size = len(cols[0]), 8 * words
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
+    # Each lane gets its coordinate modulo 2 ** bits.  Below 2 ** 63 that is
+    # one signed 64-bit word at the bottom of the lane, which array writes
+    # for a whole column at C speed; the other words stay zero, also when a
+    # big-endian host's words are swapped to little-endian order.
+    bits = 8 * size if reach >> 63 else 64
+    grid = array("q", bytes(size * count)) if bits == 64 else None
+    packed = []
+    for col in cols:
+        if bits > 64:
+            chunk = b"".join([x.to_bytes(size, "little", signed=True) for x in col])
+        else:
+            grid[::words] = array("q", col)
+            if sys.byteorder == "big":
+                grid.byteswap()
+            chunk = grid.tobytes()
+        u = int.from_bytes(chunk, "little")
+        # Taking 2 ** bits off every lane whose bit ``bits - 1`` is set
+        # leaves the signed coordinate.
+        packed.append(u - ((u >> (bits - 1) & ones) << bits))
+    return _Lanes(count, size, reach, ones << (8 * size - 1), tuple(packed))
+
+
+def _fits(lanes: _Lanes, a: Vec) -> bool:
+    """Whether the lanes hold ``<a, r>`` with a sign bit and a guard bit."""
+    return (sum(map(abs, a)) * lanes.reach).bit_length() <= 8 * lanes.size - 2
+
+
+def _lane_signs(lanes: _Lanes, a: Vec) -> tuple[int, int]:
+    """``(nonneg, zero)``: the rays with ``<a, r> >= 0`` and with ``= 0``.
+
+    Bit ``j`` of each mask stands for ray ``j``.  ``a`` must fit the
+    lanes (:func:`_fits`).  The lanes of ``half + x`` have their top bit
+    set where ``<a, r> >= 0``, those of ``half - x`` where ``<a, r> <= 0``;
+    each top bit is the first byte of its lane in big-endian order.
+    """
+    x = 0
+    for c, col in zip(a, lanes.cols):
+        if c:
+            x += c * col
+    size, length = lanes.size, lanes.count * lanes.size
+    nonneg, nonpos = (
+        int((lanes.half + y).to_bytes(length, "big")[::size].translate(_TOP_BIT), 2)
+        for y in (x, -x))
+    return nonneg, nonneg & nonpos
+
+
 def _insert(state, idx: int, a: Vec):
     """The state of a pass after it inserts ``<a, x> >= 0`` as row ``idx``.
 
     A state is ``(lin, vecs, masks, cols)``: a spanning set of the current
     lineality space, the current rays, each ray's tight rows as a bitmask
     (bit ``i`` for the row inserted as row ``i``), and the rays'
-    coordinates by column.  Rows ``0 .. idx - 1`` must have been inserted,
-    ``a`` must be nonzero, and the lists of ``state`` are left unchanged,
+    coordinates by column, either as a list of tuples or packed into
+    :class:`_Lanes`, never both.  Rows ``0 .. idx - 1`` must have been
+    inserted, ``a`` must be nonzero, and no part of ``state`` is changed,
     so one state can be the start of several passes.
+
+    Once the cone is cut out, the remaining rows keep every ray.  So the
+    first row that leaves a set of at least ``_PACK_MIN`` rays whole packs
+    its columns into lanes, and each later row that fits them classifies
+    every ray on the lanes (:func:`_lane_signs`): a row that leaves the
+    set whole then only sets its bit on the rays it is tight on.  The
+    first row that cuts the set, or one too long for the lanes, takes
+    ``dot`` per ray, and the state after a cut holds column tuples again.
 
     Adjacency is decided on zero sets, as in :func:`_read_back`.  After
     each row the current rays are exactly the extreme rays (modulo the
@@ -202,23 +309,39 @@ def _insert(state, idx: int, a: Vec):
     if not vecs:
         return state  # the cone is its lineality space, inside the hyperplane
 
-    # <a, r> for every ray at once, column by column over the nonzero
-    # entries of ``a``.
-    values = None
-    for c, col in zip(a, cols):
-        if c:
-            term = map(mul, col, repeat(c))
-            values = term if values is None else map(add, values, term)
-    values = list(values)
+    everyone = (1 << len(vecs)) - 1
+    packed = isinstance(cols, _Lanes)
+    if packed and _fits(cols, a):
+        nonneg, zero = _lane_signs(cols, a)
+        if nonneg == everyone:
+            if zero:
+                masks = masks.copy()
+                for j in _bit_indices(zero):
+                    masks[j] |= bit
+            return lin, vecs, masks, cols
+    if packed:
+        # A row that cuts the packed set, once per set, or one too long for
+        # its lanes.
+        values = [dot(a, r) for r in vecs]
+    else:
+        # <a, r> for every ray at once, column by column over the nonzero
+        # entries of ``a``.
+        values = None
+        for c, col in zip(a, cols):
+            if c:
+                term = map(mul, col, repeat(c))
+                values = term if values is None else map(add, values, term)
+        values = list(values)
     new_masks = [mask if s else mask | bit
                  for mask, s in zip(masks, values) if s >= 0]
     if len(new_masks) == len(vecs):
+        if not packed and len(vecs) >= _PACK_MIN:
+            cols = _pack(cols, a)
         return lin, vecs, new_masks, cols
     new_vecs = [r for r, s in zip(vecs, values) if s >= 0]
     target = d - len(lin) - 2
     # holding[i]: the current rays tight on row i, one bit per ray.
     holding = _transpose(masks, idx)
-    everyone = (1 << len(vecs)) - 1
     # The kept rows: every implicit equality, and one row per facet of
     # the current cone.
     equalities, facets = _kept_rows(holding, everyone)
@@ -370,7 +493,7 @@ class Cone:
     the pointed generators (respectively proper facets).
     """
 
-    __slots__ = ("ambient_rank", "_given", "_pairs", "_incidence")
+    __slots__ = ("ambient_rank", "_given", "_pairs", "_incidence", "_certified")
 
     def __init__(self, ambient_rank: int, *, given=None, pairs=(None, None)):
         if ambient_rank < 1:
@@ -379,6 +502,7 @@ class Cone:
         self._given = given
         self._pairs = list(pairs)
         self._incidence = None
+        self._certified = False
 
     # -- representation plumbing -----------------------------------------
 
@@ -533,7 +657,8 @@ def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
     With ``certify`` (the default) each ray is checked by the rank test:
     the defining normals tight at the ray must have rank
     ``ambient_rank - 1``.  A failure raises :class:`InternalError`, since
-    the canonical rays are extremal by construction.
+    the canonical rays are extremal by construction.  A cone that passed
+    is not checked again; one that failed raises on every call.
     """
     lin, pointed = c._pair(_V)
     if lin:
@@ -541,7 +666,7 @@ def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
             f"cone has lineality dimension {len(lin)}; extremal rays are "
             "only defined for pointed cones"
         )
-    if certify and pointed:
+    if certify and pointed and not c._certified:
         normals = c._halfspace_list()
         for r in pointed:
             tight = [n for n in normals if dot(n, r) == 0]
@@ -549,6 +674,7 @@ def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
                 raise InternalError(
                     f"extremality certificate failed for ray {r}"
                 )
+        c._certified = True
     return pointed
 
 

@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import random
 import sys
@@ -23,6 +24,7 @@ from formcones.cones import (
 from formcones.errors import (
     DegenerateRay,
     DimensionMismatch,
+    InternalError,
     NotFullDimensional,
     NotPointed,
 )
@@ -141,6 +143,21 @@ def test_interior_point_needs_full_dimension():
 def test_extremal_rays_certified():
     c = cone_from_rays(2, [(1, 0), (1, 1), (0, 1)])
     assert extremal_rays(c) == ((0, 1), (1, 0))
+
+
+def test_extremal_rays_certifies_a_cone_once(monkeypatch):
+    # A passed certificate is kept on the cone; a failed one raises on
+    # every call.
+    ranks = []
+    monkeypatch.setattr(cones_module, "rank",
+                        lambda rows: ranks.append(rows) or rank(rows))
+    c = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    assert extremal_rays(c) == extremal_rays(c) == c.rays
+    assert len(ranks) == len(c.rays) == 3
+    wrong = Cone(2, pairs=(((), ((0, 1), (1, 0), (1, 1))), ((), ((0, 1), (1, 0)))))
+    for _ in range(2):
+        with pytest.raises(InternalError):
+            extremal_rays(wrong)
 
 
 def test_extremal_rays_rejects_lineality():
@@ -349,14 +366,17 @@ def test_extreme_rays_match_the_cofactor_oracle():
 
 def test_insert_leaves_its_state_unchanged():
     # omit_one_hulls starts sibling branches from one state, so a step must
-    # build new lists rather than change the ones it was given.
-    for d, vecs in _oracle_corpus():
+    # build new parts rather than change the ones it was given.  The parts
+    # are compared as values, packed lanes included.
+    cases = _oracle_corpus() + [(7, CROSS_RAYS + CROSS_INSIDE)]
+    for d, vecs in cases:
         state = cones_module._start(d)
         for idx, a in enumerate(sorted({primitive(v) for v in vecs})):
-            before = [list(part) for part in state]
+            before = copy.deepcopy(state)
             after = cones_module._insert(state, idx, a)
-            assert [list(part) for part in state] == before, (d, vecs, idx)
+            assert state == before, (d, vecs, idx)
             state = after
+    assert isinstance(state[3], cones_module._Lanes)
 
 
 # -- the two ray steps of the pass ---------------------------------------------
@@ -436,3 +456,134 @@ def test_cone_with_an_implicit_equality():
     assert c.dim == 3
     assert _ray_steps(lambda: cone_from_halfspaces(4, rows).rays) \
         == [(3, "pivot"), (5, "pair loop")]
+
+
+# -- classification on packed lanes ---------------------------------------------
+#
+# Once a row leaves a set of at least _PACK_MIN rays whole, the step packs the
+# rays' columns into lanes and classifies later rows on them.
+
+# The cone over a 6-dimensional cross-polytope in rank 7: 12 rays e0 +- ei and
+# 64 facets; CROSS_INSIDE lies inside it.  As normals, CROSS_RAYS cut out the
+# cone over a 6-cube, with 64 rays, and CROSS_INSIDE is redundant for it.
+CROSS_RAYS = tuple(tuple(int(j == 0) + s * int(j == i) for j in range(7))
+                   for i in range(1, 7) for s in (1, -1))
+CROSS_INSIDE = ((1, 0, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0),
+                (3, 0, -1, 1, 0, 0, 0), (4, 1, 1, 1, -1, 0, 0))
+
+
+def _signs(values, test):
+    return sum(1 << j for j, v in enumerate(values) if test(v))
+
+
+@pytest.mark.parametrize("reach_bits, words", [(2, 1), (62, 2), (200, 4)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lane_signs_match_dot(reach_bits, words, data):
+    # One 64-bit word per lane, two words from array's path, and four from
+    # the byte path for coordinates past a signed 64-bit word.
+    d = data.draw(st.integers(min_value=1, max_value=5))
+    coords = st.one_of(st.just(0), coord,
+                       st.integers(min_value=-2 ** reach_bits,
+                                   max_value=2 ** reach_bits))
+    vecs = data.draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=80))
+    vecs.append((-2 ** reach_bits,) + (0,) * (d - 1))
+    rows = data.draw(st.lists(st.tuples(*[coord] * d).filter(any), min_size=1,
+                              max_size=6))
+    lanes = cones_module._pack(list(zip(*vecs)), (4,) * d)
+    assert lanes.size == 8 * words
+    for a in rows:
+        assert cones_module._fits(lanes, a)
+        values = [dot(a, r) for r in vecs]
+        nonneg, zero = cones_module._lane_signs(lanes, a)
+        assert nonneg == _signs(values, lambda v: v >= 0)
+        assert zero == _signs(values, lambda v: v == 0)
+
+
+def test_packed_and_column_states_step_alike(monkeypatch):
+    # One state, its columns as tuples and packed into lanes: every row gives
+    # the same rays and masks.  A row that fits the lanes runs on them; one
+    # whose bound sum |a_i| * max |r_j| needs more than the lanes' width less
+    # a sign bit and a guard bit takes dot.
+    rows = sorted({primitive(v) for v in CROSS_RAYS + CROSS_INSIDE})
+    plain = cones_module._inserted(cones_module._start(7), 0, rows[:-1])
+    packed = cones_module._insert(plain, len(rows) - 1, rows[-1])
+    assert isinstance(packed[3], cones_module._Lanes)
+    assert packed[3].size == 8
+    columns = packed[:3] + (list(zip(*packed[1])),)
+    big = 2 ** 62
+    cases = [
+        ((2, 1, 1, 0, 0, 0, 0), True, False),    # tight on 16 rays
+        ((1, 0, 0, 0, 0, 0, -1), True, False),   # a facet again, on 32
+        ((0, 1, 0, 0, 0, 0, 0), True, True),
+        ((big + 1, big - 1, 0, 0, 0, 0, 0), False, False),
+        ((big - 1, big + 1, 3, 0, 0, 0, 0), False, True),
+    ]
+    lane_signs = cones_module._lane_signs
+    for a, on_lanes, cuts in cases:
+        used = []
+        monkeypatch.setattr(cones_module, "_lane_signs",
+                            lambda lanes, a: used.append(a) or lane_signs(lanes, a))
+        got = cones_module._insert(packed, len(rows), a)
+        monkeypatch.undo()
+        want = cones_module._insert(columns, len(rows), a)
+        assert got[:3] == want[:3], a
+        assert cones_module._fits(packed[3], a) == bool(used) == on_lanes, a
+        assert (got[1] != packed[1]) == cuts, a
+
+
+def _shear(vec, i, j, m):
+    """``vec`` with ``m`` times entry ``j`` added to entry ``i``."""
+    return tuple(x + m * vec[j] if k == i else x for k, x in enumerate(vec))
+
+
+def test_packed_pass_with_coordinates_past_64_bits(monkeypatch):
+    # The cone over a 6-cube, with every sum of two of its facets as a
+    # redundant row, moved by a unimodular map U with entries near 2^70:
+    # rays go to U r and facet normals to a U^-1.  The rays' coordinates
+    # pass 2^64, and the redundant rows after the last facet run on lanes.
+    shears = [(0, 1, 2 ** 70 + 3), (2, 0, 5), (6, 2, -(2 ** 69) - 7),
+              (1, 4, 2 ** 70 - 11), (3, 6, 2)]
+
+    def forward(r):
+        for i, j, m in reversed(shears):
+            r = _shear(r, i, j, m)
+        return r
+
+    def backward(a):  # a U^-1, the transpose of shearing a column back
+        for i, j, m in reversed(shears):
+            a = _shear(a, j, i, -m)
+        return a
+
+    cube = cone_from_halfspaces(7, CROSS_RAYS)
+    facets = list(CROSS_RAYS)
+    redundant = [tuple(map(sum, zip(f, g))) for f, g in combinations(facets, 2)]
+    normals = [backward(a) for a in facets + redundant]
+    calls = []
+    lane_signs = cones_module._lane_signs
+    monkeypatch.setattr(cones_module, "_lane_signs",
+                        lambda lanes, a: calls.append(lanes.size)
+                        or lane_signs(lanes, a))
+    moved = cone_from_halfspaces(7, normals)
+    assert moved.rays == tuple(sorted(forward(r) for r in cube.rays))
+    assert moved.facets == tuple(sorted(backward(a) for a in cube.facets))
+    assert max(map(abs, sum(moved.rays, ()))) > 2 ** 64
+    assert calls and min(calls) > 8
+
+
+def test_omit_one_hulls_on_packed_lanes(monkeypatch):
+    # The shared vectors generate the cone over a cross-polytope, with 64
+    # facets, and the omitted ones lie inside it: each hull's pass keeps
+    # those facets on lanes, packed in a state that sibling hulls share.
+    packs, rows = [], []
+    pack, lane_signs = cones_module._pack, cones_module._lane_signs
+    monkeypatch.setattr(cones_module, "_pack",
+                        lambda cols, a: packs.append(a) or pack(cols, a))
+    monkeypatch.setattr(cones_module, "_lane_signs",
+                        lambda lanes, a: rows.append(a) or lane_signs(lanes, a))
+    hulls = cones_module.omit_one_hulls(7, CROSS_RAYS, CROSS_INSIDE)
+    assert packs and len(rows) > len(packs)
+    monkeypatch.undo()
+    for c in CROSS_INSIDE:
+        rest = CROSS_RAYS + tuple(v for v in CROSS_INSIDE if v != c)
+        assert hulls[c] == cone_from_rays(7, rest).facets
