@@ -42,8 +42,6 @@ that the elimination in :mod:`formcones.linalg` uses too.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
@@ -195,26 +193,14 @@ def _pack(cols: Sequence[Vec], a: Vec) -> _Lanes:
     words = ((sum(map(abs, a)) * reach).bit_length() + 2 + 63) // 64
     count, size = len(cols[0]), 8 * words
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
-    # Each lane gets its coordinate modulo 2 ** bits.  Below 2 ** 63 that is
-    # one signed 64-bit word at the bottom of the lane, which array writes
-    # for a whole column at C speed; the other words stay zero, also when a
-    # big-endian host's words are swapped to little-endian order.
-    bits = 8 * size if reach >> 63 else 64
-    grid = array("q", bytes(size * count)) if bits == 64 else None
-    packed = []
-    for col in cols:
-        if bits > 64:
-            chunk = b"".join([x.to_bytes(size, "little", signed=True) for x in col])
-        else:
-            grid[::words] = array("q", col)
-            if sys.byteorder == "big":
-                grid.byteswap()
-            chunk = grid.tobytes()
-        u = int.from_bytes(chunk, "little")
-        # Taking 2 ** bits off every lane whose bit ``bits - 1`` is set
-        # leaves the signed coordinate.
-        packed.append(u - ((u >> (bits - 1) & ones) << bits))
-    return _Lanes(count, size, reach, ones << (8 * size - 1), tuple(packed))
+    top, half = 1 << (8 * size - 1), ones << (8 * size - 1)
+    # Each lane is written as its coordinate ``x`` plus ``top``, which lies
+    # in ``[0, 2 * top)`` as ``|x| <= reach < top``; taking ``half`` off the
+    # column's int leaves the sum of ``x << (8 * size * j)`` over its lanes.
+    return _Lanes(count, size, reach, half, tuple(
+        int.from_bytes(b"".join([(x + top).to_bytes(size, "little") for x in col]),
+                       "little") - half
+        for col in cols))
 
 
 def _fits(lanes: _Lanes, a: Vec) -> bool:
@@ -257,8 +243,9 @@ def _insert(state, idx: int, a: Vec):
     its columns into lanes, and each later row that fits them classifies
     every ray on the lanes (:func:`_lane_signs`): a row that leaves the
     set whole then only sets its bit on the rays it is tight on.  The
-    first row that cuts the set, or one too long for the lanes, takes
-    ``dot`` per ray, and the state after a cut holds column tuples again.
+    first row that cuts the set, or one too long for the lanes, unpacks
+    the columns to tuples; one too long that leaves the set whole packs
+    it again, at its own width.
 
     Adjacency is decided on zero sets, as in :func:`_read_back`.  After
     each row the current rays are exactly the extreme rays (modulo the
@@ -310,32 +297,30 @@ def _insert(state, idx: int, a: Vec):
         return state  # the cone is its lineality space, inside the hyperplane
 
     everyone = (1 << len(vecs)) - 1
-    packed = isinstance(cols, _Lanes)
-    if packed and _fits(cols, a):
-        nonneg, zero = _lane_signs(cols, a)
-        if nonneg == everyone:
-            if zero:
-                masks = masks.copy()
-                for j in _bit_indices(zero):
-                    masks[j] |= bit
-            return lin, vecs, masks, cols
-    if packed:
+    if isinstance(cols, _Lanes):
+        if _fits(cols, a):
+            nonneg, zero = _lane_signs(cols, a)
+            if nonneg == everyone:
+                if zero:
+                    masks = masks.copy()
+                    for j in _bit_indices(zero):
+                        masks[j] |= bit
+                return lin, vecs, masks, cols
         # A row that cuts the packed set, once per set, or one too long for
-        # its lanes.
-        values = [dot(a, r) for r in vecs]
-    else:
-        # <a, r> for every ray at once, column by column over the nonzero
-        # entries of ``a``.
-        values = None
-        for c, col in zip(a, cols):
-            if c:
-                term = map(mul, col, repeat(c))
-                values = term if values is None else map(add, values, term)
-        values = list(values)
+        # its lanes: the columns are tuples again.
+        cols = list(zip(*vecs))
+    # <a, r> for every ray at once, column by column over the nonzero
+    # entries of ``a``.
+    values = None
+    for c, col in zip(a, cols):
+        if c:
+            term = map(mul, col, repeat(c))
+            values = term if values is None else map(add, values, term)
+    values = list(values)
     new_masks = [mask if s else mask | bit
                  for mask, s in zip(masks, values) if s >= 0]
     if len(new_masks) == len(vecs):
-        if not packed and len(vecs) >= _PACK_MIN:
+        if len(vecs) >= _PACK_MIN:
             cols = _pack(cols, a)
         return lin, vecs, new_masks, cols
     new_vecs = [r for r, s in zip(vecs, values) if s >= 0]

@@ -480,8 +480,8 @@ def _signs(values, test):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lane_signs_match_dot(reach_bits, words, data):
-    # One 64-bit word per lane, two words from array's path, and four from
-    # the byte path for coordinates past a signed 64-bit word.
+    # One 64-bit word per lane, two words for coordinates just below a
+    # signed 64-bit word, and four for coordinates past it.
     d = data.draw(st.integers(min_value=1, max_value=5))
     coords = st.one_of(st.just(0), coord,
                        st.integers(min_value=-2 ** reach_bits,
@@ -504,7 +504,8 @@ def test_packed_and_column_states_step_alike(monkeypatch):
     # One state, its columns as tuples and packed into lanes: every row gives
     # the same rays and masks.  A row that fits the lanes runs on them; one
     # whose bound sum |a_i| * max |r_j| needs more than the lanes' width less
-    # a sign bit and a guard bit takes dot.
+    # a sign bit and a guard bit takes the column route, and packs the set
+    # again at its own width if it keeps every ray.
     rows = sorted({primitive(v) for v in CROSS_RAYS + CROSS_INSIDE})
     plain = cones_module._inserted(cones_module._start(7), 0, rows[:-1])
     packed = cones_module._insert(plain, len(rows) - 1, rows[-1])
@@ -530,6 +531,10 @@ def test_packed_and_column_states_step_alike(monkeypatch):
         assert got[:3] == want[:3], a
         assert cones_module._fits(packed[3], a) == bool(used) == on_lanes, a
         assert (got[1] != packed[1]) == cuts, a
+        assert isinstance(got[3], cones_module._Lanes) == (not cuts), a
+        if not cuts:
+            assert got[3].size == (8 if on_lanes else 16), a
+            assert not cones_module._fits(packed[3], a) or got[3] is packed[3]
 
 
 def _shear(vec, i, j, m):
