@@ -163,10 +163,10 @@ class GradingMatrix:
 # the Mori cone and 1.59 s for the moving-curve cone, and `info` 0.57 s, each
 # in a fresh process.  At rank 200 the moving-curve cone alone took 4.5 s.
 _MAX_CONE_RANK = 128
-# quadrics(16) has 2^15 movable rays and takes 1.8-2.3 s at 52 MB peak RSS
+# quadrics(16) has 2^15 movable rays and takes 2.2-2.3 s at 54 MB peak RSS
 # on a 2-vCPU Xeon VM (quadrics(15): 0.9 s), omit-one hulls included, in a
 # fresh process.  Each further rank doubles the ray count: quadrics(17), with
-# this bound raised, took 5.1-5.6 s at 91.5 MB.  Rank 17 stays refused until
+# this bound raised, took 5.4 s at 95 MB.  Rank 17 stays refused until
 # tested.
 _MAX_MOVABLE_RANK = 16
 # The chamber walk runs in any rank, but only ranks 2 and 3 are checked
