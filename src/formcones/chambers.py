@@ -112,13 +112,14 @@ def _chamber_at(hulls: list[tuple[Vec, ...]], q: Vec, d: Vec) -> frozenset[int]:
     return held
 
 
-def _walk(s: SpaceSpec, cols: tuple[Vec, ...]) -> tuple[list[Chamber], list[Wall]]:
-    """Breadth-first walk of the chamber fan, starting at Nef.
+def _walk(s: SpaceSpec) -> tuple[list[Chamber], list[Wall]]:
+    """Breadth-first walk of the chamber fan of ``s``, starting at Nef.
 
     Chambers are keyed by their hull sets, and each one is cut out by a
     single halfspace pass, whose cone gives its rays, facets and sample.
     """
     rho = s.picard_rank
+    cols = grading_matrix(s).distinct_coords()
     # By Caratheodory, intersecting the simplicial column cones that hold a
     # generic point gives the same chamber as intersecting all column hulls.
     hulls = [cone.facets for cone in (cone_from_rays(rho, c)
@@ -165,7 +166,7 @@ def gkz_fan(s: SpaceSpec) -> ChamberFan:
     policy.  Chambers are sorted by their rays, walls by chamber indices.
     """
     _require_rank(s, "chamber fans", _MAX_FAN_RANK)
-    chambers, walls = _walk(s, grading_matrix(s).distinct_coords())
+    chambers, walls = _walk(s)
     return _sorted_fan(s, chambers, walls, kind="gkz")
 
 
@@ -212,19 +213,16 @@ def locate(f: ChamberFan, d: Sequence[int]) -> int:
     return idx
 
 
-def sbl_merge(f: ChamberFan, s: SpaceSpec) -> ChamberFan:
+def sbl_merge(f: ChamberFan) -> ChamberFan:
     """Merge chambers that share a stable base locus, using bundled data.
 
-    The table for ``s`` in :mod:`formcones.refdata` labels each computed
-    chamber by its rays and names the pairs that merge across their common
-    wall.  The computed chambers must be exactly the table's ray sets, so
-    the hand-entered table also checks the chamber walk.  Raises
-    :class:`NoReferenceData` when no table is bundled for ``s``.
+    The table for the fan's space in :mod:`formcones.refdata` labels each
+    computed chamber by its rays and names the pairs that merge across
+    their common wall.  The computed chambers must be exactly the table's
+    ray sets, so the hand-entered table also checks the chamber walk.
+    Raises :class:`NoReferenceData` when no table is bundled for the space.
     """
-    if f.space != s:
-        raise ValueError(
-            f"fan belongs to {f.space.describe()}, not {s.describe()}"
-        )
+    s = f.space
     table = refdata.load_sbl_fixture(s)
     by_rays = {frozenset(ch.rays): i for i, ch in enumerate(f.chambers)}
     expected = set(table.labels) | {p for a, b, _ in table.merges for p in (a, b)}

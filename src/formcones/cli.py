@@ -121,10 +121,10 @@ def cmd_chambers(args) -> int:
     t0 = time.perf_counter_ns()
     fan = gkz_fan(s)
     if args.sbl:
-        fan = sbl_merge(fan, s)
+        fan = sbl_merge(fan)
     elapsed = time.perf_counter_ns() - t0
     if args.format == "json":
-        doc = fan_report(s, fan, duration_ns=elapsed if args.timings else None)
+        doc = fan_report(fan, duration_ns=elapsed if args.timings else None)
         print(canonical_json(doc))
         return 0
     print(f"{fan.kind} fan of {s.describe()}: {len(fan.chambers)} chambers, "

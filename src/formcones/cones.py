@@ -120,20 +120,20 @@ def _kept_rows(zero_sets: Sequence[int],
     return equalities, [first[zeros] for zeros in maximal]
 
 
-def _polar(normals: Sequence[Vec], d: int
+def _polar(rows: Mat, d: int
            ) -> tuple[tuple[Mat, Mat], tuple[Mat, tuple[int, ...]]]:
     """One double-description pass over ``{x in Q^d : <a, x> >= 0 for all a}``.
 
+    ``rows`` must be canonical, as :func:`_validated` makes them and every
+    :class:`Cone` holds them: nonzero, primitive, distinct and sorted.
     Returns ``((lineality_basis, rays), (rows, masks))``.  The first pair
     is the canonical minimal generator set.  The second is the pass's
-    final incidence: ``rows`` are the input normals made primitive,
-    deduplicated and sorted, and ``masks[j]`` has bit ``i`` set exactly
-    when ``rows[i]`` is tight on ``rays[j]``.  Constraints are processed
-    in lexicographic order, one :func:`_insert` step each.
+    final incidence: ``rows`` as given, and ``masks[j]`` has bit ``i`` set
+    exactly when ``rows[i]`` is tight on ``rays[j]``.  The rows are
+    inserted in their order, one :func:`_insert` step each.
     """
-    rows = sorted({primitive(a) for a in normals if any(a)})
     pair, masks = _canonical(_inserted(_start(d), 0, rows))
-    return pair, (tuple(rows), masks)
+    return pair, (rows, masks)
 
 
 def _start(d: int):
@@ -386,34 +386,34 @@ def _canonical(state) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
     return (tuple(sorted(lin_basis)), pointed), tuple(tight[r] for r in pointed)
 
 
-def omit_one_hulls(d: int, shared: Iterable[Vec],
-                   omitted: Iterable[Vec]) -> dict[Vec, Mat]:
+def omit_one_hulls(d: int, shared: Iterable[Sequence[int]],
+                   omitted: Iterable[Sequence[int]]) -> dict[Vec, Mat]:
     """The facets of the cone over all vectors but one, for each one left out.
 
-    Maps each vector ``c`` of ``omitted`` to ``cone_from_rays(d, shared +
-    omitted - {c}).facets``; the vectors must be nonzero.  The rows of
-    those passes are the vectors, and they share all but one row, so the
-    shared vectors are inserted once and the omitted ones by halves: each
-    half is inserted into the state before the other half is split
-    further.  At a leaf every vector but one has been inserted.  That is
-    about ``n log2 n`` insertions for ``n`` omitted vectors, where one
-    pass per hull makes ``n (n - 1)`` of them besides the shared rows.
+    Maps the primitive form ``c`` of each vector of ``omitted`` to
+    ``cone_from_rays(d, shared + omitted - {c}).facets``, and checks both
+    lists as :func:`cone_from_rays` does.  The rows of those passes are the
+    vectors, and they share all but one row, so the shared vectors are
+    inserted once and the omitted ones by halves: each half is inserted
+    into the state before the other half is split further.  At a leaf
+    every vector but one has been inserted.  That is about ``n log2 n``
+    insertions for ``n`` omitted vectors, where one pass per hull makes
+    ``n (n - 1)`` of them besides the shared rows.
     """
     out: dict[Vec, Mat] = {}
 
-    def split(state, idx: int, group: list[Vec]) -> None:
+    def split(state, idx: int, group: Mat) -> None:
         if len(group) == 1:
             out[group[0]] = _merge_pairs(*_canonical(state)[0])
             return
         half = len(group) // 2
         for rest, added in ((group[:half], group[half:]),
                             (group[half:], group[:half])):
-            split(_inserted(state, idx, map(primitive, added)),
-                  idx + len(added), rest)
+            split(_inserted(state, idx, added), idx + len(added), rest)
 
-    group = sorted(set(omitted))
+    rows = _validated(shared, d, "ray")
+    group = _validated(omitted, d, "ray")
     if group:
-        rows = sorted({primitive(a) for a in shared})
         split(_inserted(_start(d), 0, rows), len(rows), group)
     return out
 

@@ -90,11 +90,11 @@ def _chamber_json(ch: Chamber) -> dict:
     }
 
 
-def fan_report(s: SpaceSpec, fan: ChamberFan, *,
-               duration_ns: int | None = None) -> dict:
+def fan_report(fan: ChamberFan, *, duration_ns: int | None = None) -> dict:
+    """The JSON document of a fan, in the basis of its own space."""
     return {
-        "space": space_json(s),
-        "basis": divisor_basis_labels(s),
+        "space": space_json(fan.space),
+        "basis": divisor_basis_labels(fan.space),
         "fan": {
             "kind": fan.kind,
             "notes": list(fan.notes),

@@ -94,7 +94,7 @@ class SpaceSpec:
     def picard_rank(self) -> int:
         if self.stage is not None:
             return self.stage + 1
-        if self.family == "quadrics" or self.n == self.m:
+        if self.is_square:
             return self.n
         return self.n + 1
 
@@ -256,8 +256,7 @@ def grading_matrix(s: SpaceSpec) -> GradingMatrix:
             cols.append((divisor_E(s, n), mult))
         else:
             cols.append((divisor_D(s, k), mult))
-    units = s.stage if s.stage is not None else (n if n < m else n - 1)
-    for h in range(1, units + 1):
+    for h in range(1, s.picard_rank):
         cols.append((divisor_E(s, h), 1))
     return GradingMatrix(s, tuple(cols))
 
@@ -269,7 +268,7 @@ def effective_cone(s: SpaceSpec) -> Cone:
     divisor, uniformly across families and stages.
     """
     rho = _require_rank(s)
-    rays = [tuple(1 if j == h else 0 for j in range(rho)) for h in range(1, rho)]
+    rays = [divisor_E(s, h).coords for h in range(1, rho)]
     rays.append(divisor_D(s, s.n + 1).coords)
     return cone_from_rays(rho, rays)
 
@@ -313,7 +312,7 @@ def pairing(c, d) -> int:
         raise DimensionMismatch(
             f"curve class of rank {len(cv)} against divisor class of rank {len(dv)}"
         )
-    return cv[0] * dv[0] - dot(cv[1:], dv[1:])
+    return dot(_involution(cv), dv)
 
 
 def is_fano(s: SpaceSpec) -> bool:
@@ -352,10 +351,10 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
         omitted = {frozenset(distinct - {cls.coords} if mult == 1 else distinct)
                    for cls, mult in gm.columns}
         for gens in omitted:
-            normals.update(cone_from_rays(rho, sorted(gens)).facets)
+            normals.update(cone_from_rays(rho, gens).facets)
     else:
         once = set(gm.multiplicity_one_coords())
         normals.update(effective_cone(s).facets)
         for facets in omit_one_hulls(rho, distinct - once, once).values():
             normals.update(facets)
-    return cone_from_halfspaces(rho, tuple(sorted(normals)))
+    return cone_from_halfspaces(rho, normals)

@@ -14,7 +14,6 @@ from .chambers import gkz_fan, locate, sbl_merge
 from .cones import (
     cone_from_halfspaces,
     cone_from_rays,
-    dd_convert,
     dual,
     extremal_rays,
 )
@@ -71,7 +70,6 @@ def fuzz_cases(seed: int = FUZZ_SEED, count: int = FUZZ_COUNT) -> list:
 def check_cone_case(rank: int, gens: tuple) -> str:
     """Empty string when all engine properties hold, else a description."""
     c = cone_from_rays(rank, gens)
-    dd_convert(c)
     if dual(dual(c)) != c:
         return "dual involution failed"
     for g in gens:
@@ -83,7 +81,7 @@ def check_cone_case(rank: int, gens: tuple) -> str:
         return "canonical facets do not regenerate the cone"
     if c.is_pointed:
         try:
-            extremal_rays(c, certify=True)
+            extremal_rays(c)
         except InternalError as e:
             return f"extremality certificate failed: {e}"
     return ""
@@ -119,7 +117,6 @@ def _suite_cones() -> list[CheckResult]:
     out = []
     for name, rank, gens, rays, facets in _DUALITY_ORACLES:
         c = cone_from_rays(rank, gens)
-        dd_convert(c)
         out.append(CheckResult(
             f"cones.oracle.{name}",
             c.rays == rays and c.facets == facets,
@@ -160,7 +157,7 @@ def _suite_fans() -> list[CheckResult]:
                 f"fans.{key}.gkz-count",
                 len(fan.chambers) == table.gkz_chamber_count,
                 f"expected {table.gkz_chamber_count}, got {len(fan.chambers)}"))
-            merged = sbl_merge(fan, s)
+            merged = sbl_merge(fan)
             # One chamber per stable base locus: a repeated label is a
             # missed merge.
             labels = {ch.label for ch in merged.chambers}

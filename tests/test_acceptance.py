@@ -106,7 +106,7 @@ def test_criterion_04_chamber_decomposition_counts():
         assert len(fan_of(quadrics(n, stage=1)).chambers) == n + 1
 
     def merged(s):
-        f, t = timed(lambda: sbl_merge(gkz_fan(s), s))
+        f, t = timed(lambda: sbl_merge(gkz_fan(s)))
         assert t < 5.0
         return f
 

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
 from formcones import cli, cones, errors, formulas, refdata, spaces, verify
 from formcones.cli import main, parse_n_range
 from formcones.refdata import bundled_fan_keys
+from formcones.reports import canonical_json
 from formcones.spaces import nef_cone, quadrics
 
 X3_MOV_JSON = (
@@ -183,6 +185,51 @@ def test_sbl_json_digest(capsys, key):
                        "--format", "json")
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+X3_MOV_TEXT = "mov of collineations(3): 4 rays\n1 0 0\n2 -1 0\n3 -2 -1\n6 -3 -2\n"
+X3_SBL_FLAGS, X3_SBL_SHA256 = SBL_JSON_SHA256["collineations-3-eq"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("cone", "--family", "xn", "--n", "3", "--cone", "mov"),
+    ("chambers", *X3_SBL_FLAGS.split(), "--sbl"),
+])
+def test_text_timings_add_only_a_time_line(capsys, argv):
+    rc, plain, _ = run(capsys, *argv)
+    assert rc == 0
+    if argv[0] == "cone":
+        assert plain == X3_MOV_TEXT
+    rc, timed, _ = run(capsys, *argv, "--timings")
+    assert rc == 0
+    body, _, last = timed.rstrip("\n").rpartition("\n")
+    assert body + "\n" == plain
+    assert re.fullmatch(r"time: \d+\.\d{3}s", last)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("cone", "--family", "xn", "--n", "3", "--cone", "mov"),
+     hashlib.sha256((X3_MOV_JSON + "\n").encode()).hexdigest()),
+    (("chambers", *X3_SBL_FLAGS.split(), "--sbl"), X3_SBL_SHA256),
+])
+def test_json_timings_add_only_the_duration(capsys, argv, digest):
+    rc, plain, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(plain.encode()).hexdigest() == digest
+    rc, timed, _ = run(capsys, *argv, "--format", "json", "--timings")
+    assert rc == 0
+    doc = json.loads(timed)
+    duration = doc["meta"].pop("duration_ns")
+    assert isinstance(duration, str) and re.fullmatch(r"\d+", duration)
+    assert canonical_json(doc) + "\n" == plain
+
+
+@pytest.mark.parametrize("cone", ["mori", "movcurves"])
+def test_curve_cone_json_is_in_the_curve_basis(capsys, cone):
+    rc, out, _ = run(capsys, "cone", "--family", "qn", "--n", "4",
+                     "--cone", cone, "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["basis"] == ["l", "e_1", "e_2", "e_3"]
 
 
 def test_missing_m_is_usage_error(capsys):

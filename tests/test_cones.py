@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formcones import cones as cones_module
+from formcones.chambers import gkz_fan
 from formcones.cones import (
     Cone,
     _polar,
+    _validated,
     cone_from_halfspaces,
     cone_from_rays,
     dd_convert,
@@ -29,12 +31,14 @@ from formcones.errors import (
     NotPointed,
 )
 from formcones.linalg import dot, negate, primitive, rank
+from formcones.spaces import collineations, movable_cone, quadrics
 from formcones.verify import (
     _DUALITY_ORACLES,
     FUZZ_COUNT,
     FUZZ_SEED,
     check_cone_case,
     fuzz_cases,
+    run_suite,
 )
 
 coord = st.integers(min_value=-4, max_value=4)
@@ -98,6 +102,49 @@ def test_wrong_length_rejected():
 def test_bool_coordinates_rejected():
     with pytest.raises(TypeError):
         cone_from_rays(2, [(True, False)])
+
+
+def test_omit_one_hulls_checks_its_vectors_as_cone_from_rays_does():
+    for shared, omitted in (([(True, 0)], [(0, 1)]), ([(1, 0)], [(0, True)])):
+        with pytest.raises(TypeError):
+            cones_module.omit_one_hulls(2, shared, omitted)
+    for shared, omitted in (([(1,)], [(0, 1)]), ([(1, 0)], [(0, 1, 0)])):
+        with pytest.raises(DimensionMismatch):
+            cones_module.omit_one_hulls(2, shared, omitted)
+
+
+def test_repr_counts_what_the_cone_holds():
+    # Generators no other test uses, so the shared cone is still unconverted.
+    c = cone_from_rays(3, [(7, 1, 0), (0, 7, 1), (1, 0, 7), (14, 2, 0)])
+    assert repr(c) == "Cone(ambient_rank=3, generators=3)"
+    c.rays
+    assert repr(c) == "Cone(ambient_rank=3, rays=3, facets=3)"
+    h = cone_from_halfspaces(2, [(1, 0), (0, 1), (1, 1)])
+    assert repr(h) == "Cone(ambient_rank=2, normals=3)"
+    assert repr(dual(h)) == "Cone(ambient_rank=2, rays=2, facets=2)"
+
+
+def test_polar_is_given_canonical_rows(monkeypatch):
+    # Every cone holds its given vectors in canonical form, so ``_polar``
+    # takes them as they are: nonzero, primitive and strictly increasing.
+    seen = []
+    polar = cones_module._polar
+
+    def spy(rows, d):
+        seen.append(rows)
+        return polar(rows, d)
+
+    monkeypatch.setattr(cones_module, "_polar", spy)
+    cones_module._generated.cache_clear()
+    run_suite("cones")
+    movable_cone(quadrics(6))
+    gkz_fan(collineations(3))
+    intersect(cone_from_rays(2, [(1, 0), (1, 2)]),
+              cone_from_rays(2, [(0, 1), (2, 1)])).rays
+    assert len(seen) > 200
+    for rows in seen:
+        assert all(any(a) and primitive(a) == a for a in rows), rows
+        assert all(a < b for a, b in zip(rows, rows[1:])), rows
 
 
 def test_dual_involution_pointed():
@@ -256,12 +303,15 @@ def test_fuzz_corpus_all_pass():
 def test_polar_masks_are_the_zero_sets_of_its_rays():
     # ``_polar`` decides adjacency and ``_read_back`` picks maximal faces
     # from these masks alone, so each must be exactly the rows tight on its
-    # ray, recomputed here by inner products, and no two may be equal.
+    # ray, recomputed here by inner products, and no two may be equal.  It
+    # takes canonical rows, as every cone holds them, and returns them.
     cases = fuzz_cases(FUZZ_SEED, FUZZ_COUNT)
     cases += [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
     for rank_, gens in cases:
         for normals in (gens, cone_from_rays(rank_, gens).facets):
-            (_, pointed), (rows, masks) = _polar(normals, rank_)
+            given = _validated(normals, rank_, "normal")
+            (_, pointed), (rows, masks) = _polar(given, rank_)
+            assert rows == given
             assert len(masks) == len(pointed)
             for r, mask in zip(pointed, masks):
                 tight = sum(1 << i for i, a in enumerate(rows) if dot(a, r) == 0)
@@ -278,13 +328,7 @@ def test_polar_masks_are_the_zero_sets_of_its_rays():
     )
 )
 def test_random_cone_double_description(case):
-    rank_, gens = case
-    c = cone_from_rays(rank_, gens)
-    assert dual(dual(c)) == c
-    for g in gens:
-        assert c.contains(g)
-    assert cone_from_halfspaces(rank_, c.rays).rays == c.facets
-    assert cone_from_halfspaces(rank_, c.facets) == c
+    assert check_cone_case(*case) == ""
 
 
 # -- extreme-ray oracle ------------------------------------------------------
