@@ -26,8 +26,9 @@ and gives each cone's facets as the pass over its own generators would.
 Most rows of a large pass come after the cone is cut out and keep every
 ray.  The step classifies the rays against such rows on packed lanes, one
 big-int multiply-add per nonzero entry of the row for all rays at once;
-the ray set is packed once, on the first row that leaves it whole, and the
-lanes are dropped at the next row that cuts.
+the ray set is packed once, on the first row that leaves it whole, in
+lanes wide enough for every row of the pass, and the lanes are dropped at
+the next row that changes the set.
 
 The step and :func:`_read_back` pick the rows that cut out a cone by one
 :func:`_kept_rows`, on zero sets alone, and compute no rank.  This is
@@ -120,20 +121,17 @@ def _kept_rows(zero_sets: Sequence[int],
     return equalities, [first[zeros] for zeros in maximal]
 
 
-def _polar(rows: Mat, d: int
-           ) -> tuple[tuple[Mat, Mat], tuple[Mat, tuple[int, ...]]]:
+def _polar(rows: Mat, d: int) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
     """One double-description pass over ``{x in Q^d : <a, x> >= 0 for all a}``.
 
     ``rows`` must be canonical, as :func:`_validated` makes them and every
     :class:`Cone` holds them: nonzero, primitive, distinct and sorted.
-    Returns ``((lineality_basis, rays), (rows, masks))``.  The first pair
-    is the canonical minimal generator set.  The second is the pass's
-    final incidence: ``rows`` as given, and ``masks[j]`` has bit ``i`` set
-    exactly when ``rows[i]`` is tight on ``rays[j]``.  The rows are
-    inserted in their order, one :func:`_insert` step each.
+    Returns ``((lineality_basis, rays), masks)``: the canonical minimal
+    generator set, and the pass's final incidence, where ``masks[j]`` has
+    bit ``i`` set exactly when ``rows[i]`` is tight on ``rays[j]``.  The
+    rows are inserted in their order, one :func:`_insert` step each.
     """
-    pair, masks = _canonical(_inserted(_start(d), 0, rows))
-    return pair, (rows, masks)
+    return _canonical(_inserted(_start(d), 0, rows, _bound(rows)))
 
 
 def _start(d: int):
@@ -142,11 +140,16 @@ def _start(d: int):
     return lin, [], [], []
 
 
-def _inserted(state, idx: int, rows: Iterable[Vec]):
+def _inserted(state, idx: int, rows: Iterable[Vec], bound: int):
     """The state after ``rows`` are inserted as rows ``idx, idx + 1, ...``."""
     for i, a in enumerate(rows, idx):
-        state = _insert(state, i, a)
+        state = _insert(state, i, a, bound)
     return state
+
+
+def _bound(rows: Iterable[Vec]) -> int:
+    """The largest ``sum(|a_i|)`` over ``rows``, the bound a pass packs for."""
+    return max((sum(map(abs, a)) for a in rows), default=0)
 
 
 # A ray set is packed into lanes once it holds this many rays and a row
@@ -172,49 +175,45 @@ class _Lanes(NamedTuple):
     lane; adding it moves each lane's value ``v`` to ``v + 2 ** (8 * size -
     1)`` with no carry into the next lane as long as ``|v| < 2 ** (8 * size
     - 2)``, one sign bit and one guard bit, and the lane's top bit is then
-    set exactly when ``v >= 0``.  ``reach`` is the largest absolute
-    coordinate, so ``sum(|a_i|) * reach`` bounds ``|<a, r_j>|``.
+    set exactly when ``v >= 0``.
     """
 
     count: int
     size: int
-    reach: int
     half: int
     cols: tuple[int, ...]
 
 
-def _pack(cols: Sequence[Vec], a: Vec) -> _Lanes:
-    """The columns ``cols`` in lanes of ``64 * k`` bits.
+def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
+    """The columns ``cols`` in lanes of ``64 * k`` bits, sized for ``bound``.
 
-    The lanes are as narrow as row ``a`` allows; a later row that needs
-    wider ones fails :func:`_fits`.
+    ``bound`` is at least ``sum(|a_i|)`` for every row ``a`` that will be
+    classified on the lanes, so ``bound * reach``, with ``reach`` the
+    largest absolute coordinate, bounds every ``|<a, r_j>|``.  The lanes
+    are the narrowest that hold that value with a sign bit and a guard bit.
     """
     reach = max(max(max(col), -min(col)) for col in cols)
-    words = ((sum(map(abs, a)) * reach).bit_length() + 2 + 63) // 64
+    words = ((bound * reach).bit_length() + 2 + 63) // 64
     count, size = len(cols[0]), 8 * words
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
     top, half = 1 << (8 * size - 1), ones << (8 * size - 1)
     # Each lane is written as its coordinate ``x`` plus ``top``, which lies
     # in ``[0, 2 * top)`` as ``|x| <= reach < top``; taking ``half`` off the
     # column's int leaves the sum of ``x << (8 * size * j)`` over its lanes.
-    return _Lanes(count, size, reach, half, tuple(
+    return _Lanes(count, size, half, tuple(
         int.from_bytes(b"".join([(x + top).to_bytes(size, "little") for x in col]),
                        "little") - half
         for col in cols))
 
 
-def _fits(lanes: _Lanes, a: Vec) -> bool:
-    """Whether the lanes hold ``<a, r>`` with a sign bit and a guard bit."""
-    return (sum(map(abs, a)) * lanes.reach).bit_length() <= 8 * lanes.size - 2
-
-
 def _lane_signs(lanes: _Lanes, a: Vec) -> tuple[int, int]:
     """``(nonneg, zero)``: the rays with ``<a, r> >= 0`` and with ``= 0``.
 
-    Bit ``j`` of each mask stands for ray ``j``.  ``a`` must fit the
-    lanes (:func:`_fits`).  The lanes of ``half + x`` have their top bit
-    set where ``<a, r> >= 0``, those of ``half - x`` where ``<a, r> <= 0``;
-    each top bit is the first byte of its lane in big-endian order.
+    Bit ``j`` of each mask stands for ray ``j``.  ``sum(|a_i|)`` must not
+    pass the bound the lanes were packed for (:func:`_pack`).  The lanes
+    of ``half + x`` have their top bit set where ``<a, r> >= 0``, those of
+    ``half - x`` where ``<a, r> <= 0``; each top bit is the first byte of
+    its lane in big-endian order.
     """
     x = 0
     for c, col in zip(a, lanes.cols):
@@ -227,7 +226,7 @@ def _lane_signs(lanes: _Lanes, a: Vec) -> tuple[int, int]:
     return nonneg, nonneg & nonpos
 
 
-def _insert(state, idx: int, a: Vec):
+def _insert(state, idx: int, a: Vec, bound: int):
     """The state of a pass after it inserts ``<a, x> >= 0`` as row ``idx``.
 
     A state is ``(lin, vecs, masks, cols)``: a spanning set of the current
@@ -235,17 +234,18 @@ def _insert(state, idx: int, a: Vec):
     (bit ``i`` for the row inserted as row ``i``), and the rays'
     coordinates by column, either as a list of tuples or packed into
     :class:`_Lanes`, never both.  Rows ``0 .. idx - 1`` must have been
-    inserted, ``a`` must be nonzero, and no part of ``state`` is changed,
-    so one state can be the start of several passes.
+    inserted, ``a`` must be nonzero, ``bound`` must be at least
+    ``sum(|b_i|)`` for every row ``b`` of the pass (:func:`_bound`), and no
+    part of ``state`` is changed, so one state can be the start of several
+    passes.
 
     Once the cone is cut out, the remaining rows keep every ray.  So the
     first row that leaves a set of at least ``_PACK_MIN`` rays whole packs
-    its columns into lanes, and each later row that fits them classifies
-    every ray on the lanes (:func:`_lane_signs`): a row that leaves the
-    set whole then only sets its bit on the rays it is tight on.  The
-    first row that cuts the set, or one too long for the lanes, unpacks
-    the columns to tuples; one too long that leaves the set whole packs
-    it again, at its own width.
+    its columns into lanes sized for ``bound``, and each later row
+    classifies every ray on the lanes (:func:`_lane_signs`): a row that
+    leaves the set whole then only sets its bit on the rays it is tight
+    on.  The first row that changes the set, by cutting it or in the
+    lineality step, leaves its columns as tuples.
 
     Adjacency is decided on zero sets, as in :func:`_read_back`.  After
     each row the current rays are exactly the extreme rays (modulo the
@@ -298,16 +298,15 @@ def _insert(state, idx: int, a: Vec):
 
     everyone = (1 << len(vecs)) - 1
     if isinstance(cols, _Lanes):
-        if _fits(cols, a):
-            nonneg, zero = _lane_signs(cols, a)
-            if nonneg == everyone:
-                if zero:
-                    masks = masks.copy()
-                    for j in _bit_indices(zero):
-                        masks[j] |= bit
-                return lin, vecs, masks, cols
-        # A row that cuts the packed set, once per set, or one too long for
-        # its lanes: the columns are tuples again.
+        nonneg, zero = _lane_signs(cols, a)
+        if nonneg == everyone:
+            if zero:
+                masks = masks.copy()
+                for j in _bit_indices(zero):
+                    masks[j] |= bit
+            return lin, vecs, masks, cols
+        # The row that cuts the packed set, once per set: the columns are
+        # tuples again.
         cols = list(zip(*vecs))
     # <a, r> for every ray at once, column by column over the nonzero
     # entries of ``a``.
@@ -321,7 +320,7 @@ def _insert(state, idx: int, a: Vec):
                  for mask, s in zip(masks, values) if s >= 0]
     if len(new_masks) == len(vecs):
         if len(vecs) >= _PACK_MIN:
-            cols = _pack(cols, a)
+            cols = _pack(cols, bound)
         return lin, vecs, new_masks, cols
     new_vecs = [r for r, s in zip(vecs, values) if s >= 0]
     target = d - len(lin) - 2
@@ -409,20 +408,23 @@ def omit_one_hulls(d: int, shared: Iterable[Sequence[int]],
         half = len(group) // 2
         for rest, added in ((group[:half], group[half:]),
                             (group[half:], group[:half])):
-            split(_inserted(state, idx, added), idx + len(added), rest)
+            split(_inserted(state, idx, added, bound), idx + len(added), rest)
 
     rows = _validated(shared, d, "ray")
     group = _validated(omitted, d, "ray")
     if group:
-        split(_inserted(_start(d), 0, rows), len(rows), group)
+        # Sibling branches share packed states, so the lanes are sized for
+        # every row of every branch.
+        bound = _bound(rows + group)
+        split(_inserted(_start(d), 0, rows, bound), len(rows), group)
     return out
 
 
 def _read_back(rows: Mat, masks: Sequence[int]) -> tuple[Mat, Mat]:
     """Canonical pair of a pass's input side, from its final incidence.
 
-    ``(rows, masks)`` is the second value :func:`_polar` returns.  The rows
-    tight on every output vector span the input side's lineality (or
+    ``masks`` is the second value :func:`_polar` returns for ``rows``.  The
+    rows tight on every output vector span the input side's lineality (or
     implied-equality) space.  Every output vector is extreme, so the face
     a further row cuts out is fixed by its zero set over the output
     vectors, and that face is maximal (a facet, or an extreme ray on the
@@ -499,7 +501,7 @@ class Cone:
                 self._pairs[1 - given_side], self._incidence = _polar(
                     vectors, self.ambient_rank)
             if side == given_side:
-                self._pairs[side] = _read_back(*self._incidence)
+                self._pairs[side] = _read_back(vectors, self._incidence)
                 self._incidence = None
         return self._pairs[side]
 

@@ -43,9 +43,14 @@ class FormulaResult:
 
 
 def minor_multiplicity(k: int, h: int) -> int:
-    """Vanishing order of the degree-k minor hypersurface along the rank-h locus.
+    """Vanishing order of the k x k minors along the matrices of rank < h.
 
-    Zero when h > k: the minors of size k+1 do not vanish there at all.
+    ``k`` is the size of the minor, so the degree of its hypersurface, and
+    ``h - 1`` the rank of the locus: there the minor vanishes to order
+    ``k - h + 1``, and not at all when ``h > k``.  The exceptional divisor
+    E_h lies over the matrices of rank at most h, so the degree-k minor
+    hypersurface has coefficient ``-minor_multiplicity(k, h + 1)`` at E_h
+    (:func:`~formcones.spaces.divisor_D`).
     """
     if k < 1 or h < 1:
         raise ValueError(f"minor_multiplicity needs k, h >= 1, got k={k}, h={h}")

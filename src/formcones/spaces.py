@@ -28,7 +28,12 @@ from .cones import (
     omit_one_hulls,
 )
 from .errors import DegenerateSpace, DimensionMismatch, RankUnsupported
-from .formulas import ambient_projective_dim, dim_section_space, secant_codim
+from .formulas import (
+    ambient_projective_dim,
+    dim_section_space,
+    minor_multiplicity,
+    secant_codim,
+)
 from .linalg import Vec, dot
 
 __all__ = [
@@ -200,7 +205,7 @@ def divisor_D(s: SpaceSpec, k: int) -> DivisorClass:
     if not 1 <= k <= s.n + 1:
         raise ValueError(f"k={k} out of range 1..{s.n + 1}")
     rho = s.picard_rank
-    coords = (k,) + tuple(-max(k - h, 0) for h in range(1, rho))
+    coords = (k,) + tuple(-minor_multiplicity(k, h + 1) for h in range(1, rho))
     return DivisorClass(coords, f"D_{k}")
 
 

@@ -304,14 +304,14 @@ def test_polar_masks_are_the_zero_sets_of_its_rays():
     # ``_polar`` decides adjacency and ``_read_back`` picks maximal faces
     # from these masks alone, so each must be exactly the rows tight on its
     # ray, recomputed here by inner products, and no two may be equal.  It
-    # takes canonical rows, as every cone holds them, and returns them.
+    # takes canonical rows, as every cone holds them, and indexes the masks
+    # by their order.
     cases = fuzz_cases(FUZZ_SEED, FUZZ_COUNT)
     cases += [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
     for rank_, gens in cases:
         for normals in (gens, cone_from_rays(rank_, gens).facets):
-            given = _validated(normals, rank_, "normal")
-            (_, pointed), (rows, masks) = _polar(given, rank_)
-            assert rows == given
+            rows = _validated(normals, rank_, "normal")
+            (_, pointed), masks = _polar(rows, rank_)
             assert len(masks) == len(pointed)
             for r, mask in zip(pointed, masks):
                 tight = sum(1 << i for i, a in enumerate(rows) if dot(a, r) == 0)
@@ -415,9 +415,11 @@ def test_insert_leaves_its_state_unchanged():
     cases = _oracle_corpus() + [(7, CROSS_RAYS + CROSS_INSIDE)]
     for d, vecs in cases:
         state = cones_module._start(d)
-        for idx, a in enumerate(sorted({primitive(v) for v in vecs})):
+        rows = sorted({primitive(v) for v in vecs})
+        bound = cones_module._bound(rows)
+        for idx, a in enumerate(rows):
             before = copy.deepcopy(state)
-            after = cones_module._insert(state, idx, a)
+            after = cones_module._insert(state, idx, a, bound)
             assert state == before, (d, vecs, idx)
             state = after
     assert isinstance(state[3], cones_module._Lanes)
@@ -525,7 +527,8 @@ def _signs(values, test):
 @given(data=st.data())
 def test_lane_signs_match_dot(reach_bits, words, data):
     # One 64-bit word per lane, two words for coordinates just below a
-    # signed 64-bit word, and four for coordinates past it.
+    # signed 64-bit word, and four for coordinates past it.  Every row's
+    # entries lie in [-4, 4], so the lanes are packed for the bound 4 * d.
     d = data.draw(st.integers(min_value=1, max_value=5))
     coords = st.one_of(st.just(0), coord,
                        st.integers(min_value=-2 ** reach_bits,
@@ -534,10 +537,9 @@ def test_lane_signs_match_dot(reach_bits, words, data):
     vecs.append((-2 ** reach_bits,) + (0,) * (d - 1))
     rows = data.draw(st.lists(st.tuples(*[coord] * d).filter(any), min_size=1,
                               max_size=6))
-    lanes = cones_module._pack(list(zip(*vecs)), (4,) * d)
+    lanes = cones_module._pack(list(zip(*vecs)), 4 * d)
     assert lanes.size == 8 * words
     for a in rows:
-        assert cones_module._fits(lanes, a)
         values = [dot(a, r) for r in vecs]
         nonneg, zero = cones_module._lane_signs(lanes, a)
         assert nonneg == _signs(values, lambda v: v >= 0)
@@ -546,39 +548,44 @@ def test_lane_signs_match_dot(reach_bits, words, data):
 
 def test_packed_and_column_states_step_alike(monkeypatch):
     # One state, its columns as tuples and packed into lanes: every row gives
-    # the same rays and masks.  A row that fits the lanes runs on them; one
-    # whose bound sum |a_i| * max |r_j| needs more than the lanes' width less
-    # a sign bit and a guard bit takes the column route, and packs the set
-    # again at its own width if it keeps every ray.
+    # the same rays and masks.  The lanes are sized once, for the widest row
+    # of the pass, here one whose sum |a_i| passes 2^63, so every row after
+    # the pack runs on them: a row that keeps every ray leaves the same
+    # lanes, and one that cuts the set leaves column tuples.
     rows = sorted({primitive(v) for v in CROSS_RAYS + CROSS_INSIDE})
-    plain = cones_module._inserted(cones_module._start(7), 0, rows[:-1])
-    packed = cones_module._insert(plain, len(rows) - 1, rows[-1])
-    assert isinstance(packed[3], cones_module._Lanes)
-    assert packed[3].size == 8
-    columns = packed[:3] + (list(zip(*packed[1])),)
     big = 2 ** 62
     cases = [
-        ((2, 1, 1, 0, 0, 0, 0), True, False),    # tight on 16 rays
-        ((1, 0, 0, 0, 0, 0, -1), True, False),   # a facet again, on 32
-        ((0, 1, 0, 0, 0, 0, 0), True, True),
-        ((big + 1, big - 1, 0, 0, 0, 0, 0), False, False),
-        ((big - 1, big + 1, 3, 0, 0, 0, 0), False, True),
+        ((2, 1, 1, 0, 0, 0, 0), False),    # tight on 16 rays
+        ((1, 0, 0, 0, 0, 0, -1), False),   # a facet again, on 32
+        ((0, 1, 0, 0, 0, 0, 0), True),
+        ((big + 1, big - 1, 0, 0, 0, 0, 0), False),
+        ((big - 1, big + 1, 3, 0, 0, 0, 0), True),
     ]
+    bound = cones_module._bound(rows + [a for a, _ in cases])
+    plain = cones_module._inserted(cones_module._start(7), 0, rows[:-1], bound)
+    packed = cones_module._insert(plain, len(rows) - 1, rows[-1], bound)
+    assert isinstance(packed[3], cones_module._Lanes)
+    assert packed[3].size == 16
+    # Without the wide rows the same set packs into one word per lane.
+    narrow = cones_module._inserted(cones_module._start(7), 0, rows,
+                                    cones_module._bound(rows))
+    assert narrow[3].size == 8
+    columns = packed[:3] + (list(zip(*packed[1])),)
     lane_signs = cones_module._lane_signs
-    for a, on_lanes, cuts in cases:
+    for a, cuts in cases:
         used = []
         monkeypatch.setattr(cones_module, "_lane_signs",
                             lambda lanes, a: used.append(a) or lane_signs(lanes, a))
-        got = cones_module._insert(packed, len(rows), a)
+        got = cones_module._insert(packed, len(rows), a, bound)
         monkeypatch.undo()
-        want = cones_module._insert(columns, len(rows), a)
+        want = cones_module._insert(columns, len(rows), a, bound)
         assert got[:3] == want[:3], a
-        assert cones_module._fits(packed[3], a) == bool(used) == on_lanes, a
+        assert used == [a], a
         assert (got[1] != packed[1]) == cuts, a
-        assert isinstance(got[3], cones_module._Lanes) == (not cuts), a
-        if not cuts:
-            assert got[3].size == (8 if on_lanes else 16), a
-            assert not cones_module._fits(packed[3], a) or got[3] is packed[3]
+        if cuts:
+            assert got[3] == list(zip(*got[1])), a
+        else:
+            assert got[3] is packed[3], a
 
 
 def _shear(vec, i, j, m):
@@ -624,15 +631,48 @@ def test_omit_one_hulls_on_packed_lanes(monkeypatch):
     # The shared vectors generate the cone over a cross-polytope, with 64
     # facets, and the omitted ones lie inside it: each hull's pass keeps
     # those facets on lanes, packed in a state that sibling hulls share.
+    # Every pack is sized for the widest vector of all the hulls,
+    # (4, 1, 1, 1, -1, 0, 0), since sibling hulls classify on the same lanes.
     packs, rows = [], []
     pack, lane_signs = cones_module._pack, cones_module._lane_signs
     monkeypatch.setattr(cones_module, "_pack",
-                        lambda cols, a: packs.append(a) or pack(cols, a))
+                        lambda cols, bound: packs.append(bound) or pack(cols, bound))
     monkeypatch.setattr(cones_module, "_lane_signs",
                         lambda lanes, a: rows.append(a) or lane_signs(lanes, a))
     hulls = cones_module.omit_one_hulls(7, CROSS_RAYS, CROSS_INSIDE)
-    assert packs and len(rows) > len(packs)
+    assert packs and set(packs) == {8}
+    assert len(rows) > len(packs)
     monkeypatch.undo()
     for c in CROSS_INSIDE:
         rest = CROSS_RAYS + tuple(v for v in CROSS_INSIDE if v != c)
         assert hulls[c] == cone_from_rays(7, rest).facets
+
+
+def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
+    # The final pass of Mov(quadrics(12)) inserts 144 rows.  It packs its
+    # ray set once, 2,048 rays on lanes of one 64-bit word, and classifies
+    # 53 later rows on the lanes; none of them cuts the set.
+    mov = movable_cone(quadrics(12))
+    inserted, packs, kept = [], [], []
+    insert, pack = cones_module._insert, cones_module._pack
+    lane_signs = cones_module._lane_signs
+
+    def packing(cols, bound):
+        lanes = pack(cols, bound)
+        packs.append((lanes.count, lanes.size))
+        return lanes
+
+    def signs(lanes, a):
+        nonneg, zero = lane_signs(lanes, a)
+        kept.append(nonneg == (1 << lanes.count) - 1)
+        return nonneg, zero
+
+    monkeypatch.setattr(cones_module, "_insert",
+                        lambda state, idx, a, bound: inserted.append(idx)
+                        or insert(state, idx, a, bound))
+    monkeypatch.setattr(cones_module, "_pack", packing)
+    monkeypatch.setattr(cones_module, "_lane_signs", signs)
+    assert len(mov.rays) == 2048
+    assert inserted == list(range(144))
+    assert packs == [(2048, 8)]
+    assert len(kept) == 53 and all(kept)

@@ -11,6 +11,7 @@ from formcones.cones import (
     omit_one_hulls,
 )
 from formcones.errors import DegenerateSpace, DimensionMismatch
+from formcones.formulas import minor_multiplicity
 from formcones.spaces import (
     CurveClass,
     DivisorClass,
@@ -88,6 +89,20 @@ def test_divisor_classes_truncate_on_stages():
     s = collineations(3, stage=1)
     assert divisor_D(s, 2).coords == (2, -1)
     assert divisor_E(s, 1).coords == (0, 1)
+
+
+def test_divisor_D_takes_its_vanishing_orders_from_minor_multiplicity():
+    # Coefficient h of D_k is minus the order of the k x k minors along the
+    # rank-h locus, that is minor_multiplicity(k, h + 1) = max(k - h, 0).
+    whole = [f(n) for n in range(1, 9) for f in (collineations, quadrics)]
+    whole += [collineations(n, n + 2) for n in range(1, 9)]
+    for s in whole + [replace(s, stage=i) for s in whole for i in range(1, s.n)]:
+        for k in range(1, s.n + 2):
+            coords = divisor_D(s, k).coords
+            assert len(coords) == s.picard_rank and coords[0] == k
+            for h in range(1, s.picard_rank):
+                assert coords[h] == -minor_multiplicity(k, h + 1), (s, k, h)
+                assert coords[h] == -max(k - h, 0), (s, k, h)
 
 
 def test_canonical_classes():
