@@ -34,7 +34,11 @@ The step and :func:`_read_back` pick the rows that cut out a cone by one
 :func:`_kept_rows`, on zero sets alone, and compute no rank.  This is
 exact because the rays involved are extreme: an extreme ray is fixed by
 the rows tight on it, and the smallest face holding some extreme rays is
-cut out by the rows tight on all of them.  The only rank test left is the
+cut out by the rows tight on all of them.  Neither reads the zero set of
+every row, only of the candidate rows that the pass carries: a row that
+is not kept at one cut is not kept at a later one, unless a row in
+between lowers the dimension (Fukuda & Prodon 1996; :func:`_insert`).
+The masks stay over all rows.  The only rank test left is the
 certificate of :func:`extremal_rays`, which recomputes its tight rows by
 inner products and so stays independent of the pass.  Every vector the
 step makes comes from :func:`formcones.linalg.combine`, the row operation
@@ -87,29 +91,31 @@ def _bit_indices(mask: int):
         mask ^= low
 
 
-def _transpose(masks: Sequence[int], width: int) -> list[int]:
-    """Bit ``j`` of ``result[i]`` is bit ``i`` of ``masks[j]``.
+def _transpose(masks: Sequence[int], width: int, which: int) -> dict[int, int]:
+    """``{i: column i}`` for each bit ``i`` of ``which``, in increasing ``i``.
 
-    Every mask must lie below ``1 << width``.  The masks are written out
-    as one string of ``width`` binary digits each, last mask first, so
-    column ``i`` is every ``width``-th digit and reads as a binary number.
+    Bit ``j`` of column ``i`` is bit ``i`` of ``masks[j]``.  Every mask
+    must lie below ``1 << width``.  The masks are written out as one string
+    of ``width`` binary digits each, last mask first, so column ``i`` is
+    every ``width``-th digit and reads as a binary number.
     """
     digits = "".join(map(format, reversed(masks), repeat(f"0{width}b")))
-    return [int(digits[width - 1 - i::width] or "0", 2) for i in range(width)]
+    return {i: int(digits[width - 1 - i::width] or "0", 2)
+            for i in _bit_indices(which)}
 
 
-def _kept_rows(zero_sets: Sequence[int],
+def _kept_rows(zero_sets: dict[int, int],
                everyone: int) -> tuple[list[int], list[int]]:
     """``(equalities, facets)``: the rows that cut out a cone, by index.
 
-    ``zero_sets`` are the rows' zero sets over the cone's extreme rays.
-    The equalities are every row tight on all of them (zero set
-    ``everyone``); the facets are one row per maximal other zero set, the
-    first row with it.
+    ``zero_sets`` maps rows, in increasing index, to their zero sets over
+    the cone's extreme rays.  The equalities are every row tight on all of
+    them (zero set ``everyone``); the facets are one row per maximal other
+    zero set, the first row with it.
     """
     equalities: list[int] = []
     first: dict[int, int] = {}
-    for i, zeros in enumerate(zero_sets):
+    for i, zeros in zero_sets.items():
         if zeros == everyone:
             equalities.append(i)
         else:
@@ -121,15 +127,18 @@ def _kept_rows(zero_sets: Sequence[int],
     return equalities, [first[zeros] for zeros in maximal]
 
 
-def _polar(rows: Mat, d: int) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
+def _polar(rows: Mat,
+           d: int) -> tuple[tuple[Mat, Mat], tuple[tuple[int, ...], int]]:
     """One double-description pass over ``{x in Q^d : <a, x> >= 0 for all a}``.
 
     ``rows`` must be canonical, as :func:`_validated` makes them and every
     :class:`Cone` holds them: nonzero, primitive, distinct and sorted.
-    Returns ``((lineality_basis, rays), masks)``: the canonical minimal
-    generator set, and the pass's final incidence, where ``masks[j]`` has
-    bit ``i`` set exactly when ``rows[i]`` is tight on ``rays[j]``.  The
-    rows are inserted in their order, one :func:`_insert` step each.
+    Returns ``((lineality_basis, rays), (masks, cand))``: the canonical
+    minimal generator set, and the pass's final incidence, where
+    ``masks[j]`` has bit ``i`` set exactly when ``rows[i]`` is tight on
+    ``rays[j]`` and ``cand`` holds the bits of the rows that may cut out
+    the cone (:func:`_insert`).  The rows are inserted in their order, one
+    :func:`_insert` step each.
     """
     return _canonical(_inserted(_start(d), 0, rows, _bound(rows)))
 
@@ -137,7 +146,7 @@ def _polar(rows: Mat, d: int) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
 def _start(d: int):
     """The state of a pass before its first row: all of ``Q^d``, as lineality."""
     lin = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    return lin, [], [], []
+    return lin, [], [], [], 0
 
 
 def _inserted(state, idx: int, rows: Iterable[Vec], bound: int):
@@ -229,11 +238,13 @@ def _lane_signs(lanes: _Lanes, a: Vec) -> tuple[int, int]:
 def _insert(state, idx: int, a: Vec, bound: int):
     """The state of a pass after it inserts ``<a, x> >= 0`` as row ``idx``.
 
-    A state is ``(lin, vecs, masks, cols)``: a spanning set of the current
-    lineality space, the current rays, each ray's tight rows as a bitmask
-    (bit ``i`` for the row inserted as row ``i``), and the rays'
+    A state is ``(lin, vecs, masks, cols, cand)``: a spanning set of the
+    current lineality space, the current rays, each ray's tight rows as a
+    bitmask (bit ``i`` for the row inserted as row ``i``), the rays'
     coordinates by column, either as a list of tuples or packed into
-    :class:`_Lanes`, never both.  Rows ``0 .. idx - 1`` must have been
+    :class:`_Lanes`, never both, and the candidate rows as a bitmask: every
+    row that may cut out a facet or be an implicit equality of the current
+    cone, and maybe others.  Rows ``0 .. idx - 1`` must have been
     inserted, ``a`` must be nonzero, ``bound`` must be at least
     ``sum(|b_i|)`` for every row ``b`` of the pass (:func:`_bound`), and no
     part of ``state`` is changed, so one state can be the start of several
@@ -266,6 +277,18 @@ def _insert(state, idx: int, a: Vec, bound: int):
     that number: without them the edges of a cone that is not
     full-dimensional fall short of it.
 
+    The step reads the zero sets of the candidate rows alone, and a cut
+    leaves its kept rows and ``a`` as the candidates.  No row is lost.  If
+    the current cone ``P`` cut by ``<a, x> >= 0`` keeps the dimension of
+    ``P``, each of its facets is the face of ``a`` or a facet of ``P`` cut
+    down, with the same first row, and its implicit equalities are those
+    of ``P`` (Fukuda & Prodon 1996).  A row that keeps every ray changes
+    no face of ``P``, one that retires a lineality direction keeps its
+    dimension, and either joins the candidates.  The one exception is a cut
+    that leaves no positive ray: the cone drops to its face ``<a, x> = 0``,
+    on which a row not kept before can be tight on every ray or be the
+    first row with a facet's zero set, so every row is a candidate again.
+
     A negative ray on exactly ``d - dim lineality - 1`` kept rows is
     simple: those rows are independent facets (so there is no implicit
     equality, as equality rows are linearly dependent), and dropping any
@@ -279,7 +302,7 @@ def _insert(state, idx: int, a: Vec, bound: int):
     new vector, there and in the lineality step, is :func:`combine` of two
     current ones, the row operation of :mod:`formcones.linalg`.
     """
-    lin, vecs, masks, cols = state
+    lin, vecs, masks, cols, cand = state
     d = len(a)
     bit = 1 << idx
     # If some lineality direction leaves the hyperplane of ``a``, it is
@@ -292,9 +315,10 @@ def _insert(state, idx: int, a: Vec, bound: int):
             lin = [combine(u, dot(a, u), w, abs(s)) for u in lin[:t] + lin[t + 1:]]
             vecs = [combine(r, dot(a, r), w, abs(s)) for r in vecs] + [w]
             masks = [mask | bit for mask in masks] + [bit - 1]
-            return lin, vecs, masks, list(zip(*vecs))
+            return lin, vecs, masks, list(zip(*vecs)), cand | bit
     if not vecs:
-        return state  # the cone is its lineality space, inside the hyperplane
+        # The cone is its lineality space, inside the hyperplane.
+        return lin, vecs, masks, cols, cand | bit
 
     everyone = (1 << len(vecs)) - 1
     if isinstance(cols, _Lanes):
@@ -304,7 +328,7 @@ def _insert(state, idx: int, a: Vec, bound: int):
                 masks = masks.copy()
                 for j in _bit_indices(zero):
                     masks[j] |= bit
-            return lin, vecs, masks, cols
+            return lin, vecs, masks, cols, cand | bit
         # The row that cuts the packed set, once per set: the columns are
         # tuples again.
         cols = list(zip(*vecs))
@@ -321,11 +345,12 @@ def _insert(state, idx: int, a: Vec, bound: int):
     if len(new_masks) == len(vecs):
         if len(vecs) >= _PACK_MIN:
             cols = _pack(cols, bound)
-        return lin, vecs, new_masks, cols
+        return lin, vecs, new_masks, cols, cand | bit
     new_vecs = [r for r, s in zip(vecs, values) if s >= 0]
     target = d - len(lin) - 2
-    # holding[i]: the current rays tight on row i, one bit per ray.
-    holding = _transpose(masks, idx)
+    # holding[i]: the current rays tight on row i, one bit per ray, for
+    # the candidate rows.
+    holding = _transpose(masks, idx, cand)
     # The kept rows: every implicit equality, and one row per facet of
     # the current cone.
     equalities, facets = _kept_rows(holding, everyone)
@@ -354,9 +379,13 @@ def _insert(state, idx: int, a: Vec, bound: int):
             if ap > 0:
                 new_vecs.append(combine(nvec, an, vecs[k], ap))
                 new_masks.append(masks[k] & nmask | bit)
+    # With no positive ray the cone drops to the face ``<a, x> = 0``, which
+    # rows that are not kept may cut out: every row is a candidate again.
+    cand = (bit << 1) - 1
     for p, pmask, ap in zip(vecs, masks, values):
         if ap <= 0:
             continue
+        cand = keep | bit
         for nvec, nmask, an in fallback:
             common = pmask & nmask
             if (common & keep).bit_count() < target:
@@ -369,12 +398,12 @@ def _insert(state, idx: int, a: Vec, bound: int):
                 continue
             new_vecs.append(combine(nvec, an, p, ap))
             new_masks.append(common | bit)
-    return lin, new_vecs, new_masks, list(zip(*new_vecs))
+    return lin, new_vecs, new_masks, list(zip(*new_vecs)), cand
 
 
-def _canonical(state) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
-    """``((lineality_basis, rays), masks)`` of a state, in canonical form."""
-    lin, vecs, masks, _ = state
+def _canonical(state) -> tuple[tuple[Mat, Mat], tuple[tuple[int, ...], int]]:
+    """The canonical ``((lineality_basis, rays), (masks, cand))`` of a state."""
+    lin, vecs, masks, _, cand = state
     lin_basis = row_space_basis(lin)
     tight: dict[Vec, int] = {}
     for r, mask in zip(vecs, masks):
@@ -382,7 +411,8 @@ def _canonical(state) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
         if rr is not None:
             tight[rr] = mask
     pointed = tuple(sorted(tight))
-    return (tuple(sorted(lin_basis)), pointed), tuple(tight[r] for r in pointed)
+    return ((tuple(sorted(lin_basis)), pointed),
+            (tuple(tight[r] for r in pointed), cand))
 
 
 def omit_one_hulls(d: int, shared: Iterable[Sequence[int]],
@@ -420,10 +450,11 @@ def omit_one_hulls(d: int, shared: Iterable[Sequence[int]],
     return out
 
 
-def _read_back(rows: Mat, masks: Sequence[int]) -> tuple[Mat, Mat]:
+def _read_back(rows: Mat, masks: Sequence[int], cand: int) -> tuple[Mat, Mat]:
     """Canonical pair of a pass's input side, from its final incidence.
 
-    ``masks`` is the second value :func:`_polar` returns for ``rows``.  The
+    ``(masks, cand)`` is the second value :func:`_polar` returns for
+    ``rows``; only the rows in ``cand`` can cut out the output cone.  The
     rows tight on every output vector span the input side's lineality (or
     implied-equality) space.  Every output vector is extreme, so the face
     a further row cuts out is fixed by its zero set over the output
@@ -432,7 +463,7 @@ def _read_back(rows: Mat, masks: Sequence[int]) -> tuple[Mat, Mat]:
     Rows with the same zero set agree modulo the space up to a positive
     factor, so one row per zero set is reduced.  No rank is computed.
     """
-    equalities, facets = _kept_rows(_transpose(masks, len(rows)),
+    equalities, facets = _kept_rows(_transpose(masks, len(rows), cand),
                                     (1 << len(masks)) - 1)
     basis = row_space_basis([rows[i] for i in equalities])
     pointed = {reduce_mod_rowspace(rows[i], basis) for i in facets}
@@ -501,7 +532,7 @@ class Cone:
                 self._pairs[1 - given_side], self._incidence = _polar(
                     vectors, self.ambient_rank)
             if side == given_side:
-                self._pairs[side] = _read_back(vectors, self._incidence)
+                self._pairs[side] = _read_back(vectors, *self._incidence)
                 self._incidence = None
         return self._pairs[side]
 

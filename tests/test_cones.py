@@ -14,6 +14,7 @@ from formcones.chambers import gkz_fan
 from formcones.cones import (
     Cone,
     _polar,
+    _transpose,
     _validated,
     cone_from_halfspaces,
     cone_from_rays,
@@ -311,7 +312,7 @@ def test_polar_masks_are_the_zero_sets_of_its_rays():
     for rank_, gens in cases:
         for normals in (gens, cone_from_rays(rank_, gens).facets):
             rows = _validated(normals, rank_, "normal")
-            (_, pointed), masks = _polar(rows, rank_)
+            (_, pointed), (masks, _) = _polar(rows, rank_)
             assert len(masks) == len(pointed)
             for r, mask in zip(pointed, masks):
                 tight = sum(1 << i for i, a in enumerate(rows) if dot(a, r) == 0)
@@ -570,7 +571,7 @@ def test_packed_and_column_states_step_alike(monkeypatch):
     narrow = cones_module._inserted(cones_module._start(7), 0, rows,
                                     cones_module._bound(rows))
     assert narrow[3].size == 8
-    columns = packed[:3] + (list(zip(*packed[1])),)
+    columns = packed[:3] + (list(zip(*packed[1])), packed[4])
     lane_signs = cones_module._lane_signs
     for a, cuts in cases:
         used = []
@@ -579,7 +580,7 @@ def test_packed_and_column_states_step_alike(monkeypatch):
         got = cones_module._insert(packed, len(rows), a, bound)
         monkeypatch.undo()
         want = cones_module._insert(columns, len(rows), a, bound)
-        assert got[:3] == want[:3], a
+        assert got[:3] + got[4:] == want[:3] + want[4:], a
         assert used == [a], a
         assert (got[1] != packed[1]) == cuts, a
         if cuts:
@@ -593,36 +594,45 @@ def _shear(vec, i, j, m):
     return tuple(x + m * vec[j] if k == i else x for k, x in enumerate(vec))
 
 
-def test_packed_pass_with_coordinates_past_64_bits(monkeypatch):
-    # The cone over a 6-cube, with every sum of two of its facets as a
-    # redundant row, moved by a unimodular map U with entries near 2^70:
-    # rays go to U r and facet normals to a U^-1.  The rays' coordinates
-    # pass 2^64, and the redundant rows after the last facet run on lanes.
-    shears = [(0, 1, 2 ** 70 + 3), (2, 0, 5), (6, 2, -(2 ** 69) - 7),
-              (1, 4, 2 ** 70 - 11), (3, 6, 2)]
+# A unimodular map U with entries near 2^70, as a product of shears: rays go
+# to U r and facet normals to a U^-1.
+_SHEARS = [(0, 1, 2 ** 70 + 3), (2, 0, 5), (6, 2, -(2 ** 69) - 7),
+           (1, 4, 2 ** 70 - 11), (3, 6, 2)]
 
-    def forward(r):
-        for i, j, m in reversed(shears):
-            r = _shear(r, i, j, m)
-        return r
 
-    def backward(a):  # a U^-1, the transpose of shearing a column back
-        for i, j, m in reversed(shears):
-            a = _shear(a, j, i, -m)
-        return a
+def _forward(r):
+    for i, j, m in reversed(_SHEARS):
+        r = _shear(r, i, j, m)
+    return r
 
-    cube = cone_from_halfspaces(7, CROSS_RAYS)
+
+def _backward(a):  # a U^-1, the transpose of shearing a column back
+    for i, j, m in reversed(_SHEARS):
+        a = _shear(a, j, i, -m)
+    return a
+
+
+def _sheared_cube_normals():
+    """The 6-cube's facets and every sum of two of them, moved by U."""
     facets = list(CROSS_RAYS)
     redundant = [tuple(map(sum, zip(f, g))) for f, g in combinations(facets, 2)]
-    normals = [backward(a) for a in facets + redundant]
+    return [_backward(a) for a in facets + redundant]
+
+
+def test_packed_pass_with_coordinates_past_64_bits(monkeypatch):
+    # The cone over a 6-cube, with every sum of two of its facets as a
+    # redundant row, moved by U.  The rays' coordinates pass 2^64, and the
+    # redundant rows after the last facet run on lanes.
+    cube = cone_from_halfspaces(7, CROSS_RAYS)
+    normals = _sheared_cube_normals()
     calls = []
     lane_signs = cones_module._lane_signs
     monkeypatch.setattr(cones_module, "_lane_signs",
                         lambda lanes, a: calls.append(lanes.size)
                         or lane_signs(lanes, a))
     moved = cone_from_halfspaces(7, normals)
-    assert moved.rays == tuple(sorted(forward(r) for r in cube.rays))
-    assert moved.facets == tuple(sorted(backward(a) for a in cube.facets))
+    assert moved.rays == tuple(sorted(_forward(r) for r in cube.rays))
+    assert moved.facets == tuple(sorted(_backward(a) for a in cube.facets))
     assert max(map(abs, sum(moved.rays, ()))) > 2 ** 64
     assert calls and min(calls) > 8
 
@@ -676,3 +686,107 @@ def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     assert inserted == list(range(144))
     assert packs == [(2048, 8)]
     assert len(kept) == 53 and all(kept)
+
+
+# -- candidate rows ------------------------------------------------------------
+#
+# The pass carries the rows that may still cut out its cone.  A row that is
+# not kept at a cut is not kept again unless a later row lowers the dimension,
+# so each kept-row computation reads the candidates' zero sets alone.
+
+
+def _checking_kept_rows(monkeypatch):
+    """Make every ``_kept_rows`` call of ``_insert`` and ``_read_back`` check
+    that it keeps what it keeps over all rows so far; returns, per call,
+    ``(rows read, rows so far)``."""
+    kept_rows = cones_module._kept_rows
+    insert, read_back = cones_module._insert, cones_module._read_back
+    current, calls = [], []
+
+    def inserting(state, idx, a, bound):
+        current.append((state[2], idx))
+        try:
+            return insert(state, idx, a, bound)
+        finally:
+            current.pop()
+
+    def reading(rows, masks, cand):
+        current.append((masks, len(rows)))
+        try:
+            return read_back(rows, masks, cand)
+        finally:
+            current.pop()
+
+    def checking(zero_sets, everyone):
+        got = kept_rows(zero_sets, everyone)
+        masks, n = current[-1]
+        assert got == kept_rows(_transpose(masks, n, (1 << n) - 1), everyone)
+        calls.append((len(zero_sets), n))
+        return got
+
+    monkeypatch.setattr(cones_module, "_insert", inserting)
+    monkeypatch.setattr(cones_module, "_read_back", reading)
+    monkeypatch.setattr(cones_module, "_kept_rows", checking)
+    return calls
+
+
+def test_candidate_rows_keep_what_all_rows_keep(monkeypatch):
+    # Both sides of every oracle, fuzz and cross-polytope case, the sheared
+    # cube past 64 bits, and the omit-one hulls and final pass of
+    # Mov(quadrics(8)).
+    calls = _checking_kept_rows(monkeypatch)
+    cones_module._generated.cache_clear()
+    cases = _oracle_corpus() + fuzz_cases(FUZZ_SEED, FUZZ_COUNT)
+    cases.append((7, CROSS_RAYS + CROSS_INSIDE))
+    for d, vecs in cases:
+        for c in (cone_from_halfspaces(d, vecs), cone_from_rays(d, vecs)):
+            dd_convert(c)
+    dd_convert(cone_from_halfspaces(7, _sheared_cube_normals()))
+    assert len(movable_cone(quadrics(8)).rays) == 128
+    assert any(read < rows for read, rows in calls)
+
+
+# x2 = 0 is an implicit equality of these rows, sorted as every pass takes
+# them.  Rows 0 to 2 are lineality steps and row 3 cuts a ray, which leaves
+# rows 1 to 3 as the facets.  Row 4, the negation of row 3, cuts with no
+# positive ray left, so the cone drops to its face x2 = 0.  On that face
+# rows 0 and 1 cut out the same facet, and row 0, which row 4 did not keep,
+# is the first row with it.  Rows 5 and 6 cut rays of the face.
+DROP_ROWS = ((-1, -1, -1), (-1, -1, 0), (0, -1, 0), (0, 0, -1), (0, 0, 1),
+             (1, -1, 0), (1, 0, 0))
+
+
+def test_a_row_that_lowers_the_dimension_makes_every_row_a_candidate(monkeypatch):
+    expected = _cofactor_rays(3, DROP_ROWS)
+    assert expected == ((0, -1, 0), (1, -1, 0))
+    states = []
+    insert = cones_module._insert
+    monkeypatch.setattr(cones_module, "_insert",
+                        lambda state, idx, a, bound:
+                        states.append(insert(state, idx, a, bound)) or states[-1])
+    assert cone_from_halfspaces(3, DROP_ROWS).rays == expected
+    monkeypatch.undo()
+    assert len(states) == len(DROP_ROWS)
+    assert [len(s[1]) for s in states] == [1, 2, 3, 3, 2, 2, 2]
+    assert states[3][4] == 0b1111
+    assert states[4][4] == 0b11111
+    assert states[5][4] == 0b111101
+    calls = _checking_kept_rows(monkeypatch)
+    cones_module._generated.cache_clear()
+    assert cone_from_halfspaces(3, DROP_ROWS).rays == expected
+    assert cone_from_rays(3, DROP_ROWS).facets == expected
+    assert calls
+
+
+def test_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
+    # The final pass of Mov(quadrics(12)) computes its kept rows at 78 cuts.
+    # Over every row inserted so far they would read 3,884 zero sets, up to
+    # 89 at a cut; over the candidate rows they read 1,055, at most 22.
+    mov = movable_cone(quadrics(12))
+    read = []
+    kept_rows = cones_module._kept_rows
+    monkeypatch.setattr(cones_module, "_kept_rows",
+                        lambda zero_sets, everyone: read.append(len(zero_sets))
+                        or kept_rows(zero_sets, everyone))
+    assert len(mov.rays) == 2048
+    assert (len(read), sum(read), max(read)) == (78, 1055, 22)
