@@ -696,9 +696,11 @@ def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
 
 
 def _checking_kept_rows(monkeypatch):
-    """Make every ``_kept_rows`` call of ``_insert`` and ``_read_back`` check
-    that it keeps what it keeps over all rows so far; returns, per call,
-    ``(rows read, rows so far)``."""
+    """Check every ``_kept_rows`` call of ``_insert`` and ``_read_back``.
+
+    Each call must keep what it would keep over all rows so far.  Returns
+    the list that gets ``(rows read, rows so far)`` for each call.
+    """
     kept_rows = cones_module._kept_rows
     insert, read_back = cones_module._insert, cones_module._read_back
     current, calls = [], []
@@ -773,9 +775,12 @@ def test_a_row_that_lowers_the_dimension_makes_every_row_a_candidate(monkeypatch
     assert states[5][4] == 0b111101
     calls = _checking_kept_rows(monkeypatch)
     cones_module._generated.cache_clear()
-    assert cone_from_halfspaces(3, DROP_ROWS).rays == expected
-    assert cone_from_rays(3, DROP_ROWS).facets == expected
-    assert calls
+    h, g = cone_from_halfspaces(3, DROP_ROWS), cone_from_rays(3, DROP_ROWS)
+    assert h.rays == g.facets == expected
+    # The face's equality x2 = 0 as a pair, and its two facets, row 0 or 1
+    # reduced modulo x2 and row 6.
+    assert h.facets == ((-1, -1, 0), (0, 0, -1), (0, 0, 1), (1, 0, 0))
+    assert len(calls) == 9  # rows 3 to 6 cut in each pass, and one read-back
 
 
 def test_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
