@@ -80,7 +80,6 @@ __all__ = [
     "intersect",
     "extremal_rays",
     "interior_point",
-    "omit_one_hulls",
 ]
 
 

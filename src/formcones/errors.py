@@ -5,6 +5,21 @@ Every error raised on purpose derives from :class:`FormconesError`, so callers
 messages.
 """
 
+__all__ = [
+    "FormconesError",
+    "DegenerateRay",
+    "DimensionMismatch",
+    "NotPointed",
+    "NotFullDimensional",
+    "DegenerateSpace",
+    "RankUnsupported",
+    "OutsideEffective",
+    "BoundaryPoint",
+    "NoReferenceData",
+    "RouteMismatch",
+    "InternalError",
+]
+
 
 class FormconesError(Exception):
     """Base class for all toolkit errors."""

@@ -51,7 +51,6 @@ __all__ = [
     "effective_cone",
     "nef_cone",
     "movable_cone",
-    "require_movable",
     "mori_cone",
     "moving_curve_cone",
     "pairing",

@@ -51,11 +51,11 @@ class CheckResult:
     detail: str = ""
 
 
-def fuzz_cases(seed: int = FUZZ_SEED, count: int = FUZZ_COUNT) -> list:
-    """Deterministic random cone specs, shared with the test suite."""
-    rng = random.Random(seed)
+def fuzz_cases() -> list:
+    """``FUZZ_COUNT`` random cone specs from ``FUZZ_SEED``, shared with tests."""
+    rng = random.Random(FUZZ_SEED)
     cases = []
-    while len(cases) < count:
+    while len(cases) < FUZZ_COUNT:
         rank = rng.randint(1, 5)
         gens = [
             tuple(rng.randint(-4, 4) for _ in range(rank))

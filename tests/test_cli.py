@@ -287,6 +287,37 @@ def test_verify_sbl_count_fails_on_a_repeated_label(monkeypatch, capsys):
     assert failed == [f"fans.{key}.sbl-count"]
 
 
+def _raises(error):
+    def planted(*args):
+        raise error
+    return planted
+
+
+@pytest.mark.parametrize("name, planted, suite, failed, detail", [
+    # A dual that always gives the ray (1, ..., 1) breaks the involution.
+    pytest.param("dual", lambda c: cones.cone_from_rays(
+        c.ambient_rank, [(1,) * c.ambient_rank]),
+        "cones", [f"cones.fuzz-{verify.FUZZ_COUNT}"],
+        "dual involution failed", id="dual"),
+    pytest.param("gkz_fan", _raises(errors.InternalError("planted fault")),
+                 "fans", [f"fans.{key}" for key in bundled_fan_keys()],
+                 "planted fault", id="gkz_fan"),
+    pytest.param("locate", _raises(errors.BoundaryPoint("planted wall")),
+                 "fans", [f"fans.{key}.samples" for key in bundled_fan_keys()],
+                 "failed to locate", id="locate"),
+])
+def test_verify_reports_a_failing_check(monkeypatch, capsys, name, planted,
+                                        suite, failed, detail):
+    monkeypatch.setattr(verify, name, planted)
+    if name == "dual":
+        assert verify.check_cone_case(2, ((1, 0), (0, 1))) == detail
+    rc, out, _ = run(capsys, "verify", "--suite", suite)
+    assert rc == 1
+    lines = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1] for line in lines] == sorted(failed)
+    assert all(detail in line for line in lines), lines
+
+
 def test_bench_range(capsys):
     rc, out, _ = run(capsys, "bench", "--family", "qn", "--n", "2..4")
     assert rc == 0

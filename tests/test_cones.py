@@ -36,7 +36,6 @@ from formcones.spaces import collineations, movable_cone, quadrics
 from formcones.verify import (
     _DUALITY_ORACLES,
     FUZZ_COUNT,
-    FUZZ_SEED,
     check_cone_case,
     fuzz_cases,
     run_suite,
@@ -295,7 +294,7 @@ def test_read_back_drops_rows_that_cut_no_maximal_face():
 
 
 def test_fuzz_corpus_all_pass():
-    cases = fuzz_cases(FUZZ_SEED, FUZZ_COUNT)
+    cases = fuzz_cases()
     assert len(cases) == FUZZ_COUNT
     failures = [check_cone_case(rank, gens) for rank, gens in cases]
     assert [f for f in failures if f] == []
@@ -307,7 +306,7 @@ def test_polar_masks_are_the_zero_sets_of_its_rays():
     # ray, recomputed here by inner products, and no two may be equal.  It
     # takes canonical rows, as every cone holds them, and indexes the masks
     # by their order.
-    cases = fuzz_cases(FUZZ_SEED, FUZZ_COUNT)
+    cases = fuzz_cases()
     cases += [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
     for rank_, gens in cases:
         for normals in (gens, cone_from_rays(rank_, gens).facets):
@@ -738,7 +737,7 @@ def test_candidate_rows_keep_what_all_rows_keep(monkeypatch):
     # Mov(quadrics(8)).
     calls = _checking_kept_rows(monkeypatch)
     cones_module._generated.cache_clear()
-    cases = _oracle_corpus() + fuzz_cases(FUZZ_SEED, FUZZ_COUNT)
+    cases = _oracle_corpus() + fuzz_cases()
     cases.append((7, CROSS_RAYS + CROSS_INSIDE))
     for d, vecs in cases:
         for c in (cone_from_halfspaces(d, vecs), cone_from_rays(d, vecs)):
