@@ -309,8 +309,6 @@ def _raises(error):
 def test_verify_reports_a_failing_check(monkeypatch, capsys, name, planted,
                                         suite, failed, detail):
     monkeypatch.setattr(verify, name, planted)
-    if name == "dual":
-        assert verify.check_cone_case(2, ((1, 0), (0, 1))) == detail
     rc, out, _ = run(capsys, "verify", "--suite", suite)
     assert rc == 1
     lines = [line for line in out.splitlines() if line.startswith("FAIL")]
