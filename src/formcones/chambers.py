@@ -22,9 +22,8 @@ list of convex pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import refdata
 from .cones import (
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """A full-dimensional chamber of the effective cone.
 
     ``rays`` bound the chamber; ``pieces`` are the convex cones whose
@@ -72,8 +70,7 @@ class Chamber:
         return self.pieces if self.pieces else (self.rays,)
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """Interior wall between two chambers, with its primitive normal."""
 
     first: int
@@ -81,8 +78,7 @@ class Wall:
     normal: Vec
 
 
-@dataclass(frozen=True)
-class ChamberFan:
+class ChamberFan(NamedTuple):
     space: SpaceSpec
     chambers: tuple[Chamber, ...]
     walls: tuple[Wall, ...]

@@ -8,10 +8,8 @@ formula transcription bug cannot survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InternalError, RouteMismatch
 
@@ -34,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     """A computed count together with the identifier of the route used."""
 
     value: int
@@ -88,16 +85,17 @@ def section_space_routes(n: int, k: int) -> tuple[FormulaResult, FormulaResult]:
     if not 0 <= k <= n - 1:
         raise ValueError(f"section space index k={k} out of range 0..{n - 1}")
     closed = comb(n + 1, k + 1) * comb(n + 2, k + 1) // (k + 2)
-    prod = Fraction(1)
+    num = den = 1
     for j in range(k + 2, n + 2):
-        prod *= Fraction(comb(j + 1, 2), comb(j - k, 2))
-    if prod.denominator != 1:
+        num *= comb(j + 1, 2)
+        den *= comb(j - k, 2)
+    if num % den:
         raise InternalError(
             f"product route for dim_section_space({n}, {k}) is not integral"
         )
     return (
         FormulaResult(closed, "binomial-quotient"),
-        FormulaResult(prod.numerator, "telescoping-product"),
+        FormulaResult(num // den, "telescoping-product"),
     )
 
 

@@ -8,19 +8,23 @@ combines two vectors so that a form vanishes and divides the result by
 its content.  The elimination, the upward reduction of
 :func:`row_space_basis`, :func:`reduce_mod_rowspace` and the
 double-description pass in :mod:`formcones.cones` all call it.  The
-:class:`fractions.Fraction` echelon form :func:`_rref` and
-:func:`_clear_denominators` are kept only as the independent reference the
-tests check :func:`row_space_basis` against.
+package computes with integers alone.  :func:`_rref`, a reduced echelon
+form over :class:`fractions.Fraction`, and :func:`_clear_denominators` are
+kept only as the independent reference the tests check
+:func:`row_space_basis` against.  :func:`_rref` imports :mod:`fractions`
+when it runs, so importing the package does not.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DegenerateRay, DimensionMismatch
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -101,6 +105,8 @@ def _rref(rows: Sequence[Sequence[int]], width: int):
     Returns ``(pivots, reduced)`` where ``reduced`` holds Fraction rows with
     leading entry 1 and zeros above and below each pivot.
     """
+    from fractions import Fraction
+
     mat = [[Fraction(x) for x in r] for r in rows if any(r)]
     pivots: list[int] = []
     r = 0

@@ -10,7 +10,7 @@ chambers that merge across an erased wall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoReferenceData
 from .linalg import Vec
@@ -33,8 +33,7 @@ CUP = "∪"            # union of base loci
 Rays = frozenset[Vec]
 
 
-@dataclass(frozen=True)
-class SblTable:
+class SblTable(NamedTuple):
     """The merge table of one key.
 
     ``labels`` maps the rays of each chamber kept as it is to its label;

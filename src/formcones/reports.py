@@ -9,8 +9,7 @@ byte-identical output, which is why timing metadata is opt-in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .chambers import Chamber, ChamberFan
 from .cones import Cone
@@ -109,8 +108,7 @@ def fan_report(fan: ChamberFan, *, duration_ns: int | None = None) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     space: str
     expected: int
     measured: int

@@ -16,9 +16,8 @@ The three families share one coordinate scheme:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cones import (
     Cone,
@@ -58,37 +57,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Which space: family, matrix format, and optional blow-up stage.
-
-    ``stage=None`` is the fully blown-up space; ``stage=i`` is the i-th
-    intermediate blow-up (valid for 1 <= i <= n-1).  Use the
-    :func:`collineations` and :func:`quadrics` helpers instead of the raw
-    constructor.
-    """
-
+class _SpaceFields(NamedTuple):
     family: str
     n: int
     m: int
     stage: int | None = None
 
-    def __post_init__(self):
-        if self.family not in ("collineations", "quadrics"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if self.family == "quadrics" and self.m != self.n:
+
+class SpaceSpec(_SpaceFields):
+    """Which space: family, matrix format, and optional blow-up stage.
+
+    ``stage=None`` is the fully blown-up space; ``stage=i`` is the i-th
+    intermediate blow-up (valid for 1 <= i <= n-1).  Use the
+    :func:`collineations` and :func:`quadrics` helpers instead of the raw
+    constructor.  Every construction is validated; ``_replace`` is not, so
+    build a changed space with the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, n: int, m: int, stage: int | None = None):
+        if family not in ("collineations", "quadrics"):
+            raise ValueError(f"unknown family {family!r}")
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        if family == "quadrics" and m != n:
             raise ValueError("quadrics are square: m must equal n")
-        if self.n > self.m:
+        if n > m:
             raise ValueError(
-                f"n <= m is required (got n={self.n}, m={self.m}); "
+                f"n <= m is required (got n={n}, m={m}); "
                 "transpose the format instead"
             )
-        if self.stage is not None and not 1 <= self.stage <= self.n - 1:
-            raise ValueError(
-                f"stage {self.stage} out of range 1..{self.n - 1}"
-            )
+        if stage is not None and not 1 <= stage <= n - 1:
+            raise ValueError(f"stage {stage} out of range 1..{n - 1}")
+        return super().__new__(cls, family, n, m, stage)
 
     @property
     def is_square(self) -> bool:
@@ -123,10 +125,43 @@ def quadrics(n: int, *, stage: int | None = None) -> SpaceSpec:
     return SpaceSpec("quadrics", n, n, stage)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    coords: tuple[int, ...]
-    label: str | None = field(default=None, compare=False)
+class _LatticeClass:
+    """An integer class with an optional label that takes no part in equality.
+
+    Immutable, equal and hashed by ``coords`` alone, and never equal to an
+    instance of another class.
+    """
+
+    __slots__ = ("coords", "label")
+
+    def __init__(self, coords: tuple[int, ...], label: str | None = None):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.coords, self.label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(coords={self.coords!r}, "
+                f"label={self.label!r})")
+
+
+class DivisorClass(_LatticeClass):
+    __slots__ = ()
 
     def __neg__(self) -> DivisorClass:
         lbl = None
@@ -135,14 +170,11 @@ class DivisorClass:
         return DivisorClass(tuple(-x for x in self.coords), lbl)
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    coords: tuple[int, ...]
-    label: str | None = field(default=None, compare=False)
+class CurveClass(_LatticeClass):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GradingMatrix:
+class GradingMatrix(NamedTuple):
     """Multiset of Picard degrees of a Cox ring generating set."""
 
     space: SpaceSpec

@@ -7,8 +7,8 @@ the rendered output, so two runs produce identical bytes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .chambers import gkz_fan, locate, sbl_merge
 from .cones import (
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

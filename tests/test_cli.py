@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import re
@@ -279,7 +278,7 @@ def test_verify_sbl_count_fails_on_a_repeated_label(monkeypatch, capsys):
     (a, b, label), = table.merges
     assert label == "E_2"
     monkeypatch.setitem(refdata._TABLES, key,
-                        dataclasses.replace(table, merges=((a, b, "E_3"),)))
+                        table._replace(merges=((a, b, "E_3"),)))
     rc, out, _ = run(capsys, "verify", "--suite", "fans")
     assert rc == 1
     failed = [line.split()[1] for line in out.splitlines()

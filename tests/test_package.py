@@ -1,5 +1,8 @@
 import ast
+import os
+import pickle
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,8 +26,10 @@ from formcones import (
     movable_cone,
     spaces,
 )
+from formcones.chambers import Chamber, Wall
 from formcones.errors import DimensionMismatch
 from formcones.linalg import rank
+from formcones.spaces import CurveClass, DivisorClass, quadrics
 
 
 def test_readme_python_api_example_through_the_package_root():
@@ -99,3 +104,66 @@ def test_input_checks(call, expected):
             call()
     else:
         assert call() == expected
+
+
+def _helper(family, n, m, stage):
+    if family == "quadrics":
+        return quadrics(n, stage=stage)
+    if family == "collineations":
+        return collineations(n, m, stage=stage)
+    raise ValueError(f"unknown family {family!r}")  # no helper to call
+
+
+def test_record_value_semantics():
+    # What callers see of the records, whatever class machinery builds them.
+    # A space is validated however it is built.
+    builders = (SpaceSpec, _helper,
+                lambda f, n, m, stage: SpaceSpec(family=f, n=n, m=m, stage=stage))
+    for build in builders:
+        assert build("quadrics", 3, 3, 2) == SpaceSpec("quadrics", 3, 3, 2)
+        for args, message in [
+                (("flags", 2, 2, None), "unknown family 'flags'"),
+                (("collineations", 3, 2, None), "n <= m is required"),
+                (("collineations", 0, 2, None), "n must be positive"),
+                (("collineations", 3, 3, 0), "stage 0 out of range 1..2"),
+                (("quadrics", 3, 3, 3), "stage 3 out of range 1..2")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(*args)
+    # A class is equal, and hashes, by its coordinates alone.
+    a, b = DivisorClass((1, 0), "a"), DivisorClass((1, 0), "b")
+    assert a == b and hash(a) == hash(b)
+    assert a != DivisorClass((0, 1), "a")
+    assert CurveClass((1, 0), "l") == CurveClass((1, 0), None)
+    assert CurveClass((1, 0)) != DivisorClass((1, 0))
+    assert (-a).label == "-a" and -a == DivisorClass((-1, 0))
+    assert pickle.loads(pickle.dumps(a)).label == "a"
+    s = quadrics(3)
+    assert hash(s) == hash(("quadrics", 3, 3, None))
+    wall = Wall(0, 1, (1, -1))
+    assert hash(wall) == hash((0, 1, (1, -1)))
+    chamber = Chamber(((1, 0), (0, 1)), (1, 1))
+    for record, field in ((s, "n"), (a, "label"), (a, "coords"), (wall, "first")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+    assert repr(s) == "SpaceSpec(family='quadrics', n=3, m=3, stage=None)"
+    assert repr(a) == "DivisorClass(coords=(1, 0), label='a')"
+    assert repr(wall) == "Wall(first=0, second=1, normal=(1, -1))"
+    assert repr(chamber) == ("Chamber(rays=((1, 0), (0, 1)), sample=(1, 1), "
+                             "label=None, pieces=(), erased_walls=())")
+
+
+def test_the_cli_imports_neither_dataclasses_nor_fractions():
+    # dataclasses (with inspect, ast, dis and tokenize) and fractions (with
+    # decimal and numbers) were a third of the time `import formcones.cli`
+    # took, and the package needs neither.  Which modules load does not
+    # depend on timing.
+    src = Path(formcones.__file__).parent.parent
+    code = ("import formcones.cli, sys; print(formcones.cli.__file__); "
+            "print(*sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+            " & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    path, loaded = done.stdout.split("\n")[:2]
+    assert Path(path).is_relative_to(src)
+    assert loaded == ""

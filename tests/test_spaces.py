@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,7 +94,8 @@ def test_divisor_D_takes_its_vanishing_orders_from_minor_multiplicity():
     # rank-h locus, that is minor_multiplicity(k, h + 1) = max(k - h, 0).
     whole = [f(n) for n in range(1, 9) for f in (collineations, quadrics)]
     whole += [collineations(n, n + 2) for n in range(1, 9)]
-    for s in whole + [replace(s, stage=i) for s in whole for i in range(1, s.n)]:
+    for s in whole + [SpaceSpec(s.family, s.n, s.m, i)
+                      for s in whole for i in range(1, s.n)]:
         for k in range(1, s.n + 2):
             coords = divisor_D(s, k).coords
             assert len(coords) == s.picard_rank and coords[0] == k
@@ -198,7 +197,7 @@ def _omit_one_spaces():
     out = []
     for s in bases:
         out.append(s)
-        out += [replace(s, stage=i) for i in range(1, s.n)]
+        out += [SpaceSpec(s.family, s.n, s.m, i) for i in range(1, s.n)]
     return out
 
 
@@ -304,7 +303,8 @@ def test_is_fano_matches_the_mori_cone_route():
     # The spaces of acceptance criterion 06 and every blow-up stage of them.
     whole = [collineations(n, m) for n in range(1, 7) for m in range(n, 7)]
     whole += [quadrics(n) for n in range(2, 7)]
-    spaces = whole + [replace(s, stage=i) for s in whole for i in range(1, s.n)]
+    spaces = whole + [SpaceSpec(s.family, s.n, s.m, i)
+                      for s in whole for i in range(1, s.n)]
     got = [is_fano(s) for s in spaces]
     assert got == [_fano_by_mori_cone(s) for s in spaces]
     assert True in got and False in got
