@@ -106,29 +106,30 @@ def test_input_checks(call, expected):
         assert call() == expected
 
 
-def _helper(family, n, m, stage):
-    if family == "quadrics":
-        return quadrics(n, stage=stage)
-    if family == "collineations":
-        return collineations(n, m, stage=stage)
-    raise ValueError(f"unknown family {family!r}")  # no helper to call
-
 
 def test_record_value_semantics():
     # What callers see of the records, whatever class machinery builds them.
     # A space is validated however it is built.
-    builders = (SpaceSpec, _helper,
-                lambda f, n, m, stage: SpaceSpec(family=f, n=n, m=m, stage=stage))
-    for build in builders:
+    def by_keywords(family, n, m, stage):
+        return SpaceSpec(family=family, n=n, m=m, stage=stage)
+
+    def by_helper(family, n, m, stage):
+        if family == "quadrics":
+            return quadrics(n, stage=stage)
+        return collineations(n, m, stage=stage)
+
+    for build in (SpaceSpec, by_keywords, by_helper):
         assert build("quadrics", 3, 3, 2) == SpaceSpec("quadrics", 3, 3, 2)
         for args, message in [
-                (("flags", 2, 2, None), "unknown family 'flags'"),
                 (("collineations", 3, 2, None), "n <= m is required"),
                 (("collineations", 0, 2, None), "n must be positive"),
                 (("collineations", 3, 3, 0), "stage 0 out of range 1..2"),
                 (("quadrics", 3, 3, 3), "stage 3 out of range 1..2")]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 build(*args)
+    for build in (SpaceSpec, by_keywords):  # the helpers fix the family
+        with pytest.raises(ValueError, match="unknown family 'flags'"):
+            build("flags", 2, 2, None)
     # A class is equal, and hashes, by its coordinates alone.
     a, b = DivisorClass((1, 0), "a"), DivisorClass((1, 0), "b")
     assert a == b and hash(a) == hash(b)
@@ -153,10 +154,10 @@ def test_record_value_semantics():
 
 
 def test_the_cli_imports_neither_dataclasses_nor_fractions():
-    # dataclasses (with inspect, ast, dis and tokenize) and fractions (with
-    # decimal and numbers) were a third of the time `import formcones.cli`
-    # took, and the package needs neither.  Which modules load does not
-    # depend on timing.
+    # dataclasses (with inspect, ast, dis and tokenize), fractions (with
+    # decimal and numbers) and building the dataclasses took about half of
+    # `import formcones.cli`, and the package needs neither.  Which modules
+    # load does not depend on timing.
     src = Path(formcones.__file__).parent.parent
     code = ("import formcones.cli, sys; print(formcones.cli.__file__); "
             "print(*sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
