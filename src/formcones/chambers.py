@@ -9,7 +9,8 @@ point just past the facet's relative interior, by exact symbolic
 perturbation.  Each new hull set is cut out once, by one halfspace pass.
 Every interior wall must be crossed from both of its chambers, and
 exactly one chamber must have Nef's rays; both are checked.  Arithmetic
-is integer only.
+is integer only.  The walk reads only the rank, the distinct columns,
+Eff and Nef, so spaces of one shape share it; each fan keeps its space.
 Picard rank 4 and above is refused until invariant checks for it exist.
 
 Merged fans (stable-base-locus decompositions) are data-driven: the wall
@@ -22,11 +23,13 @@ list of convex pieces.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from . import refdata
 from .cones import (
+    Cone,
     cone_from_halfspaces,
     cone_from_rays,
     extremal_rays,
@@ -108,22 +111,34 @@ def _chamber_at(hulls: list[tuple[Vec, ...]], q: Vec, d: Vec) -> frozenset[int]:
     return held
 
 
-def _walk(s: SpaceSpec) -> tuple[list[Chamber], list[Wall]]:
-    """Breadth-first walk of the chamber fan of ``s``, starting at Nef.
+def _walk(s: SpaceSpec) -> tuple[tuple[Chamber, ...], tuple[Wall, ...]]:
+    """Chambers and walls of the fan of ``s``, from the walk of its shape."""
+    chambers, walls = _walk_shape(s.picard_rank, grading_matrix(s).distinct_coords(),
+                                  effective_cone(s), nef_cone(s))
+    nef = sum(ch.label == "Nef" for ch in chambers)
+    if nef != 1:
+        raise InternalError(f"{nef} chambers of {s.describe()} are Nef, not one")
+    return chambers, walls
+
+
+# The 15 bundled merged fans have 12 shapes: quadrics-2, quadrics-3 and
+# stage1-2 share theirs.
+@lru_cache(maxsize=16)
+def _walk_shape(rho: int, cols: tuple[Vec, ...], eff: Cone,
+                nef: Cone) -> tuple[tuple[Chamber, ...], tuple[Wall, ...]]:
+    """Breadth-first walk of a chamber fan, starting at Nef.
 
     Chambers are keyed by their hull sets, and each one is cut out by a
     single halfspace pass, whose cone gives its rays, facets and sample.
     """
-    rho = s.picard_rank
-    cols = grading_matrix(s).distinct_coords()
     # By Caratheodory, intersecting the simplicial column cones that hold a
     # generic point gives the same chamber as intersecting all column hulls.
     hulls = [cone.facets for cone in (cone_from_rays(rho, c)
                                       for c in combinations(cols, rho))
              if cone.is_full_dimensional]
-    boundary = set(effective_cone(s).facets)
-    nef_rays = extremal_rays(nef_cone(s))
-    found = [_chamber_at(hulls, interior_point(nef_cone(s)), (0,) * rho)]
+    boundary = set(eff.facets)
+    nef_rays = extremal_rays(nef)
+    found = [_chamber_at(hulls, interior_point(nef), (0,) * rho)]
     index = {found[0]: 0}
     chambers: list[Chamber] = []
     crossed: set[tuple[int, int, Vec]] = set()
@@ -145,11 +160,8 @@ def _walk(s: SpaceSpec) -> tuple[list[Chamber], list[Wall]]:
         if i == j or (j, i, normal) not in crossed:
             raise InternalError(f"wall {normal} was crossed from chamber {i} "
                                 f"into {j} but not back")
-    nef = sum(ch.label == "Nef" for ch in chambers)
-    if nef != 1:
-        raise InternalError(f"{nef} chambers of {s.describe()} are Nef, not one")
-    walls = [Wall(i, j, normal) for i, j, normal in crossed if i < j]
-    return chambers, walls
+    walls = tuple(Wall(i, j, normal) for i, j, normal in crossed if i < j)
+    return tuple(chambers), walls
 
 
 def gkz_fan(s: SpaceSpec) -> ChamberFan:

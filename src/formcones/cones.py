@@ -618,9 +618,9 @@ def cone_from_rays(ambient_rank: int, rays: Iterable[Sequence[int]]) -> Cone:
 
 
 # Eff, Nef, the column hulls of the chamber walk and the chamber pieces are
-# built again and again.  perfbench's fans-verify command list builds 308
+# built again and again.  perfbench's fans-verify command list builds 280
 # distinct cones from generators in one process; 512 holds them all in any
-# command order, where 256 evicts some and repeats about 80 passes.
+# command order, where 256 evicts some and repeats 26-40 passes (seeds 1-3).
 @lru_cache(maxsize=512)
 def _generated(ambient_rank: int, gens: Mat) -> Cone:
     return Cone(ambient_rank, given=(_V, gens))

@@ -25,6 +25,7 @@ from formcones.refdata import bundled_fan_keys, bundled_spaces, space_key
 from formcones.reports import fan_report
 from formcones.spaces import (
     DivisorClass,
+    SpaceSpec,
     collineations,
     effective_cone,
     quadrics,
@@ -145,6 +146,16 @@ def test_gkz_rejects_unsupported_ranks():
         gkz_fan(quadrics(5))
 
 
+@pytest.fixture
+def fresh_walk():
+    """An empty walk cache, so the test's spies see the walk run; emptied
+    again after the test, so no walk made with a spy in place is kept."""
+    chambers_module._walk_shape.cache_clear()
+    yield
+    chambers_module._walk_shape.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_walk")
 @pytest.mark.parametrize("s", [collineations(2), collineations(3)])
 def test_walk_certificate_rejects_a_one_way_crossing(monkeypatch, s):
     # Probing along the facet normal instead of across it lands back in
@@ -154,6 +165,7 @@ def test_walk_certificate_rejects_a_one_way_crossing(monkeypatch, s):
         gkz_fan(s)
 
 
+@pytest.mark.usefixtures("fresh_walk")
 @pytest.mark.parametrize("s", [collineations(2), collineations(3)])
 def test_walk_requires_exactly_one_nef_chamber(monkeypatch, s):
     # With Nef's rays read as empty, no chamber carries the label.
@@ -162,6 +174,7 @@ def test_walk_requires_exactly_one_nef_chamber(monkeypatch, s):
         gkz_fan(s)
 
 
+@pytest.mark.usefixtures("fresh_walk")
 @pytest.mark.parametrize("s, chambers", [(collineations(3), 9),
                                          (quadrics(4, stage=1), 5)])
 def test_walk_cuts_each_chamber_once(monkeypatch, s, chambers):
@@ -181,7 +194,12 @@ def test_walk_cuts_each_chamber_once(monkeypatch, s, chambers):
 def test_a_second_fan_converts_only_its_chambers(monkeypatch, s, chambers):
     # Cones built from generators (Eff, Nef, the column hulls) are shared,
     # so a second walk of the same space runs one pass per chamber only.
+    # The walk itself is shared by every space of its shape, so a second
+    # fan of the shape, from the other family, runs no pass at all.
+    other = SpaceSpec("quadrics" if s.family == "collineations" else "collineations",
+                      s.n, s.m, s.stage)
     gkz_fan(s)
+    chambers_module._walk_shape.cache_clear()
     passes = []
     polar = cones_module._polar
 
@@ -191,6 +209,9 @@ def test_a_second_fan_converts_only_its_chambers(monkeypatch, s, chambers):
 
     monkeypatch.setattr(cones_module, "_polar", counting)
     gkz_fan(s)
+    assert len(passes) == chambers
+    assert gkz_fan(other).space == other
+    assert gkz_fan(s).chambers == gkz_fan(other).chambers
     assert len(passes) == chambers
 
 

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from formcones import cli, cones, errors, formulas, refdata, spaces, verify
+from formcones import chambers as chambers_module
 from formcones.cli import main, parse_n_range
 from formcones.refdata import bundled_fan_keys
 from formcones.reports import canonical_json
@@ -186,6 +187,54 @@ def test_sbl_json_digest(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_fans_of_one_shape_merge_with_their_own_tables(capsys):
+    # xn n and qn n share one walk, and each merged fan reads the table of
+    # its own space, so in one process either order prints the same bytes.
+    chambers_module._walk_shape.cache_clear()
+    for n in (3, 2):
+        for key in (f"collineations-{n}-eq", f"quadrics-{n}"):
+            flags, digest = SBL_JSON_SHA256[key]
+            rc, out, err = run(capsys, "chambers", *flags.split(), "--sbl",
+                               "--format", "json")
+            assert rc == 0 and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+    info = chambers_module._walk_shape.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_verify_computes_each_shape_once(monkeypatch, capsys):
+    # The counts suite checks 25 movable cones of 16 shapes: quadrics(n)
+    # follows collineations(n), whose cone it shares.  The fans suite
+    # checks 15 bundled keys of 12 shapes, and the 15 `chambers --sbl`
+    # commands after it in the same process walk no fan again.
+    hulls, cuts = [], []
+    omit_one_hulls = spaces.omit_one_hulls
+    cut = chambers_module.cone_from_halfspaces
+    monkeypatch.setattr(spaces, "omit_one_hulls",
+                        lambda *args: hulls.append(args) or omit_one_hulls(*args))
+    monkeypatch.setattr(chambers_module, "cone_from_halfspaces",
+                        lambda *args: cuts.append(args) or cut(*args))
+    spaces._last_movable.clear()
+    chambers_module._walk_shape.cache_clear()
+    rc, out, _ = run(capsys, "verify", "--suite", "counts")
+    assert rc == 0 and out.endswith("\n25/25 checks passed\n")
+    assert len(hulls) == 16
+    rc, out, _ = run(capsys, "verify", "--suite", "fans")
+    assert rc == 0 and out.endswith("\n45/45 checks passed\n")
+    assert chambers_module._walk_shape.cache_info().misses == 12
+    # One cut per chamber of each shape: 2 + 3 + 5 + 9, and n + 1 for the
+    # first stage of n = 3..10.
+    assert len(cuts) == 79
+    for key in sorted(SBL_JSON_SHA256):
+        flags, digest = SBL_JSON_SHA256[key]
+        rc, out, _ = run(capsys, "chambers", *flags.split(), "--sbl",
+                         "--format", "json")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+    assert chambers_module._walk_shape.cache_info().misses == 12
+    assert len(cuts) == 79
+
+
 X3_SBL_FLAGS, X3_SBL_SHA256 = SBL_JSON_SHA256["collineations-3-eq"]
 
 
@@ -329,6 +378,21 @@ def test_bench_range(capsys):
         assert fields[1] == fields[2]
         assert fields[4] == "1"
         assert fields[5] == "ok"
+
+
+def test_bench_frees_each_movable_cone_before_the_next(monkeypatch, capsys):
+    # One slot keeps the last movable cone and is emptied on a miss before
+    # the next space's hulls run, so bench never holds two cones at once.
+    held = []
+    omit_one_hulls = spaces.omit_one_hulls
+    monkeypatch.setattr(spaces, "omit_one_hulls",
+                        lambda *args: held.append(len(spaces._last_movable))
+                        or omit_one_hulls(*args))
+    spaces._last_movable.clear()
+    rc, _, _ = run(capsys, "bench", "--family", "qn", "--n", "2..8")
+    assert rc == 0
+    assert held == [0] * 7
+    assert len(spaces._last_movable) == 1
 
 
 def test_bench_refuses_a_range_before_any_work(monkeypatch, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formcones import cones as cones_module
+from formcones import spaces as spaces_module
 from formcones.chambers import gkz_fan
 from formcones.cones import (
     Cone,
@@ -42,6 +43,12 @@ from formcones.verify import (
 )
 
 coord = st.integers(min_value=-4, max_value=4)
+
+
+@pytest.fixture
+def fresh_movable():
+    """An empty movable-cone slot, so the test's spies see Mov's passes run."""
+    spaces_module._last_movable.clear()
 
 
 def test_orthant_rays_and_facets():
@@ -124,6 +131,7 @@ def test_repr_counts_what_the_cone_holds():
     assert repr(dual(h)) == "Cone(ambient_rank=2, rays=2, facets=2)"
 
 
+@pytest.mark.usefixtures("fresh_movable")
 def test_polar_is_given_canonical_rows(monkeypatch):
     # Every cone holds its given vectors in canonical form, so ``_polar``
     # takes them as they are: nonzero, primitive and strictly increasing.
@@ -657,6 +665,7 @@ def test_omit_one_hulls_on_packed_lanes(monkeypatch):
         assert hulls[c] == cone_from_rays(7, rest).facets
 
 
+@pytest.mark.usefixtures("fresh_movable")
 def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # The final pass of Mov(quadrics(12)) inserts 144 rows.  It packs its
     # ray set once, 2,048 rays on lanes of one 64-bit word, and classifies
@@ -731,6 +740,7 @@ def _checking_kept_rows(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("fresh_movable")
 def test_candidate_rows_keep_what_all_rows_keep(monkeypatch):
     # Both sides of every oracle, fuzz and cross-polytope case, the sheared
     # cube past 64 bits, and the omit-one hulls and final pass of
@@ -782,6 +792,7 @@ def test_a_row_that_lowers_the_dimension_makes_every_row_a_candidate(monkeypatch
     assert len(calls) == 9  # rows 3 to 6 cut in each pass, and one read-back
 
 
+@pytest.mark.usefixtures("fresh_movable")
 def test_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
     # The final pass of Mov(quadrics(12)) computes its kept rows at 78 cuts.
     # Over every row inserted so far they would read 3,884 zero sets, up to

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from formcones import cones as cones_module
 from formcones import spaces as spaces_module
 from formcones.cones import (
     cone_from_halfspaces,
@@ -184,6 +185,27 @@ def test_movable_ray_count_law_small():
 def test_movable_brute_force_agrees_small():
     for s in (collineations(2), collineations(3), collineations(2, 4), quadrics(4)):
         assert movable_cone(s, brute_force=True) == movable_cone(s)
+
+
+def test_brute_force_shares_nothing_with_the_default_route(monkeypatch):
+    # Right after the default route, brute force still runs one pass per
+    # hull (4 omitted columns and all 8 columns) and one for the cone, and
+    # leaves the default route's slot as it found it.
+    s = quadrics(4)
+    mov = movable_cone(s)
+    rays = mov.rays
+    slot = dict(spaces_module._last_movable)
+    cones_module._generated.cache_clear()
+    passes = []
+    polar = cones_module._polar
+    monkeypatch.setattr(cones_module, "_polar",
+                        lambda rows, d: passes.append(rows) or polar(rows, d))
+    slow = movable_cone(s, brute_force=True)
+    assert len(passes) == 5
+    assert slow is not mov and slow.rays == rays
+    assert len(passes) == 6
+    assert list(spaces_module._last_movable.items()) == list(slot.items())
+    assert spaces_module._last_movable[next(iter(slot))] is mov
 
 
 def _omit_one_spaces():
