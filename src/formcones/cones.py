@@ -18,6 +18,10 @@ It also returns its final incidence, the tight input rows of each output
 vector, from which :func:`_read_back` recovers the canonical pair of the
 given side without a second pass.  So each cone runs at most one pass.
 
+A pass can be seeded with rows expected to be facets: it inserts those
+first and any other row only if it cuts the cone they give, so a seed
+spares the pass its redundant rows and never changes the result.
+
 The one place that computes facets without building a cone is
 :func:`omit_one_hulls`: it drives the same step over many cones whose
 generators differ by one vector, sharing the steps they have in common,
@@ -126,20 +130,45 @@ def _kept_rows(zero_sets: dict[int, int],
     return equalities, [first[zeros] for zeros in maximal]
 
 
-def _polar(rows: Mat,
-           d: int) -> tuple[tuple[Mat, Mat], tuple[tuple[int, ...], int]]:
+def _polar(rows: Mat, d: int,
+           seed: frozenset[Vec] = frozenset()) -> tuple[tuple[Mat, Mat], tuple]:
     """One double-description pass over ``{x in Q^d : <a, x> >= 0 for all a}``.
 
     ``rows`` must be canonical, as :func:`_validated` makes them and every
     :class:`Cone` holds them: nonzero, primitive, distinct and sorted.
     Returns ``((lineality_basis, rays), (masks, cand))``: the canonical
     minimal generator set, and the pass's final incidence, where
-    ``masks[j]`` has bit ``i`` set exactly when ``rows[i]`` is tight on
-    ``rays[j]`` and ``cand`` holds the bits of the rows that may cut out
-    the cone (:func:`_insert`).  The rows are inserted in their order, one
-    :func:`_insert` step each.
+    ``masks[j]`` has bit ``i`` set exactly when the row inserted as row
+    ``i`` is tight on ``rays[j]`` and ``cand`` holds the bits of the
+    inserted rows that may cut out the cone (:func:`_insert`).  Unseeded,
+    row ``i`` is inserted as row ``i``, one :func:`_insert` step each.
+
+    A seeded pass inserts the rows in ``seed`` first, packs the rays they
+    cut out once and checks every other row once: it holds on the seed's
+    cone when it is zero on the lineality space and one
+    :func:`_lane_signs` call finds no negative ray.  Only the rows that
+    fail are inserted, in their order, and the incidence gains a third
+    entry, the index in ``rows`` of each inserted row.  One round is
+    enough: a row that holds on the seed's cone holds on every cone inside
+    it, so the inserted rows cut out the cone of all the rows.  Any seed
+    gives the same result; one with no row among ``rows`` changes nothing.
     """
-    return _canonical(_inserted(_start(d), 0, rows, _bound(rows)))
+    bound = _bound(rows)
+    first = [i for i, a in enumerate(rows) if a in seed] if seed else []
+    if not first:
+        return _canonical(_inserted(_start(d), 0, rows, bound))
+    lin, vecs, masks, cols, cand = _inserted(
+        _start(d), 0, [rows[i] for i in first], bound)
+    if vecs and not isinstance(cols, _Lanes):
+        cols = _pack(cols, bound)
+    everyone = (1 << len(vecs)) - 1
+    failing = [i for i, a in enumerate(rows) if a not in seed and (
+        any(dot(a, v) for v in lin)
+        or vecs and _lane_signs(cols, a)[0] != everyone)]
+    state = _inserted((lin, vecs, masks, cols, cand), len(first),
+                      [rows[i] for i in failing], bound)
+    pair, (masks, cand) = _canonical(state)
+    return pair, (masks, cand, tuple(first + failing))
 
 
 def _start(d: int):
@@ -449,19 +478,24 @@ def omit_one_hulls(d: int, shared: Iterable[Sequence[int]],
     return out
 
 
-def _read_back(rows: Mat, masks: Sequence[int], cand: int) -> tuple[Mat, Mat]:
+def _read_back(rows: Mat, masks: Sequence[int], cand: int,
+               order: Sequence[int] | None = None) -> tuple[Mat, Mat]:
     """Canonical pair of a pass's input side, from its final incidence.
 
-    ``(masks, cand)`` is the second value :func:`_polar` returns for
-    ``rows``; only the rows in ``cand`` can cut out the output cone.  The
-    rows tight on every output vector span the input side's lineality (or
-    implied-equality) space.  Every output vector is extreme, so the face
-    a further row cuts out is fixed by its zero set over the output
-    vectors, and that face is maximal (a facet, or an extreme ray on the
-    generator side) exactly when the zero set is maximal among all rows'.
+    ``(masks, cand)``, or ``(masks, cand, order)`` for a seeded pass, is
+    the second value :func:`_polar` returns for ``rows``; ``order`` maps
+    each inserted position to its row, and only the rows in ``cand`` can
+    cut out the output cone.  The rows tight on every output vector span
+    the input side's lineality (or implied-equality) space.  Every output
+    vector is extreme, so the face a further row cuts out is fixed by its
+    zero set over the output vectors, and that face is maximal (a facet, or
+    an extreme ray on the generator side) exactly when the zero set is
+    maximal among all rows'.
     Rows with the same zero set agree modulo the space up to a positive
     factor, so one row per zero set is reduced.  No rank is computed.
     """
+    if order is not None:
+        rows = [rows[i] for i in order]
     equalities, facets = _kept_rows(_transpose(masks, len(rows), cand),
                                     (1 << len(masks)) - 1)
     basis = row_space_basis([rows[i] for i in equalities])
@@ -510,7 +544,8 @@ class Cone:
     the pointed generators (respectively proper facets).
     """
 
-    __slots__ = ("ambient_rank", "_given", "_pairs", "_incidence", "_certified")
+    __slots__ = ("ambient_rank", "_given", "_pairs", "_incidence", "_certified",
+                 "_seed")
 
     def __init__(self, ambient_rank: int, *, given=None, pairs=(None, None)):
         if ambient_rank < 1:
@@ -520,6 +555,9 @@ class Cone:
         self._pairs = list(pairs)
         self._incidence = None
         self._certified = False
+        # Rows the pass inserts first (:func:`_polar`); only the default
+        # route of ``movable_cone`` sets them.
+        self._seed: frozenset[Vec] = frozenset()
 
     # -- representation plumbing -----------------------------------------
 
@@ -529,7 +567,7 @@ class Cone:
             given_side, vectors = self._given
             if self._pairs[1 - given_side] is None:
                 self._pairs[1 - given_side], self._incidence = _polar(
-                    vectors, self.ambient_rank)
+                    vectors, self.ambient_rank, self._seed)
             if side == given_side:
                 self._pairs[side] = _read_back(vectors, *self._incidence)
                 self._incidence = None

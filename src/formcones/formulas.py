@@ -28,6 +28,7 @@ __all__ = [
     "cox_generator_count",
     "dim_cox",
     "movable_ray_count",
+    "movable_facets",
     "osculating_degree",
 ]
 
@@ -166,6 +167,39 @@ def movable_ray_count(s: SpaceSpec) -> int:
     if s.stage is not None:
         raise ValueError("movable ray count applies to full-stage spaces only")
     return 2 ** (s.n - 1) + (1 if s.n < s.m else 0)
+
+
+def movable_facets(s: SpaceSpec) -> frozenset[tuple[int, ...]]:
+    """The facet normals of the movable cone of a full space, in closed form.
+
+    In the basis ``H = e_0, E_h = e_h`` put
+    ``A_h = -(n-h) e_h + (n-h+1) e_{h+1}`` and
+    ``B_h = e_0 + (h+1) e_h - h e_{h+1}``.  A square format (Picard rank
+    n) has ``A_h`` and ``B_h`` for h = 1..n-2, ``-e_{n-1}`` and
+    ``e_0 + n e_{n-1}``: 2n - 2 facets.  A wide one (rank n+1) has ``A_h``
+    and ``B_h`` for h = 1..n-1 and ``-e_n``: 2n - 1 facets.  Stated for
+    n >= 2, these were read off the computed cones and are checked against
+    them, not quoted from the paper.  A stage, and a space with n = 1, get
+    the empty set.
+    """
+    n, rho = s.n, s.picard_rank
+    if s.stage is not None or n < 2:
+        return frozenset()
+
+    def vec(*terms: tuple[int, int]) -> tuple[int, ...]:
+        v = [0] * rho
+        for i, c in terms:
+            v[i] += c
+        return tuple(v)
+
+    last = rho - 1
+    out = {vec((last, -1))}
+    if s.is_square:
+        out.add(vec((0, 1), (last, n)))
+    for h in range(1, last):
+        out.add(vec((h, -(n - h)), (h + 1, n - h + 1)))
+        out.add(vec((0, 1), (h, h + 1), (h + 1, -h)))
+    return frozenset(out)
 
 
 def dim_cox(s: SpaceSpec) -> int:

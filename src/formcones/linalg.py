@@ -8,23 +8,18 @@ combines two vectors so that a form vanishes and divides the result by
 its content.  The elimination, the upward reduction of
 :func:`row_space_basis`, :func:`reduce_mod_rowspace` and the
 double-description pass in :mod:`formcones.cones` all call it.  The
-package computes with integers alone.  :func:`_rref`, a reduced echelon
-form over :class:`fractions.Fraction`, and :func:`_clear_denominators` are
-kept only as the independent reference the tests check
-:func:`row_space_basis` against.  :func:`_rref` imports :mod:`fractions`
-when it runs, so importing the package does not.
+package computes with integers alone; the tests check
+:func:`row_space_basis` against a reduced echelon form over
+:class:`fractions.Fraction` of their own.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateRay, DimensionMismatch
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -94,51 +89,6 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[Vec], list[int]]:
 def rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank of an integer matrix, by fraction-free elimination."""
     return len(_echelon(rows)[1])
-
-
-def _rref(rows: Sequence[Sequence[int]], width: int):
-    """Reduced row echelon form over the rationals.
-
-    The tests' reference for :func:`row_space_basis`; nothing in the
-    package calls it.
-
-    Returns ``(pivots, reduced)`` where ``reduced`` holds Fraction rows with
-    leading entry 1 and zeros above and below each pivot.
-    """
-    from fractions import Fraction
-
-    mat = [[Fraction(x) for x in r] for r in rows if any(r)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        lead = mat[r][c]
-        mat[r] = [x / lead for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return pivots, mat[:r]
-
-
-def _clear_denominators(row: Sequence[Fraction]) -> Vec:
-    """Primitive integer multiple of a Fraction row (with :func:`_rref`)."""
-    lcm = 1
-    for x in row:
-        d = x.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return primitive(tuple(int(x * lcm) for x in row))
 
 
 def row_space_basis(rows: Iterable[Sequence[int]]) -> Mat:

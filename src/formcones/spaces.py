@@ -31,6 +31,7 @@ from .formulas import (
     ambient_projective_dim,
     dim_section_space,
     minor_multiplicity,
+    movable_facets,
     secant_codim,
 )
 from .linalg import Vec, dot
@@ -199,11 +200,12 @@ class GradingMatrix(NamedTuple):
 # the Mori cone and 1.59 s for the moving-curve cone, and `info` 0.57 s, each
 # in a fresh process.  At rank 200 the moving-curve cone alone took 4.5 s.
 _MAX_CONE_RANK = 128
-# quadrics(16) has 2^15 movable rays and takes 2.2-2.3 s at 54 MB peak RSS
-# on a 2-vCPU Xeon VM (quadrics(15): 0.9 s), omit-one hulls included, in a
-# fresh process.  Each further rank doubles the ray count: quadrics(17), with
-# this bound raised, took 5.4 s at 95 MB.  Rank 17 stays refused until
-# tested.
+# quadrics(16) has 2^15 movable rays.  On a 2-vCPU Xeon VM with Python 3.11,
+# each run in a fresh process, `movable_cone(quadrics(16)).rays` took
+# 0.81-1.48 s after import, omit-one hulls included, at 50.3-50.6 MB peak RSS
+# over ten runs (quadrics(15): 0.37-0.60 s at 31.4-31.6 MB, seven runs).  Each
+# further rank doubles the ray count: quadrics(17), with this bound raised,
+# took 2.6-2.9 s at 90 MB.  Rank 17 stays refused until tested.
 _MAX_MOVABLE_RANK = 16
 # The chamber walk runs in any rank, but only ranks 2 and 3 are checked
 # against reference counts.
@@ -381,8 +383,11 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
     That route reads only the rank, the distinct and multiplicity-1
     columns and Eff's facets, so spaces of one shape, such as
     ``quadrics(n)`` and ``collineations(n)``, share the last cone computed.
-    ``brute_force=True`` runs the unoptimized omit-every-generator version
-    for cross-checking, one pass per hull, and shares nothing.
+    Its pass is seeded with :func:`~formcones.formulas.movable_facets`, so
+    it inserts only the rows that cut the cone those facets give; the seed
+    never changes the cone.  ``brute_force=True`` runs the unoptimized
+    omit-every-generator version for cross-checking, one pass per hull,
+    unseeded, and shares nothing.
 
     Picard rank above ``_MAX_MOVABLE_RANK`` raises :class:`RankUnsupported`,
     as does :func:`require_movable`.
@@ -405,5 +410,7 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
         normals = set(eff)
         for facets in omit_one_hulls(rho, distinct - once, once).values():
             normals.update(facets)
-        _last_movable[key] = cone_from_halfspaces(rho, normals)
+        mov = cone_from_halfspaces(rho, normals)
+        mov._seed = movable_facets(s)
+        _last_movable[key] = mov
     return _last_movable[key]

@@ -138,9 +138,9 @@ def test_polar_is_given_canonical_rows(monkeypatch):
     seen = []
     polar = cones_module._polar
 
-    def spy(rows, d):
+    def spy(rows, d, seed):
         seen.append(rows)
-        return polar(rows, d)
+        return polar(rows, d, seed)
 
     monkeypatch.setattr(cones_module, "_polar", spy)
     cones_module._generated.cache_clear()
@@ -313,18 +313,21 @@ def test_polar_masks_are_the_zero_sets_of_its_rays():
     # from these masks alone, so each must be exactly the rows tight on its
     # ray, recomputed here by inner products, and no two may be equal.  It
     # takes canonical rows, as every cone holds them, and indexes the masks
-    # by their order.
+    # by their order, or, seeded, by the order it inserted them in.
     cases = fuzz_cases()
     cases += [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
     for rank_, gens in cases:
         for normals in (gens, cone_from_rays(rank_, gens).facets):
             rows = _validated(normals, rank_, "normal")
-            (_, pointed), (masks, _) = _polar(rows, rank_)
-            assert len(masks) == len(pointed)
-            for r, mask in zip(pointed, masks):
-                tight = sum(1 << i for i, a in enumerate(rows) if dot(a, r) == 0)
-                assert mask == tight, (rank_, normals, r)
-            assert len(set(masks)) == len(masks), (rank_, normals)
+            for seed in (frozenset(), frozenset(rows[::2])):
+                (_, pointed), (masks, _, *order) = _polar(rows, rank_, seed)
+                inserted = order[0] if order else range(len(rows))
+                assert len(masks) == len(pointed)
+                for r, mask in zip(pointed, masks):
+                    tight = sum(1 << k for k, i in enumerate(inserted)
+                                if dot(rows[i], r) == 0)
+                    assert mask == tight, (rank_, normals, seed, r)
+                assert len(set(masks)) == len(masks), (rank_, normals, seed)
 
 
 @settings(deadline=None, max_examples=60)
@@ -665,12 +668,13 @@ def test_omit_one_hulls_on_packed_lanes(monkeypatch):
         assert hulls[c] == cone_from_rays(7, rest).facets
 
 
-@pytest.mark.usefixtures("fresh_movable")
-def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
-    # The final pass of Mov(quadrics(12)) inserts 144 rows.  It packs its
-    # ray set once, 2,048 rays on lanes of one 64-bit word, and classifies
-    # 53 later rows on the lanes; none of them cuts the set.
-    mov = movable_cone(quadrics(12))
+def _lane_counts(monkeypatch):
+    """Spy on the pass: rows inserted, packs made, and each lane check.
+
+    Returns ``(inserted, packs, kept)``: the position of each row
+    ``_insert`` is given, the ``(count, size)`` of each ``_pack``, and for
+    each ``_lane_signs`` call whether it found no negative ray.
+    """
     inserted, packs, kept = [], [], []
     insert, pack = cones_module._insert, cones_module._pack
     lane_signs = cones_module._lane_signs
@@ -690,10 +694,42 @@ def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
                         or insert(state, idx, a, bound))
     monkeypatch.setattr(cones_module, "_pack", packing)
     monkeypatch.setattr(cones_module, "_lane_signs", signs)
-    assert len(mov.rays) == 2048
+    return inserted, packs, kept
+
+
+def _quadrics_12_rows():
+    """The 144 rows of Mov(quadrics(12)), which its final pass cuts it out by."""
+    rows = movable_cone(quadrics(12))._given[1]
+    assert len(rows) == 144
+    return rows
+
+
+@pytest.mark.usefixtures("fresh_movable")
+def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
+    # The unseeded pass over Mov(quadrics(12))'s 144 rows inserts all of
+    # them.  It packs its ray set once, 2,048 rays on lanes of one 64-bit
+    # word, and classifies 53 later rows on the lanes; none of them cuts
+    # the set.
+    rows = _quadrics_12_rows()
+    inserted, packs, kept = _lane_counts(monkeypatch)
+    assert len(cone_from_halfspaces(12, rows).rays) == 2048
     assert inserted == list(range(144))
     assert packs == [(2048, 8)]
     assert len(kept) == 53 and all(kept)
+
+
+@pytest.mark.usefixtures("fresh_movable")
+def test_seeded_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
+    # Seeded with the 22 closed-form facets, the pass inserts those alone,
+    # packs the 2,048 rays they cut out once, and checks each of the 122
+    # other rows with one lane call; every one keeps every ray.
+    mov = movable_cone(quadrics(12))
+    assert len(mov._seed) == 22
+    inserted, packs, kept = _lane_counts(monkeypatch)
+    assert len(mov.rays) == 2048
+    assert inserted == list(range(22))
+    assert packs == [(2048, 8)]
+    assert len(kept) == 122 and all(kept)
 
 
 # -- candidate rows ------------------------------------------------------------
@@ -720,10 +756,10 @@ def _checking_kept_rows(monkeypatch):
         finally:
             current.pop()
 
-    def reading(rows, masks, cand):
-        current.append((masks, len(rows)))
+    def reading(rows, masks, cand, *order):
+        current.append((masks, len(order[0]) if order else len(rows)))
         try:
-            return read_back(rows, masks, cand)
+            return read_back(rows, masks, cand, *order)
         finally:
             current.pop()
 
@@ -792,16 +828,107 @@ def test_a_row_that_lowers_the_dimension_makes_every_row_a_candidate(monkeypatch
     assert len(calls) == 9  # rows 3 to 6 cut in each pass, and one read-back
 
 
-@pytest.mark.usefixtures("fresh_movable")
-def test_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
-    # The final pass of Mov(quadrics(12)) computes its kept rows at 78 cuts.
-    # Over every row inserted so far they would read 3,884 zero sets, up to
-    # 89 at a cut; over the candidate rows they read 1,055, at most 22.
-    mov = movable_cone(quadrics(12))
+def _kept_row_reads(monkeypatch):
+    """The number of zero sets each ``_kept_rows`` call reads."""
     read = []
     kept_rows = cones_module._kept_rows
     monkeypatch.setattr(cones_module, "_kept_rows",
                         lambda zero_sets, everyone: read.append(len(zero_sets))
                         or kept_rows(zero_sets, everyone))
-    assert len(mov.rays) == 2048
+    return read
+
+
+@pytest.mark.usefixtures("fresh_movable")
+def test_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
+    # The unseeded pass over Mov(quadrics(12))'s rows computes its kept rows
+    # at 78 cuts.  Over every row inserted so far they would read 3,884 zero
+    # sets, up to 89 at a cut; over the candidate rows they read 1,055, at
+    # most 22.
+    rows = _quadrics_12_rows()
+    read = _kept_row_reads(monkeypatch)
+    assert len(cone_from_halfspaces(12, rows).rays) == 2048
     assert (len(read), sum(read), max(read)) == (78, 1055, 22)
+
+
+@pytest.mark.usefixtures("fresh_movable")
+def test_seeded_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
+    # Seeded, only the 10 of the 22 closed-form facets that cut read zero
+    # sets, 165 of them, at most 21; the other 12 are lineality steps.  The
+    # read-back reads the 22 inserted rows alone.
+    mov = movable_cone(quadrics(12))
+    read = _kept_row_reads(monkeypatch)
+    assert len(mov.rays) == 2048
+    assert (len(read), sum(read), max(read)) == (10, 165, 21)
+    assert len(mov.facets) == 22
+    assert read[10:] == [22]
+
+
+# -- seeded passes -------------------------------------------------------------
+#
+# A seed only orders the pass and spares it rows: whatever the seed, the cone
+# comes out as the unseeded pass over the same rows gives it.
+
+
+def _seeded(d, rows, seed):
+    """The cone of ``rows``, its pass seeded with ``seed``."""
+    c = cone_from_halfspaces(d, rows)
+    c._seed = frozenset(seed)
+    return c
+
+
+def test_any_seed_gives_the_oracle_cones():
+    # Every subset of the rows as a seed, with and without a vector that is
+    # not a row.  The oracles have lineality (halfplane, full, line) and
+    # implied equalities (ray, line), cut out by their facets or by their
+    # generators read as normals.
+    stray = 0
+    for _, rank_, gens, _, facets in _DUALITY_ORACLES:
+        for normals in (facets, gens):
+            rows = _validated(normals, rank_, "normal")
+            plain = cone_from_halfspaces(rank_, rows)
+            other = (rank_ + 1,) + (0,) * (rank_ - 1)
+            assert other not in rows
+            for size in range(len(rows) + 1):
+                for seed in combinations(rows, size):
+                    for extra in ((), (other,)):
+                        c = _seeded(rank_, rows, seed + extra)
+                        assert c.rays == plain.rays, (rows, seed + extra)
+                        assert c.facets == plain.facets, (rows, seed + extra)
+                        stray += bool(extra)
+    assert stray > 100
+
+
+@pytest.mark.parametrize("s", [quadrics(7), collineations(6, 8)],
+                         ids=lambda s: s.describe())
+def test_faulty_seeds_give_the_movable_cone(s):
+    # The closed-form facets with one removed, with a vector that is not a
+    # row, and with a row that is valid but not a facet.
+    rho = s.picard_rank
+    mov = movable_cone(s)
+    rows, facets = mov._given[1], mov._seed
+    assert facets and facets <= set(rows)
+    plain = cone_from_halfspaces(rho, rows)
+    redundant = next(a for a in rows if a not in facets)
+    stray = (1,) * rho
+    assert stray not in rows
+    seeds = [facets - {f} for f in sorted(facets)]
+    seeds += [facets | {stray}, facets | {redundant}]
+    for seed in seeds:
+        c = _seeded(rho, rows, seed)
+        assert c.rays == plain.rays, seed
+        assert c.facets == plain.facets, seed
+    assert mov.rays == plain.rays and mov.facets == plain.facets
+
+
+def test_an_empty_seed_inserts_every_row_in_order(monkeypatch):
+    # With no row in the seed the pass is the plain one: rows 0..N-1, in
+    # order, and an incidence with no order of its own.
+    rows = _validated(CROSS_RAYS + CROSS_INSIDE, 7, "normal")
+    plain = _polar(rows, 7)
+    inserted, _, _ = _lane_counts(monkeypatch)
+    for seed in (frozenset(), frozenset({(1,) * 7})):
+        assert (1,) * 7 not in rows
+        inserted.clear()
+        got = _polar(rows, 7, seed)
+        assert inserted == list(range(len(rows)))
+        assert got == plain and len(got[1]) == 2

@@ -1,4 +1,6 @@
 import ast
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -7,8 +9,6 @@ from hypothesis import given, strategies as st
 from formcones import linalg as linalg_module
 from formcones.errors import DegenerateRay, DimensionMismatch
 from formcones.linalg import (
-    _clear_denominators,
-    _rref,
     combine,
     dot,
     negate,
@@ -137,6 +137,46 @@ def test_row_space_basis_preserves_span(rows):
     assert rank(basis) == len(basis) == rank(rows)
     for r in rows:
         assert reduce_mod_rowspace(r, basis) is None
+
+
+def _rref(rows, width):
+    """Reduced row echelon form over the rationals.
+
+    Returns ``(pivots, reduced)`` where ``reduced`` holds Fraction rows with
+    leading entry 1 and zeros above and below each pivot.
+    """
+    mat = [[Fraction(x) for x in r] for r in rows if any(r)]
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        lead = mat[r][c]
+        mat[r] = [x / lead for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return pivots, mat[:r]
+
+
+def _clear_denominators(row):
+    """Primitive integer multiple of a Fraction row (with :func:`_rref`)."""
+    lcm = 1
+    for x in row:
+        d = x.denominator
+        lcm = lcm * d // gcd(lcm, d)
+    return primitive(tuple(int(x * lcm) for x in row))
 
 
 @given(st.lists(vectors(4), min_size=0, max_size=7))

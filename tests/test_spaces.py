@@ -10,7 +10,7 @@ from formcones.cones import (
     omit_one_hulls,
 )
 from formcones.errors import DegenerateSpace, DimensionMismatch
-from formcones.formulas import minor_multiplicity
+from formcones.formulas import minor_multiplicity, movable_facets
 from formcones.spaces import (
     CurveClass,
     DivisorClass,
@@ -189,8 +189,8 @@ def test_movable_brute_force_agrees_small():
 
 def test_brute_force_shares_nothing_with_the_default_route(monkeypatch):
     # Right after the default route, brute force still runs one pass per
-    # hull (4 omitted columns and all 8 columns) and one for the cone, and
-    # leaves the default route's slot as it found it.
+    # hull (4 omitted columns and all 8 columns) and one for the cone, each
+    # unseeded, and leaves the default route's slot as it found it.
     s = quadrics(4)
     mov = movable_cone(s)
     rays = mov.rays
@@ -199,11 +199,13 @@ def test_brute_force_shares_nothing_with_the_default_route(monkeypatch):
     passes = []
     polar = cones_module._polar
     monkeypatch.setattr(cones_module, "_polar",
-                        lambda rows, d: passes.append(rows) or polar(rows, d))
+                        lambda rows, d, seed: passes.append(seed)
+                        or polar(rows, d, seed))
     slow = movable_cone(s, brute_force=True)
     assert len(passes) == 5
     assert slow is not mov and slow.rays == rays
-    assert len(passes) == 6
+    assert passes == [frozenset()] * 6
+    assert mov._seed
     assert list(spaces_module._last_movable.items()) == list(slot.items())
     assert spaces_module._last_movable[next(iter(slot))] is mov
 
@@ -386,6 +388,42 @@ def test_movable_facet_counts():
         assert len(movable_cone(quadrics(n)).facets) == 2 * n - 2
         assert len(movable_cone(collineations(n)).facets) == 2 * n - 2
         assert len(movable_cone(collineations(n, n + 1)).facets) == 2 * n - 1
+
+
+def test_movable_facets_in_closed_form():
+    # The closed form against the pass, for n = 2..11 in both families and
+    # wide formats with m = n+1..n+3.  Each shape's cone is computed once.
+    for n in range(2, 12):
+        for s in (quadrics(n), collineations(n), *(collineations(n, n + k)
+                                                   for k in (1, 2, 3))):
+            assert movable_facets(s) == set(movable_cone(s).facets), s.describe()
+    for s in (quadrics(5, stage=2), collineations(4, 6, stage=1),
+              collineations(1, 3), quadrics(1)):
+        assert movable_facets(s) == frozenset(), s.describe()
+
+
+def test_seeded_movable_cones_match_the_unseeded_pass():
+    # The default route seeds its pass with the closed-form facets; the
+    # unseeded pass over the same rows must give the same cone.  Spaces of
+    # one shape and seed pose one problem.
+    problems = {}
+    for s in _omit_one_spaces():
+        gm = grading_matrix(s)
+        problems.setdefault((s.picard_rank, frozenset(gm.distinct_coords()),
+                             frozenset(gm.multiplicity_one_coords()),
+                             movable_facets(s)), s)
+    seeded = 0
+    for (rho, _, _, seed), s in problems.items():
+        spaces_module._last_movable.clear()
+        mov = movable_cone(s)
+        assert mov._seed == seed
+        plain = cone_from_halfspaces(rho, mov._given[1])
+        assert mov.rays == plain.rays, s.describe()
+        assert mov.facets == plain.facets, s.describe()
+        seeded += bool(seed)
+    # xn and qn share one shape for each n = 2..10, and xnm has one for
+    # each n = 2..9; the stages and xnm with n = 1 go unseeded.
+    assert seeded == 17
 
 
 @settings(deadline=None, max_examples=30)
