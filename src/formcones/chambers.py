@@ -9,8 +9,9 @@ point just past the facet's relative interior, by exact symbolic
 perturbation.  Each new hull set is cut out once, by one halfspace pass.
 Every interior wall must be crossed from both of its chambers, and
 exactly one chamber must have Nef's rays; both are checked.  Arithmetic
-is integer only.  The walk reads only the rank, the distinct columns,
-Eff and Nef, so spaces of one shape share it; each fan keeps its space.
+is integer only.  The walk is cached on the space's shape record (its
+rank and grading columns) with Eff and Nef, so spaces of one shape share
+it; each fan keeps its space.
 Picard rank 4 and above is refused until invariant checks for it exist.
 
 Merged fans (stable-base-locus decompositions) are data-driven: the wall
@@ -42,8 +43,8 @@ from .errors import (
     OutsideEffective,
 )
 from .linalg import Vec, dot, negate, primitive
-from .spaces import (_MAX_FAN_RANK, SpaceSpec, _require_rank, effective_cone,
-                     grading_matrix, nef_cone)
+from .spaces import (_MAX_FAN_RANK, SpaceSpec, _require_rank, _Shape, _shape,
+                     effective_cone, nef_cone)
 
 __all__ = [
     "Chamber",
@@ -111,30 +112,19 @@ def _chamber_at(hulls: list[tuple[Vec, ...]], q: Vec, d: Vec) -> frozenset[int]:
     return held
 
 
-def _walk(s: SpaceSpec) -> tuple[tuple[Chamber, ...], tuple[Wall, ...]]:
-    """Chambers and walls of the fan of ``s``, from the walk of its shape."""
-    chambers, walls = _walk_shape(s.picard_rank, grading_matrix(s).distinct_coords(),
-                                  effective_cone(s), nef_cone(s))
-    nef = sum(ch.label == "Nef" for ch in chambers)
-    if nef != 1:
-        raise InternalError(f"{nef} chambers of {s.describe()} are Nef, not one")
-    return chambers, walls
-
-
-# The 15 bundled merged fans have 12 shapes: quadrics-2, quadrics-3 and
-# stage1-2 share theirs.
 @lru_cache(maxsize=16)
-def _walk_shape(rho: int, cols: tuple[Vec, ...], eff: Cone,
-                nef: Cone) -> tuple[tuple[Chamber, ...], tuple[Wall, ...]]:
+def _walk(shape: _Shape, eff: Cone,
+          nef: Cone) -> tuple[tuple[Chamber, ...], tuple[Wall, ...]]:
     """Breadth-first walk of a chamber fan, starting at Nef.
 
     Chambers are keyed by their hull sets, and each one is cut out by a
     single halfspace pass, whose cone gives its rays, facets and sample.
     """
+    rho = shape.rank
     # By Caratheodory, intersecting the simplicial column cones that hold a
     # generic point gives the same chamber as intersecting all column hulls.
     hulls = [cone.facets for cone in (cone_from_rays(rho, c)
-                                      for c in combinations(cols, rho))
+                                      for c in combinations(shape.columns, rho))
              if cone.is_full_dimensional]
     boundary = set(eff.facets)
     nef_rays = extremal_rays(nef)
@@ -160,6 +150,9 @@ def _walk_shape(rho: int, cols: tuple[Vec, ...], eff: Cone,
         if i == j or (j, i, normal) not in crossed:
             raise InternalError(f"wall {normal} was crossed from chamber {i} "
                                 f"into {j} but not back")
+    nef_count = sum(ch.label == "Nef" for ch in chambers)
+    if nef_count != 1:
+        raise InternalError(f"{nef_count} chambers of a rank-{rho} fan are Nef, not one")
     walls = tuple(Wall(i, j, normal) for i, j, normal in crossed if i < j)
     return tuple(chambers), walls
 
@@ -174,7 +167,7 @@ def gkz_fan(s: SpaceSpec) -> ChamberFan:
     policy.  Chambers are sorted by their rays, walls by chamber indices.
     """
     _require_rank(s, "chamber fans", _MAX_FAN_RANK)
-    chambers, walls = _walk(s)
+    chambers, walls = _walk(_shape(s), effective_cone(s), nef_cone(s))
     return _sorted_fan(s, chambers, walls, kind="gkz")
 
 
@@ -203,7 +196,8 @@ def locate(f: ChamberFan, d: Sequence[int]) -> int:
         raise DimensionMismatch(
             f"class of rank {len(d)} located in a rank-{rho} fan"
         )
-    if not effective_cone(f.space).contains(d):
+    eff = effective_cone(f.space)
+    if not eff.contains(d):
         raise OutsideEffective(f"{d} is not an effective class of {f.space.describe()}")
     containing = [
         i for i, ch in enumerate(f.chambers)
@@ -216,7 +210,7 @@ def locate(f: ChamberFan, d: Sequence[int]) -> int:
     # The chambers cover Eff, so a point of Eff's interior on the boundary
     # of its chamber lies in a second chamber as well.
     idx = containing[0]
-    if not effective_cone(f.space).strictly_contains(d):
+    if not eff.strictly_contains(d):
         raise BoundaryPoint(f"{d} lies on the boundary of chamber {idx}")
     return idx
 

@@ -29,7 +29,6 @@ __all__ = [
     "dim_cox",
     "movable_ray_count",
     "movable_facets",
-    "osculating_degree",
 ]
 
 
@@ -205,15 +204,3 @@ def movable_facets(s: SpaceSpec) -> frozenset[tuple[int, ...]]:
 def dim_cox(s: SpaceSpec) -> int:
     """Krull dimension of the Cox ring: ambient dimension plus Picard rank."""
     return ambient_projective_dim(s) + s.picard_rank
-
-
-def osculating_degree(n: int, r: int) -> tuple[int, int]:
-    """Degree and ambient dimension of the r-th osculating projection image.
-
-    Returns ``(degree, ambient)`` where the rational normal curve swept out
-    has the given degree inside a projective space of the given dimension.
-    """
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"osculating index r={r} out of range 0..{n - 1}")
-    degree = (r + 1) * (n - r)
-    return degree, comb(n + 1, r + 1) * (degree + 1)

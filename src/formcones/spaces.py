@@ -26,7 +26,7 @@ from .cones import (
     extremal_rays,
     omit_one_hulls,
 )
-from .errors import DegenerateSpace, DimensionMismatch, RankUnsupported
+from .errors import DegenerateSpace, DimensionMismatch, InternalError, RankUnsupported
 from .formulas import (
     ambient_projective_dim,
     dim_section_space,
@@ -193,12 +193,13 @@ class GradingMatrix(NamedTuple):
 
 
 # The largest Picard rank each computation accepts; _require_rank raises
-# every refusal.  Eff and Nef are cones over rho generators in rank rho, and
-# the Mori and moving-curve cones are their duals, so their passes cost
-# about rho^3.  At rank 128 (quadrics(128)) on a 2-vCPU Xeon VM with Python
-# 3.11, `cone --format json` took 0.47 s for Eff, 0.52 s for Nef, 1.14 s for
-# the Mori cone and 1.59 s for the moving-curve cone, and `info` 0.57 s, each
-# in a fresh process.  At rank 200 the moving-curve cone alone took 4.5 s.
+# every refusal.  Eff and Nef are cones over rho generators in rank rho, so
+# their passes cost about rho^3; the Mori and moving-curve cones are their
+# flipped duals and run none.  At rank 128 (quadrics(128)) on a 2-vCPU Xeon
+# VM with Python 3.11, `cone --format json` took 0.38-0.60 s for Eff,
+# 0.35-0.56 s for Nef, 0.46-0.80 s for the Mori cone and 0.71-1.22 s for the
+# moving-curve cone, and `info` 0.41-0.57 s, each in a fresh process.  At
+# rank 200 the moving-curve cone alone took 3.5 s.
 _MAX_CONE_RANK = 128
 # quadrics(16) has 2^15 movable rays.  On a 2-vCPU Xeon VM with Python 3.11,
 # each run in a fresh process, `movable_cone(quadrics(16)).rays` took
@@ -323,9 +324,16 @@ def _involution(v: Sequence[int]) -> Vec:
 
 
 def _curves_against(divisors: Cone) -> Cone:
-    """Curve classes that pair nonnegatively with every class of ``divisors``."""
-    return cone_from_halfspaces(divisors.ambient_rank,
-                                [_involution(r) for r in extremal_rays(divisors)])
+    """Curve classes pairing nonnegatively with ``divisors``: J·D^∨.
+
+    J = diag(1, -1, ..., -1) maps the facets and rays of a pointed,
+    full-dimensional D to canonical rays and facets, so no pass runs.
+    """
+    rays = extremal_rays(divisors)
+    if not divisors.is_full_dimensional:
+        raise InternalError(f"divisor cone of dimension {divisors.dim} is not full")
+    return Cone(divisors.ambient_rank, pairs=tuple(
+        ((), tuple(sorted(map(_involution, side)))) for side in (divisors.facets, rays)))
 
 
 def mori_cone(s: SpaceSpec) -> Cone:
@@ -365,9 +373,23 @@ def require_movable(s: SpaceSpec) -> int:
     return _require_rank(s, "movable cones", _MAX_MOVABLE_RANK)
 
 
+class _Shape(NamedTuple):
+    """What Mov and the walk read of a space; Eff is the cone over ``columns``."""
+
+    rank: int
+    columns: tuple[Vec, ...]
+    once: tuple[Vec, ...]
+
+
+def _shape(s: SpaceSpec) -> _Shape:
+    """Rank, distinct and multiplicity-1 columns of ``s``, after a rank check."""
+    gm = grading_matrix(s)
+    return _Shape(s.picard_rank, gm.distinct_coords(), gm.multiplicity_one_coords())
+
+
 # One slot, emptied on a miss before the next hulls run: a cache that kept
 # every movable cone raised `bench --family qn --n 14..16` from 54 to 70 MB.
-_last_movable: dict[tuple, Cone] = {}
+_last_movable: dict[_Shape, Cone] = {}
 
 
 def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
@@ -380,37 +402,31 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
     rest.  Their hulls share every column but one, so
     :func:`~formcones.cones.omit_one_hulls` computes all of them in one
     divide-and-conquer pass that inserts the shared columns once.
-    That route reads only the rank, the distinct and multiplicity-1
-    columns and Eff's facets, so spaces of one shape, such as
-    ``quadrics(n)`` and ``collineations(n)``, share the last cone computed.
-    Its pass is seeded with :func:`~formcones.formulas.movable_facets`, so
-    it inserts only the rows that cut the cone those facets give; the seed
-    never changes the cone.  ``brute_force=True`` runs the unoptimized
-    omit-every-generator version for cross-checking, one pass per hull,
-    unseeded, and shares nothing.
+    The cone depends only on the shape of ``s``, so spaces of one shape,
+    such as ``quadrics(n)`` and ``collineations(n)``, share the last cone
+    computed.  Its pass is seeded with
+    :func:`~formcones.formulas.movable_facets`, so it inserts only the rows
+    that cut the cone those facets give; the seed never changes the cone.
+    ``brute_force=True`` runs one unseeded pass per hull, leaving out each
+    column of ``once``, as a cross-check that shares nothing.
 
     Picard rank above ``_MAX_MOVABLE_RANK`` raises :class:`RankUnsupported`,
     as does :func:`require_movable`.
     """
-    rho = require_movable(s)
-    gm = grading_matrix(s)
-    distinct = frozenset(gm.distinct_coords())
+    require_movable(s)
+    shape = _shape(s)
+    rho, distinct, once = shape.rank, frozenset(shape.columns), frozenset(shape.once)
     if brute_force:
         normals: set[Vec] = set()
-        omitted = {distinct - {cls.coords} if mult == 1 else distinct
-                   for cls, mult in gm.columns}
-        for gens in omitted:
+        for gens in {distinct - {c} if c in once else distinct for c in shape.columns}:
             normals.update(cone_from_rays(rho, gens).facets)
         return cone_from_halfspaces(rho, normals)
-    once = frozenset(gm.multiplicity_one_coords())
-    eff = effective_cone(s).facets
-    key = (rho, distinct, once, eff)
-    if key not in _last_movable:
+    if shape not in _last_movable:
         _last_movable.clear()
-        normals = set(eff)
+        normals = set(effective_cone(s).facets)
         for facets in omit_one_hulls(rho, distinct - once, once).values():
             normals.update(facets)
         mov = cone_from_halfspaces(rho, normals)
         mov._seed = movable_facets(s)
-        _last_movable[key] = mov
-    return _last_movable[key]
+        _last_movable[shape] = mov
+    return _last_movable[shape]

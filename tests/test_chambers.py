@@ -26,8 +26,10 @@ from formcones.reports import fan_report
 from formcones.spaces import (
     DivisorClass,
     SpaceSpec,
+    _shape,
     collineations,
     effective_cone,
+    nef_cone,
     quadrics,
 )
 
@@ -150,9 +152,9 @@ def test_gkz_rejects_unsupported_ranks():
 def fresh_walk():
     """An empty walk cache, so the test's spies see the walk run; emptied
     again after the test, so no walk made with a spy in place is kept."""
-    chambers_module._walk_shape.cache_clear()
+    chambers_module._walk.cache_clear()
     yield
-    chambers_module._walk_shape.cache_clear()
+    chambers_module._walk.cache_clear()
 
 
 @pytest.mark.usefixtures("fresh_walk")
@@ -199,7 +201,7 @@ def test_a_second_fan_converts_only_its_chambers(monkeypatch, s, chambers):
     other = SpaceSpec("quadrics" if s.family == "collineations" else "collineations",
                       s.n, s.m, s.stage)
     gkz_fan(s)
-    chambers_module._walk_shape.cache_clear()
+    chambers_module._walk.cache_clear()
     passes = []
     polar = cones_module._polar
 
@@ -221,9 +223,16 @@ def test_a_second_fan_converts_only_its_chambers(monkeypatch, s, chambers):
 def test_walk_counts_beyond_rank_3(s, chambers, walls):
     # Regression values, not numbers from the paper: gkz_fan still refuses
     # rank 4, so the walk is called directly.
-    found, crossed = chambers_module._walk(s)
+    found, crossed = chambers_module._walk(_shape(s), effective_cone(s), nef_cone(s))
     assert (len(found), len(crossed)) == (chambers, walls)
     assert [c.label for c in found].count("Nef") == 1
+
+
+def test_the_walk_cache_holds_every_bundled_shape():
+    # quadrics-2, quadrics-3 and stage1-2 share the shapes of other keys.
+    shapes = {_shape(s) for _, s in bundled_spaces()}
+    assert len(shapes) == 12
+    assert len(shapes) <= chambers_module._walk.cache_info().maxsize
 
 
 def test_gkz_fan_is_deterministic():

@@ -190,7 +190,7 @@ def test_sbl_json_digest(capsys, key):
 def test_fans_of_one_shape_merge_with_their_own_tables(capsys):
     # xn n and qn n share one walk, and each merged fan reads the table of
     # its own space, so in one process either order prints the same bytes.
-    chambers_module._walk_shape.cache_clear()
+    chambers_module._walk.cache_clear()
     for n in (3, 2):
         for key in (f"collineations-{n}-eq", f"quadrics-{n}"):
             flags, digest = SBL_JSON_SHA256[key]
@@ -198,7 +198,7 @@ def test_fans_of_one_shape_merge_with_their_own_tables(capsys):
                                "--format", "json")
             assert rc == 0 and err == ""
             assert hashlib.sha256(out.encode()).hexdigest() == digest, key
-    info = chambers_module._walk_shape.cache_info()
+    info = chambers_module._walk.cache_info()
     assert (info.misses, info.hits) == (2, 2)
 
 
@@ -215,13 +215,13 @@ def test_verify_computes_each_shape_once(monkeypatch, capsys):
     monkeypatch.setattr(chambers_module, "cone_from_halfspaces",
                         lambda *args: cuts.append(args) or cut(*args))
     spaces._last_movable.clear()
-    chambers_module._walk_shape.cache_clear()
+    chambers_module._walk.cache_clear()
     rc, out, _ = run(capsys, "verify", "--suite", "counts")
     assert rc == 0 and out.endswith("\n25/25 checks passed\n")
     assert len(hulls) == 16
     rc, out, _ = run(capsys, "verify", "--suite", "fans")
     assert rc == 0 and out.endswith("\n45/45 checks passed\n")
-    assert chambers_module._walk_shape.cache_info().misses == 12
+    assert chambers_module._walk.cache_info().misses == 12
     # One cut per chamber of each shape: 2 + 3 + 5 + 9, and n + 1 for the
     # first stage of n = 3..10.
     assert len(cuts) == 79
@@ -231,7 +231,7 @@ def test_verify_computes_each_shape_once(monkeypatch, capsys):
                          "--format", "json")
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, key
-    assert chambers_module._walk_shape.cache_info().misses == 12
+    assert chambers_module._walk.cache_info().misses == 12
     assert len(cuts) == 79
 
 

@@ -10,7 +10,6 @@ from formcones.formulas import (
     dim_section_space,
     minor_multiplicity,
     movable_ray_count,
-    osculating_degree,
     plucker_relation_count,
     secant_codim,
     section_space_routes,
@@ -129,11 +128,3 @@ def test_dim_cox():
         assert dim_cox(collineations(1, m)) == 2 * m + 3
     assert dim_cox(quadrics(2)) == 7
     assert dim_cox(collineations(2)) == 10
-
-
-def test_osculating_degree():
-    assert osculating_degree(1, 0) == (1, 4)
-    assert osculating_degree(2, 0) == (2, 9)
-    assert osculating_degree(3, 1) == (4, 30)
-    with pytest.raises(ValueError):
-        osculating_degree(2, 2)

@@ -9,13 +9,15 @@ from formcones.cones import (
     extremal_rays,
     omit_one_hulls,
 )
-from formcones.errors import DegenerateSpace, DimensionMismatch
+from formcones.errors import DegenerateSpace, DimensionMismatch, InternalError
 from formcones.formulas import minor_multiplicity, movable_facets
 from formcones.spaces import (
     CurveClass,
     DivisorClass,
     GradingMatrix,
     SpaceSpec,
+    _involution,
+    _shape,
     anticanonical_class,
     canonical_class,
     collineations,
@@ -233,14 +235,21 @@ def test_omit_one_hulls_match_one_pass_per_hull():
     assert len(spaces) == 243
     problems = {}
     for s in spaces:
-        gm = grading_matrix(s)
-        problems.setdefault((s.picard_rank, frozenset(gm.distinct_coords()),
-                             frozenset(gm.multiplicity_one_coords())), s)
+        problems.setdefault(_shape(s), s)
     assert len(problems) == 90
-    for (rho, distinct, once), s in problems.items():
+    for (rho, columns, once), s in problems.items():
+        distinct, once = frozenset(columns), frozenset(once)
         expected = {c: cone_from_rays(rho, sorted(distinct - {c})).facets
                     for c in once}
         assert omit_one_hulls(rho, distinct - once, once) == expected, s
+
+
+def test_spaces_of_one_format_share_a_shape():
+    # The shape is all that Mov and the chamber walk read of a space.
+    for n in range(2, 12):
+        assert _shape(quadrics(n)) == _shape(collineations(n))
+        assert len({_shape(collineations(n, n + k)) for k in (1, 2, 3)}) == 1
+    assert _shape(collineations(3)) != _shape(collineations(3, 4))
 
 
 def test_omit_one_hulls_edge_cases():
@@ -294,6 +303,42 @@ def test_moving_curves_pair_nonnegatively_with_movable():
         for c in moving_curve_cone(s).rays:
             for d in movable_cone(s).rays:
                 assert pairing(CurveClass(c), DivisorClass(d)) >= 0
+
+
+def _curves_by_halfspaces(divisors):
+    """The reference route: cut out by the flipped extremal rays."""
+    return cone_from_halfspaces(divisors.ambient_rank,
+                                [_involution(r) for r in extremal_rays(divisors)])
+
+
+def test_curve_cones_match_the_halfspace_route():
+    for s in _omit_one_spaces() + [quadrics(40)]:
+        for curves, divisors in ((mori_cone(s), nef_cone(s)),
+                                 (moving_curve_cone(s), effective_cone(s))):
+            reference = _curves_by_halfspaces(divisors)
+            assert curves.rays == reference.rays, s.describe()
+            assert curves.facets == reference.facets, s.describe()
+            assert curves.dim == reference.dim == s.picard_rank
+            assert curves.lineality_dim == reference.lineality_dim == 0
+
+
+def test_curve_cones_run_no_pass(monkeypatch):
+    s = collineations(5, 7)
+    nef, eff = nef_cone(s), effective_cone(s)
+    _ = nef.rays, nef.facets, eff.rays, eff.facets
+    passes = []
+    polar = cones_module._polar
+    monkeypatch.setattr(cones_module, "_polar",
+                        lambda *args: passes.append(args) or polar(*args))
+    for curves in (mori_cone(s), moving_curve_cone(s)):
+        _ = curves.rays, curves.facets, curves.dim, curves.lineality_dim
+    assert passes == []
+
+
+def test_curve_cones_need_a_full_dimensional_divisor_cone():
+    flat = cone_from_rays(3, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(InternalError, match="not full"):
+        spaces_module._curves_against(flat)
 
 
 def test_pairing_oracle():
@@ -408,16 +453,15 @@ def test_seeded_movable_cones_match_the_unseeded_pass():
     # one shape and seed pose one problem.
     problems = {}
     for s in _omit_one_spaces():
-        gm = grading_matrix(s)
-        problems.setdefault((s.picard_rank, frozenset(gm.distinct_coords()),
-                             frozenset(gm.multiplicity_one_coords()),
-                             movable_facets(s)), s)
+        problems.setdefault(_shape(s), s)
+    assert len(problems) == 90
     seeded = 0
-    for (rho, _, _, seed), s in problems.items():
+    for shape, s in problems.items():
         spaces_module._last_movable.clear()
         mov = movable_cone(s)
+        seed = movable_facets(s)
         assert mov._seed == seed
-        plain = cone_from_halfspaces(rho, mov._given[1])
+        plain = cone_from_halfspaces(shape.rank, mov._given[1])
         assert mov.rays == plain.rays, s.describe()
         assert mov.facets == plain.facets, s.describe()
         seeded += bool(seed)
