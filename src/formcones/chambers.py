@@ -97,16 +97,19 @@ def _undirected(v: Vec) -> Vec:
     raise InternalError("zero vector has no direction")
 
 
-def _chamber_at(hulls: list[tuple[Vec, ...]], q: Vec, d: Vec) -> frozenset[int]:
+def _chamber_at(normals: list[Vec], hulls: list[int], q: Vec,
+                d: Vec) -> frozenset[int]:
     """Hull set of the chamber holding ``q + e*d`` for every small ``e > 0``.
 
-    ``hulls`` are the facet lists of the full-dimensional column cones.  A
-    cone holds the point exactly when each facet normal ``g`` has
-    ``(<g, q>, <g, d>) >= (0, 0)`` lexicographically, so no ``e`` is ever
-    chosen.
+    ``normals`` are the distinct facet normals of the full-dimensional
+    column cones, and ``hulls`` each cone as a bitmask over them.  A
+    normal ``g`` holds the point exactly when ``(<g, q>, <g, d>) >= (0,
+    0)`` lexicographically, so no ``e`` is ever chosen, and a cone holds it
+    when all its normals do.  Each normal is tested once per point.
     """
-    held = frozenset(i for i, facets in enumerate(hulls)
-                     if all((dot(g, q), dot(g, d)) >= (0, 0) for g in facets))
+    passing = sum(1 << k for k, g in enumerate(normals)
+                  if (dot(g, q), dot(g, d)) >= (0, 0))
+    held = frozenset(i for i, mask in enumerate(hulls) if mask & passing == mask)
     if not held:
         raise InternalError(f"point {q} escapes every column hull")
     return held
@@ -126,9 +129,12 @@ def _walk(shape: _Shape, eff: Cone,
     hulls = [cone.facets for cone in (cone_from_rays(rho, c)
                                       for c in combinations(shape.columns, rho))
              if cone.is_full_dimensional]
+    normals = sorted({g for facets in hulls for g in facets})
+    bit = {g: 1 << k for k, g in enumerate(normals)}
+    masks = [sum(bit[g] for g in facets) for facets in hulls]
     boundary = set(eff.facets)
     nef_rays = extremal_rays(nef)
-    found = [_chamber_at(hulls, interior_point(nef), (0,) * rho)]
+    found = [_chamber_at(normals, masks, interior_point(nef), (0,) * rho)]
     index = {found[0]: 0}
     chambers: list[Chamber] = []
     crossed: set[tuple[int, int, Vec]] = set()
@@ -141,7 +147,7 @@ def _walk(shape: _Shape, eff: Cone,
             if f in boundary:
                 continue
             q = tuple(map(sum, zip(*(r for r in rays if dot(f, r) == 0))))
-            beyond = _chamber_at(hulls, q, negate(f))
+            beyond = _chamber_at(normals, masks, q, negate(f))
             if beyond not in index:
                 index[beyond] = len(found)
                 found.append(beyond)

@@ -28,11 +28,12 @@ generators differ by one vector, sharing the steps they have in common,
 and gives each cone's facets as the pass over its own generators would.
 
 Most rows of a large pass come after the cone is cut out and keep every
-ray.  The step classifies the rays against such rows on packed lanes, one
-big-int multiply-add per nonzero entry of the row for all rays at once;
-the ray set is packed once, on the first row that leaves it whole, in
-lanes wide enough for every row of the pass, and the lanes are dropped at
-the next row that changes the set.
+ray.  The step tests such rows against all rays at once on packed lanes:
+one big-int multiply-add per nonzero entry of the row, one AND with the
+lanes' top bits that finds any negative ray, and one read-out of the zero
+set only when the row is tight on some ray.  The ray set is packed once,
+on the first row that leaves it whole, in lanes wide enough for every row
+of the pass, and the lanes are dropped at the next row that changes it.
 
 The step and :func:`_read_back` pick the rows that cut out a cone by one
 :func:`_kept_rows`, on zero sets alone, and compute no rank.  This is
@@ -146,8 +147,8 @@ def _polar(rows: Mat, d: int,
     A seeded pass inserts the rows in ``seed`` first, packs the rays they
     cut out once and checks every other row once: it holds on the seed's
     cone when it is zero on the lineality space and one
-    :func:`_lane_signs` call finds no negative ray.  Only the rows that
-    fail are inserted, in their order, and the incidence gains a third
+    :func:`_lane_signs` mask test finds no negative ray.  Only the rows
+    that fail are inserted, in their order, and the incidence gains a third
     entry, the index in ``rows`` of each inserted row.  One round is
     enough: a row that holds on the seed's cone holds on every cone inside
     it, so the inserted rows cut out the cone of all the rows.  Any seed
@@ -161,10 +162,9 @@ def _polar(rows: Mat, d: int,
         _start(d), 0, [rows[i] for i in first], bound)
     if vecs and not isinstance(cols, _Lanes):
         cols = _pack(cols, bound)
-    everyone = (1 << len(vecs)) - 1
     failing = [i for i, a in enumerate(rows) if a not in seed and (
         any(dot(a, v) for v in lin)
-        or vecs and _lane_signs(cols, a)[0] != everyone)]
+        or vecs and _lane_signs(cols, a) is None)]
     state = _inserted((lin, vecs, masks, cols, cand), len(first),
                       [rows[i] for i in failing], bound)
     pair, (masks, cand) = _canonical(state)
@@ -208,11 +208,12 @@ class _Lanes(NamedTuple):
     value.  The values ``<a, r_j>`` of every ray are then one int, one
     big-int multiply-add per nonzero entry of ``a`` (SIMD within a
     register: Lamport, "Multiple byte processing with full-word
-    instructions", 1975).  ``half`` holds ``2 ** (8 * size - 1)`` in every
-    lane; adding it moves each lane's value ``v`` to ``v + 2 ** (8 * size -
-    1)`` with no carry into the next lane as long as ``|v| < 2 ** (8 * size
-    - 2)``, one sign bit and one guard bit, and the lane's top bit is then
-    set exactly when ``v >= 0``.
+    instructions", 1975).  ``half`` holds ``2 ** (8 * size - 1)``, the top
+    bit, in every lane and nothing else; adding it moves each lane's value
+    ``v`` to ``v + 2 ** (8 * size - 1)`` with no carry into the next lane
+    as long as ``|v| < 2 ** (8 * size - 2)``, one sign bit and one guard
+    bit, and the lane's top bit is then set exactly when ``v >= 0``: every
+    lane of ``x`` is nonnegative when ``(half + x) & half == half``.
     """
 
     count: int
@@ -243,24 +244,26 @@ def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
         for col in cols))
 
 
-def _lane_signs(lanes: _Lanes, a: Vec) -> tuple[int, int]:
-    """``(nonneg, zero)``: the rays with ``<a, r> >= 0`` and with ``= 0``.
+def _lane_signs(lanes: _Lanes, a: Vec) -> int | None:
+    """The rays with ``<a, r> = 0``, or ``None`` when some ``<a, r> < 0``.
 
-    Bit ``j`` of each mask stands for ray ``j``.  ``sum(|a_i|)`` must not
-    pass the bound the lanes were packed for (:func:`_pack`).  The lanes
-    of ``half + x`` have their top bit set where ``<a, r> >= 0``, those of
-    ``half - x`` where ``<a, r> <= 0``; each top bit is the first byte of
-    its lane in big-endian order.
+    Bit ``j`` of the zero set stands for ray ``j``.  ``sum(|a_i|)`` must
+    not pass the bound the lanes were packed for (:func:`_pack`).  Every
+    lane of ``half + x`` has its top bit set, and ``half`` holds exactly
+    those bits, when no ray is negative; then the top bits of ``half - x``
+    are the zero set, each the first byte of its lane in big-endian order,
+    and they are read out only when some is set.
     """
     x = 0
     for c, col in zip(a, lanes.cols):
         if c:
             x += c * col
-    size, length = lanes.size, lanes.count * lanes.size
-    nonneg, nonpos = (
-        int((lanes.half + y).to_bytes(length, "big")[::size].translate(_TOP_BIT), 2)
-        for y in (x, -x))
-    return nonneg, nonneg & nonpos
+    half = lanes.half
+    if (half + x) & half != half:
+        return None
+    zero = (half - x) & half
+    return zero and int(zero.to_bytes(lanes.count * lanes.size, "big")
+                        [::lanes.size].translate(_TOP_BIT), 2)
 
 
 def _insert(state, idx: int, a: Vec, bound: int):
@@ -280,11 +283,12 @@ def _insert(state, idx: int, a: Vec, bound: int):
 
     Once the cone is cut out, the remaining rows keep every ray.  So the
     first row that leaves a set of at least ``_PACK_MIN`` rays whole packs
-    its columns into lanes sized for ``bound``, and each later row
-    classifies every ray on the lanes (:func:`_lane_signs`): a row that
-    leaves the set whole then only sets its bit on the rays it is tight
-    on.  The first row that changes the set, by cutting it or in the
-    lineality step, leaves its columns as tuples.
+    its columns into lanes sized for ``bound``, and each later row tests
+    every ray on the lanes at once (:func:`_lane_signs`): a row that leaves
+    the set whole then only sets its bit on the rays it is tight on, read
+    out of the lanes once, and a row that cuts it reads no zero set.
+    The first row that changes the set, by cutting it or in the lineality
+    step, leaves its columns as tuples.
 
     Adjacency is decided on zero sets, as in :func:`_read_back`.  After
     each row the current rays are exactly the extreme rays (modulo the
@@ -328,7 +332,9 @@ def _insert(state, idx: int, a: Vec, bound: int):
     simple go through the pair loop.  Each adjacent pair meets the new
     hyperplane inside its own face, so no new ray is made twice.  Every
     new vector, there and in the lineality step, is :func:`combine` of two
-    current ones, the row operation of :mod:`formcones.linalg`.
+    current ones, the row operation of :mod:`formcones.linalg`; the
+    lineality step leaves a generator on the hyperplane as it is: it is
+    primitive, so :func:`combine` would give it back.
     """
     lin, vecs, masks, cols, cand = state
     d = len(a)
@@ -340,18 +346,19 @@ def _insert(state, idx: int, a: Vec, bound: int):
         s = dot(a, v)
         if s:
             w = v if s > 0 else negate(v)
-            lin = [combine(u, dot(a, u), w, abs(s)) for u in lin[:t] + lin[t + 1:]]
-            vecs = [combine(r, dot(a, r), w, abs(s)) for r in vecs] + [w]
+            lin = [combine(u, su, w, abs(s)) if (su := dot(a, u)) else u
+                   for u in lin[:t] + lin[t + 1:]]
+            vecs = [combine(r, sr, w, abs(s)) if (sr := dot(a, r)) else r
+                    for r in vecs] + [w]
             masks = [mask | bit for mask in masks] + [bit - 1]
             return lin, vecs, masks, list(zip(*vecs)), cand | bit
     if not vecs:
         # The cone is its lineality space, inside the hyperplane.
         return lin, vecs, masks, cols, cand | bit
 
-    everyone = (1 << len(vecs)) - 1
     if isinstance(cols, _Lanes):
-        nonneg, zero = _lane_signs(cols, a)
-        if nonneg == everyone:
+        zero = _lane_signs(cols, a)
+        if zero is not None:
             if zero:
                 masks = masks.copy()
                 for j in _bit_indices(zero):
@@ -360,6 +367,7 @@ def _insert(state, idx: int, a: Vec, bound: int):
         # The row that cuts the packed set, once per set: the columns are
         # tuples again.
         cols = list(zip(*vecs))
+    everyone = (1 << len(vecs)) - 1
     # <a, r> for every ray at once, column by column over the nonzero
     # entries of ``a``.
     values = None
@@ -433,11 +441,9 @@ def _canonical(state) -> tuple[tuple[Mat, Mat], tuple[tuple[int, ...], int]]:
     """The canonical ``((lineality_basis, rays), (masks, cand))`` of a state."""
     lin, vecs, masks, _, cand = state
     lin_basis = row_space_basis(lin)
-    tight: dict[Vec, int] = {}
-    for r, mask in zip(vecs, masks):
-        rr = reduce_mod_rowspace(r, lin_basis)
-        if rr is not None:
-            tight[rr] = mask
+    # With no lineality each ray, primitive and nonzero, is its own form.
+    reduced = [reduce_mod_rowspace(r, lin_basis) for r in vecs] if lin_basis else vecs
+    tight = {r: mask for r, mask in zip(reduced, masks) if r is not None}
     pointed = tuple(sorted(tight))
     return ((tuple(sorted(lin_basis)), pointed),
             (tuple(tight[r] for r in pointed), cand))

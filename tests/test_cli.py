@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from formcones import cli, cones, errors, formulas, refdata, spaces, verify
+from formcones import (cli, cones, errors, formulas, linalg, refdata, spaces,
+                       verify)
 from formcones import chambers as chambers_module
 from formcones.cli import main, parse_n_range
 from formcones.refdata import bundled_fan_keys
@@ -200,6 +201,26 @@ def test_fans_of_one_shape_merge_with_their_own_tables(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, key
     info = chambers_module._walk.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+def test_verify_cones_makes_no_noop_projection(monkeypatch, capsys):
+    # Every vector the pass makes comes from ``combine``.  A lineality step
+    # keeps each generator already on the new hyperplane as it is, so the
+    # cones suite makes 6,800 combinations from fresh cones, where
+    # projecting those generators too made 7,653.
+    calls = []
+    combine = linalg.combine
+
+    def counting(*args):
+        calls.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(linalg, "combine", counting)
+    monkeypatch.setattr(cones, "combine", counting)
+    cones._generated.cache_clear()
+    rc, out, _ = run(capsys, "verify", "--suite", "cones")
+    assert rc == 0 and out.endswith("\n8/8 checks passed\n")
+    assert len(calls) == 6800
 
 
 def test_verify_computes_each_shape_once(monkeypatch, capsys):

@@ -533,13 +533,16 @@ def _signs(values, test):
     return sum(1 << j for j, v in enumerate(values) if test(v))
 
 
+@pytest.mark.parametrize("negative", [None, "first", "last"])
 @pytest.mark.parametrize("reach_bits, words", [(2, 1), (62, 2), (200, 4)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_lane_signs_match_dot(reach_bits, words, data):
+def test_lane_signs_match_dot(reach_bits, words, negative, data):
     # One 64-bit word per lane, two words for coordinates just below a
     # signed 64-bit word, and four for coordinates past it.  Every row's
     # entries lie in [-4, 4], so the lanes are packed for the bound 4 * d.
+    # Each row is also checked against the rays turned to its side, alone
+    # or with one negative ray in the first or the last lane.
     d = data.draw(st.integers(min_value=1, max_value=5))
     coords = st.one_of(st.just(0), coord,
                        st.integers(min_value=-2 ** reach_bits,
@@ -552,9 +555,20 @@ def test_lane_signs_match_dot(reach_bits, words, data):
     assert lanes.size == 8 * words
     for a in rows:
         values = [dot(a, r) for r in vecs]
-        nonneg, zero = cones_module._lane_signs(lanes, a)
-        assert nonneg == _signs(values, lambda v: v >= 0)
-        assert zero == _signs(values, lambda v: v == 0)
+        zero = _signs(values, lambda v: v == 0)
+        assert cones_module._lane_signs(lanes, a) == (
+            None if min(values) < 0 else zero)
+        turned = [r if v >= 0 else negate(r) for r, v in zip(vecs, values)]
+        i = next(i for i, c in enumerate(a) if c)
+        below = tuple(-a[i] // abs(a[i]) if k == i else 0 for k in range(d))
+        if negative == "first":
+            turned.insert(0, below)
+        elif negative == "last":
+            turned.append(below)
+        turned_lanes = cones_module._pack(list(zip(*turned)), 4 * d)
+        assert turned_lanes.size == 8 * words
+        assert cones_module._lane_signs(turned_lanes, a) == (
+            None if negative else zero)
 
 
 def test_packed_and_column_states_step_alike(monkeypatch):
@@ -685,9 +699,9 @@ def _lane_counts(monkeypatch):
         return lanes
 
     def signs(lanes, a):
-        nonneg, zero = lane_signs(lanes, a)
-        kept.append(nonneg == (1 << lanes.count) - 1)
-        return nonneg, zero
+        zero = lane_signs(lanes, a)
+        kept.append(zero is not None)
+        return zero
 
     monkeypatch.setattr(cones_module, "_insert",
                         lambda state, idx, a, bound: inserted.append(idx)
