@@ -206,8 +206,8 @@ def test_fans_of_one_shape_merge_with_their_own_tables(capsys):
 def test_verify_cones_makes_no_noop_projection(monkeypatch, capsys):
     # Every vector the pass makes comes from ``combine``.  A lineality step
     # keeps each generator already on the new hyperplane as it is, so the
-    # cones suite makes 6,800 combinations from fresh cones, where
-    # projecting those generators too made 7,653.
+    # cones suite makes 6,800 combinations from fresh cones; projecting
+    # every generator would make 7,653.
     calls = []
     combine = linalg.combine
 

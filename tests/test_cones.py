@@ -533,11 +533,10 @@ def _signs(values, test):
     return sum(1 << j for j, v in enumerate(values) if test(v))
 
 
-@pytest.mark.parametrize("negative", [None, "first", "last"])
 @pytest.mark.parametrize("reach_bits, words", [(2, 1), (62, 2), (200, 4)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_lane_signs_match_dot(reach_bits, words, negative, data):
+def test_lane_signs_match_dot(reach_bits, words, data):
     # One 64-bit word per lane, two words for coordinates just below a
     # signed 64-bit word, and four for coordinates past it.  Every row's
     # entries lie in [-4, 4], so the lanes are packed for the bound 4 * d.
@@ -561,14 +560,12 @@ def test_lane_signs_match_dot(reach_bits, words, negative, data):
         turned = [r if v >= 0 else negate(r) for r, v in zip(vecs, values)]
         i = next(i for i, c in enumerate(a) if c)
         below = tuple(-a[i] // abs(a[i]) if k == i else 0 for k in range(d))
-        if negative == "first":
-            turned.insert(0, below)
-        elif negative == "last":
-            turned.append(below)
-        turned_lanes = cones_module._pack(list(zip(*turned)), 4 * d)
-        assert turned_lanes.size == 8 * words
-        assert cones_module._lane_signs(turned_lanes, a) == (
-            None if negative else zero)
+        # No negative ray, then the only one in the first and in the last lane.
+        for rays, want in ((turned, zero), ([below] + turned, None),
+                           (turned + [below], None)):
+            packed = cones_module._pack(list(zip(*rays)), 4 * d)
+            assert packed.size == 8 * words
+            assert cones_module._lane_signs(packed, a) == want
 
 
 def test_packed_and_column_states_step_alike(monkeypatch):
