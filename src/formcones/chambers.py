@@ -105,10 +105,11 @@ def _chamber_at(normals: list[Vec], hulls: list[int], q: Vec,
     column cones, and ``hulls`` each cone as a bitmask over them.  A
     normal ``g`` holds the point exactly when ``(<g, q>, <g, d>) >= (0,
     0)`` lexicographically, so no ``e`` is ever chosen, and a cone holds it
-    when all its normals do.  Each normal is tested once per point.
+    when all its normals do.  Each normal is tested once per point, and
+    ``<g, d>`` is computed only where ``<g, q> = 0``.
     """
     passing = sum(1 << k for k, g in enumerate(normals)
-                  if (dot(g, q), dot(g, d)) >= (0, 0))
+                  if (s := dot(g, q)) > 0 or s == 0 and dot(g, d) >= 0)
     held = frozenset(i for i, mask in enumerate(hulls) if mask & passing == mask)
     if not held:
         raise InternalError(f"point {q} escapes every column hull")

@@ -19,8 +19,9 @@ vector, from which :func:`_read_back` recovers the canonical pair of the
 given side without a second pass.  So each cone runs at most one pass.
 
 A pass can be seeded with rows expected to be facets: it inserts those
-first and any other row only if it cuts the cone they give, so a seed
-spares the pass its redundant rows and never changes the result.
+first and any other row only if its signs on the lanes cut the cone they
+give, so a seed spares the pass its redundant rows and never changes the
+result.
 
 The one place that computes facets without building a cone is
 :func:`omit_one_hulls`: it drives the same step over many cones whose
@@ -43,6 +44,7 @@ cut out by the rows tight on all of them.  Neither reads the zero set of
 every row, only of the candidate rows that the pass carries: a row that
 is not kept at one cut is not kept at a later one, unless a row in
 between lowers the dimension (Fukuda & Prodon 1996; :func:`_insert`).
+A simple ray's edges are read off its kept rows with no face test.
 The masks stay over all rows.  The only rank test left is the
 certificate of :func:`extremal_rays`, which recomputes its tight rows by
 inner products and so stays independent of the pass.  Every vector the
@@ -146,13 +148,13 @@ def _polar(rows: Mat, d: int,
 
     A seeded pass inserts the rows in ``seed`` first, packs the rays they
     cut out once and checks every other row once: it holds on the seed's
-    cone when it is zero on the lineality space and one
-    :func:`_lane_signs` mask test finds no negative ray.  Only the rows
-    that fail are inserted, in their order, and the incidence gains a third
-    entry, the index in ``rows`` of each inserted row.  One round is
-    enough: a row that holds on the seed's cone holds on every cone inside
-    it, so the inserted rows cut out the cone of all the rows.  Any seed
-    gives the same result; one with no row among ``rows`` changes nothing.
+    cone when it is zero on the lineality space and :func:`_lane_holds`
+    finds no negative ray.  Only the rows that fail are inserted, in their
+    order, and the incidence gains a third entry, the index in ``rows`` of
+    each inserted row.  One round is enough: a row that holds on the
+    seed's cone holds on every cone inside it, so the inserted rows cut
+    out the cone of all the rows.  Any seed gives the same result; one
+    with no row among ``rows`` changes nothing.
     """
     bound = _bound(rows)
     first = [i for i, a in enumerate(rows) if a in seed] if seed else []
@@ -164,7 +166,7 @@ def _polar(rows: Mat, d: int,
         cols = _pack(cols, bound)
     failing = [i for i, a in enumerate(rows) if a not in seed and (
         any(dot(a, v) for v in lin)
-        or vecs and _lane_signs(cols, a) is None)]
+        or vecs and not _lane_holds(cols, a))]
     state = _inserted((lin, vecs, masks, cols, cand), len(first),
                       [rows[i] for i in failing], bound)
     pair, (masks, cand) = _canonical(state)
@@ -244,20 +246,31 @@ def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
         for col in cols))
 
 
-def _lane_signs(lanes: _Lanes, a: Vec) -> int | None:
-    """The rays with ``<a, r> = 0``, or ``None`` when some ``<a, r> < 0``.
-
-    Bit ``j`` of the zero set stands for ray ``j``.  ``sum(|a_i|)`` must
-    not pass the bound the lanes were packed for (:func:`_pack`).  Every
-    lane of ``half + x`` has its top bit set, and ``half`` holds exactly
-    those bits, when no ray is negative; then the top bits of ``half - x``
-    are the zero set, each the first byte of its lane in big-endian order,
-    and they are read out only when some is set.
-    """
+def _lane_sum(lanes: _Lanes, a: Vec) -> int:
+    """``<a, r_j>`` in lane ``j``; ``sum(|a_i|)`` within :func:`_pack`'s bound."""
     x = 0
     for c, col in zip(a, lanes.cols):
         if c:
             x += c * col
+    return x
+
+
+def _lane_holds(lanes: _Lanes, a: Vec) -> bool:
+    """True when no ray has ``<a, r> < 0``; reads no zero set."""
+    half = lanes.half
+    return (half + _lane_sum(lanes, a)) & half == half
+
+
+def _lane_signs(lanes: _Lanes, a: Vec) -> int | None:
+    """The rays with ``<a, r> = 0``, or ``None`` when some ``<a, r> < 0``.
+
+    Bit ``j`` of the zero set stands for ray ``j``.  Every lane of ``half
+    + x`` has its top bit set, and ``half`` holds exactly those bits, when
+    no ray is negative; then the top bits of ``half - x`` are the zero set,
+    each the first byte of its lane in big-endian order, and they are read
+    out only when some is set.
+    """
+    x = _lane_sum(lanes, a)
     half = lanes.half
     if (half + x) & half != half:
         return None
@@ -329,12 +342,15 @@ def _insert(state, idx: int, a: Vec, bound: int):
     of them by prefix and suffix ANDs.  This is the pivot step of reverse
     search (Avis & Fukuda, "A pivoting algorithm for convex hulls and
     vertex enumeration", 1992).  Only the negative rays that are not
-    simple go through the pair loop.  Each adjacent pair meets the new
-    hyperplane inside its own face, so no new ray is made twice.  Every
-    new vector, there and in the lineality step, is :func:`combine` of two
-    current ones, the row operation of :mod:`formcones.linalg`; the
-    lineality step leaves a generator on the hyperplane as it is: it is
-    primitive, so :func:`combine` would give it back.
+    simple go through the pair loop, and there a simple positive ray needs
+    no face test: the ``d - dim lineality - 2`` of its kept rows that a
+    negative ray shares cut out a 2-face, which holds the two rays alone.
+    Each adjacent pair meets the new hyperplane inside its own face, so no
+    new ray is made twice.  Every new vector, there and in the lineality
+    step, is :func:`combine` of two current ones, the row operation of
+    :mod:`formcones.linalg`; the lineality step leaves a generator on the
+    hyperplane as it is: it is primitive, so :func:`combine` would give it
+    back.
     """
     lin, vecs, masks, cols, cand = state
     d = len(a)
@@ -422,16 +438,20 @@ def _insert(state, idx: int, a: Vec, bound: int):
         if ap <= 0:
             continue
         cand = keep | bit
+        if not fallback:
+            break
+        simple = (pmask & keep).bit_count() == target + 1
         for nvec, nmask, an in fallback:
             common = pmask & nmask
             if (common & keep).bit_count() < target:
                 continue
-            # The rays holding ``common``: ``p``, ``n`` and any third.
-            face = everyone
-            for i in _bit_indices(common & keep):
-                face &= holding[i]
-            if face.bit_count() > 2:
-                continue
+            if not simple:
+                # The rays holding ``common``: ``p``, ``n`` and any third.
+                face = everyone
+                for i in _bit_indices(common & keep):
+                    face &= holding[i]
+                if face.bit_count() > 2:
+                    continue
             new_vecs.append(combine(nvec, an, p, ap))
             new_masks.append(common | bit)
     return lin, new_vecs, new_masks, list(zip(*new_vecs)), cand

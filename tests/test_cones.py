@@ -41,6 +41,7 @@ from formcones.verify import (
     fuzz_cases,
     run_suite,
 )
+from test_spaces import _omit_one_spaces
 
 coord = st.integers(min_value=-4, max_value=4)
 
@@ -436,27 +437,33 @@ def test_insert_leaves_its_state_unchanged():
     assert isinstance(state[3], cones_module._Lanes)
 
 
-# -- the two ray steps of the pass ---------------------------------------------
+# -- the ray steps of the pass -------------------------------------------------
 #
 # A negative ray tight on exactly d - 1 current facets is simple and its
 # edges are read off by the pivot; any other negative ray goes through the
-# pair loop.  _ray_steps records which of the two runs at which row, by
-# tracing the lines of _polar's row step, _insert, that only each ray step
-# executes; the row is _insert's ``idx`` argument.
+# pair loop.  There a simple positive ray makes an edge with every negative
+# one that shares d - 2 of its facets, with no face test.  _ray_steps
+# records which step runs at which row, by tracing the lines of _polar's
+# row step, _insert, that mark each step; the row is _insert's ``idx``
+# argument.
+
+_STEPS = {"pivot": "prefix &= h", "pair loop": "face &= holding[i]",
+          "simple positive ray": "combine(nvec, an, p, ap)"}
 
 
-def _ray_steps(build):
-    """``(row index, step)`` for every ray step ``_insert`` runs in ``build``."""
+def _trace_insert(build, markers, visit):
+    """Run ``build``, calling ``visit(step, f_locals)`` at ``_insert``'s marker lines.
+
+    ``markers`` maps each step to a text that only its line holds.
+    """
     lines, first = inspect.getsourcelines(cones_module._insert)
-    markers = {"pivot": "prefix &= h", "pair loop": "face &= holding[i]"}
     steps = {first + i: step for i, line in enumerate(lines)
              for step, text in markers.items() if text in line}
     assert sorted(steps.values()) == sorted(markers), "a marker line moved"
-    seen = set()
 
     def in_insert(frame, event, arg):
         if event == "line" and frame.f_lineno in steps:
-            seen.add((frame.f_locals["idx"], steps[frame.f_lineno]))
+            visit(steps[frame.f_lineno], frame.f_locals)
         return in_insert
 
     def calls(frame, event, arg):
@@ -468,6 +475,19 @@ def _ray_steps(build):
         build()
     finally:
         sys.settrace(previous)
+
+
+def _ray_steps(build):
+    """``(row index, step)`` for every ray step ``_insert`` runs in ``build``."""
+    seen = set()
+
+    def visit(step, local):
+        # Past the face test the edge line runs too: it marks the shortcut
+        # only for a simple ``p``.
+        if step != "simple positive ray" or local["simple"]:
+            seen.add((local["idx"], step))
+
+    _trace_insert(build, _STEPS, visit)
     return sorted(seen)
 
 
@@ -481,22 +501,25 @@ def test_cone_over_a_cube():
     # Every ray lies on 3 of the 6 facets, in rank 4: all are simple.  The
     # first four rows cut out a simplicial cone, which (0, 1, 0, 1) cuts by
     # the pivot; that leaves (-1, 0, 0, 0) on four facets, and the last
-    # row removes it through the pair loop.  The facets of the cone over
-    # the octahedron are the rows of the same pass.
+    # row removes it through the pair loop, where every positive ray is
+    # simple and needs no face test.  The facets of the cone over the
+    # octahedron are the rows of the same pass.
     assert cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays == CUBE_RAYS
     assert cone_from_rays(4, OCTAHEDRON_RAYS).facets == CUBE_RAYS
     assert _ray_steps(lambda: cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays) \
-        == [(4, "pivot"), (5, "pair loop")]
+        == [(4, "pivot"), (5, "simple positive ray")]
 
 
 def test_cone_over_an_octahedron():
     # Every ray lies on 4 of the 8 facets, in rank 4: none is simple.  The
     # cones cut out on the way have simple rays, so the pivot runs at rows
-    # 3, 5 and 7, and the pair loop at row 6.
+    # 3, 5 and 7, and the pair loop at row 6, where it tests faces for the
+    # positive rays that are not simple and none for those that are.
     assert cone_from_halfspaces(4, CUBE_RAYS).rays == OCTAHEDRON_RAYS
     assert cone_from_rays(4, CUBE_RAYS).facets == OCTAHEDRON_RAYS
     assert _ray_steps(lambda: cone_from_halfspaces(4, CUBE_RAYS).rays) == [
-        (3, "pivot"), (5, "pivot"), (6, "pair loop"), (7, "pivot")]
+        (3, "pivot"), (5, "pivot"), (6, "pair loop"),
+        (6, "simple positive ray"), (7, "pivot")]
 
 
 def test_cone_with_an_implicit_equality():
@@ -513,6 +536,56 @@ def test_cone_with_an_implicit_equality():
     assert c.dim == 3
     assert _ray_steps(lambda: cone_from_halfspaces(4, rows).rays) \
         == [(3, "pivot"), (5, "pair loop")]
+
+
+@pytest.mark.usefixtures("fresh_movable")
+def test_every_shortcut_edge_spans_a_two_face():
+    # A simple positive ray p lies on d - 1 independent kept rows, so the
+    # d - 2 of them that a negative ray n shares cut out a 2-face holding p
+    # and n alone.  Checked at every edge the shortcut makes, on both sides
+    # of the duality and cofactor oracles and the fuzz cases, and in every
+    # omit-one hull and movable pass of the spaces of Picard rank 2 to 10.
+    checked = []
+
+    def visit(step, local):
+        if not local["simple"]:
+            return
+        face = local["everyone"]
+        for i in cones_module._bit_indices(local["common"] & local["keep"]):
+            face &= local["holding"][i]
+        masks = local["masks"]
+        pair = 1 << masks.index(local["pmask"]) | 1 << masks.index(local["nmask"])
+        checked.append(face == pair)
+
+    def build():
+        cones_module._generated.cache_clear()
+        cases = [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
+        for d, vecs in cases + _oracle_corpus() + fuzz_cases():
+            for c in (cone_from_halfspaces(d, vecs), cone_from_rays(d, vecs)):
+                dd_convert(c)
+        for s in {spaces_module._shape(s): s for s in _omit_one_spaces()}.values():
+            movable_cone(s).rays
+
+    _trace_insert(build, {"edge": _STEPS["simple positive ray"]}, visit)
+    assert len(checked) > 1000 and all(checked)
+
+
+@pytest.mark.usefixtures("fresh_movable")
+def test_movable_cone_of_quadrics_12_tests_no_face():
+    # Every cut of Mov(quadrics(12))'s hulls and seeded pass that reaches the
+    # pair loop leaves one negative ray, a non-simple apex, facing simple
+    # positive rays: 2,044 pairs reach the pair loop, and none needs the
+    # face test.
+    counts = {"pair": 0, "face": 0}
+
+    def visit(step, local):
+        counts[step] += 1
+
+    cones_module._generated.cache_clear()
+    _trace_insert(lambda: movable_cone(quadrics(12)).rays,
+                  {"pair": "common = pmask & nmask", "face": "face = everyone"},
+                  visit)
+    assert counts == {"pair": 2044, "face": 0}
 
 
 # -- classification on packed lanes ---------------------------------------------
@@ -682,13 +755,15 @@ def test_omit_one_hulls_on_packed_lanes(monkeypatch):
 def _lane_counts(monkeypatch):
     """Spy on the pass: rows inserted, packs made, and each lane check.
 
-    Returns ``(inserted, packs, kept)``: the position of each row
-    ``_insert`` is given, the ``(count, size)`` of each ``_pack``, and for
-    each ``_lane_signs`` call whether it found no negative ray.
+    Returns ``(inserted, packs, kept, zeros)``: the position of each row
+    ``_insert`` is given, the ``(count, size)`` of each ``_pack``, for each
+    ``_lane_signs`` or ``_lane_holds`` call whether it found no negative
+    ray, and what each ``_lane_signs`` call returned.  Only ``_lane_signs``
+    reads a zero set.
     """
-    inserted, packs, kept = [], [], []
+    inserted, packs, kept, zeros = [], [], [], []
     insert, pack = cones_module._insert, cones_module._pack
-    lane_signs = cones_module._lane_signs
+    lane_signs, lane_holds = cones_module._lane_signs, cones_module._lane_holds
 
     def packing(cols, bound):
         lanes = pack(cols, bound)
@@ -698,14 +773,20 @@ def _lane_counts(monkeypatch):
     def signs(lanes, a):
         zero = lane_signs(lanes, a)
         kept.append(zero is not None)
+        zeros.append(zero)
         return zero
+
+    def holds(lanes, a):
+        kept.append(lane_holds(lanes, a))
+        return kept[-1]
 
     monkeypatch.setattr(cones_module, "_insert",
                         lambda state, idx, a, bound: inserted.append(idx)
                         or insert(state, idx, a, bound))
     monkeypatch.setattr(cones_module, "_pack", packing)
     monkeypatch.setattr(cones_module, "_lane_signs", signs)
-    return inserted, packs, kept
+    monkeypatch.setattr(cones_module, "_lane_holds", holds)
+    return inserted, packs, kept, zeros
 
 
 def _quadrics_12_rows():
@@ -722,25 +803,28 @@ def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # word, and classifies 53 later rows on the lanes; none of them cuts
     # the set.
     rows = _quadrics_12_rows()
-    inserted, packs, kept = _lane_counts(monkeypatch)
+    inserted, packs, kept, zeros = _lane_counts(monkeypatch)
     assert len(cone_from_halfspaces(12, rows).rays) == 2048
     assert inserted == list(range(144))
     assert packs == [(2048, 8)]
     assert len(kept) == 53 and all(kept)
+    assert len(zeros) == 53
 
 
 @pytest.mark.usefixtures("fresh_movable")
 def test_seeded_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # Seeded with the 22 closed-form facets, the pass inserts those alone,
     # packs the 2,048 rays they cut out once, and checks each of the 122
-    # other rows with one lane call; every one keeps every ray.
+    # other rows with one sign test on the lanes; every one keeps every ray,
+    # and no check reads a zero set, although 110 rows are tight on some.
     mov = movable_cone(quadrics(12))
     assert len(mov._seed) == 22
-    inserted, packs, kept = _lane_counts(monkeypatch)
+    inserted, packs, kept, zeros = _lane_counts(monkeypatch)
     assert len(mov.rays) == 2048
     assert inserted == list(range(22))
     assert packs == [(2048, 8)]
     assert len(kept) == 122 and all(kept)
+    assert zeros == []
 
 
 # -- candidate rows ------------------------------------------------------------
@@ -936,7 +1020,7 @@ def test_an_empty_seed_inserts_every_row_in_order(monkeypatch):
     # order, and an incidence with no order of its own.
     rows = _validated(CROSS_RAYS + CROSS_INSIDE, 7, "normal")
     plain = _polar(rows, 7)
-    inserted, _, _ = _lane_counts(monkeypatch)
+    inserted, _, _, _ = _lane_counts(monkeypatch)
     for seed in (frozenset(), frozenset({(1,) * 7})):
         assert (1,) * 7 not in rows
         inserted.clear()
