@@ -203,10 +203,10 @@ class GradingMatrix(NamedTuple):
 _MAX_CONE_RANK = 128
 # quadrics(16) has 2^15 movable rays.  On a 2-vCPU Xeon VM with Python 3.11,
 # each run in a fresh process, `movable_cone(quadrics(16)).rays` took
-# 0.79-1.21 s after import, omit-one hulls included, at 50.3-50.4 MB peak RSS
-# over ten runs (quadrics(15): 0.33-0.57 s at 31.5-31.7 MB, seven runs).  Each
+# 0.42-0.71 s after import, omit-one hulls included, at 50.4-50.6 MB peak RSS
+# over ten runs (quadrics(15): 0.20-0.31 s at 31.5-31.6 MB, seven runs).  Each
 # further rank doubles the ray count: quadrics(17), with this bound raised,
-# took 1.99-2.04 s at 89.5 MB (two runs).  Rank 17 stays refused until tested.
+# took 1.00-1.02 s at 89.4 MB (two runs).  Rank 17 stays refused until tested.
 _MAX_MOVABLE_RANK = 16
 # The chamber walk runs in any rank, but only ranks 2 and 3 are checked
 # against reference counts.
