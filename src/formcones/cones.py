@@ -33,8 +33,9 @@ ray.  The step tests such rows against all rays at once on packed lanes:
 one big-int multiply-add per nonzero entry of the row, one AND with the
 lanes' top bits that finds any negative ray, and one read-out of the zero
 set only when the row is tight on some ray.  The ray set is packed once,
-on the first row that leaves it whole, in lanes wide enough for every row
-of the pass, and the lanes are dropped at the next row that changes it.
+on the first row that leaves it whole, in lanes of the fewest whole bytes
+that hold every row of the pass, and the lanes are dropped at the next row
+that changes it.
 
 The step and :func:`_read_back` pick the rows that cut out a cone by one
 :func:`_kept_rows`, on zero sets alone, and compute no rank.  This is
@@ -192,11 +193,12 @@ def _bound(rows: Iterable[Vec]) -> int:
 
 
 # A ray set is packed into lanes once it holds this many rays and a row
-# leaves it whole.  On a 2-vCPU Xeon VM with Python 3.11, in rank 12, one
-# pack cost as much as the column route saves on 3.5-5 later rows at 16 to
-# 2,048 rays, and on 10 rows at 8 rays.  In perfbench's fans-verify command
-# list the ray sets under 64 rays would serve 2.4 lane rows per pack (187
-# packs), those of 64 rays or more 23 (10 packs).
+# leaves it whole.  On a 2-vCPU Xeon VM with Python 3.11, on 8 to 2,048 of
+# Mov(quadrics(12))'s rays in 4-byte lanes, one pack cost as much as the
+# column route saves on 12-14 of its rows that read a zero set, or on 8-9
+# checked by sign alone.  In perfbench's fans-verify command list the ray
+# sets under 64 rays would serve 2.4 lane rows per pack (187 packs), those
+# of 64 rays or more 23 (10 packs).
 _PACK_MIN = 64
 # Byte ``b`` reads as the binary digit of its top bit.
 _TOP_BIT = bytes(b"01"[b >> 7] for b in range(256))
@@ -206,8 +208,8 @@ class _Lanes(NamedTuple):
     """The coordinates of a ray set by column, packed into lanes.
 
     Column ``i`` is one int, the sum of ``r_j[i] << (8 * size * j)`` over
-    the rays ``r_j``: a lane of ``size`` bytes per ray, holding a signed
-    value.  The values ``<a, r_j>`` of every ray are then one int, one
+    the rays ``r_j``: a lane of ``size`` whole bytes per ray, holding a
+    signed value.  The values ``<a, r_j>`` of every ray are then one int, one
     big-int multiply-add per nonzero entry of ``a`` (SIMD within a
     register: Lamport, "Multiple byte processing with full-word
     instructions", 1975).  ``half`` holds ``2 ** (8 * size - 1)``, the top
@@ -225,16 +227,16 @@ class _Lanes(NamedTuple):
 
 
 def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
-    """The columns ``cols`` in lanes of ``64 * k`` bits, sized for ``bound``.
+    """The columns ``cols`` in lanes of whole bytes, sized for ``bound``.
 
     ``bound`` is at least ``sum(|a_i|)`` for every row ``a`` that will be
     classified on the lanes, so ``bound * reach``, with ``reach`` the
     largest absolute coordinate, bounds every ``|<a, r_j>|``.  The lanes
-    are the narrowest that hold that value with a sign bit and a guard bit.
+    have the fewest bytes that hold that value with a sign bit and a guard
+    bit.
     """
     reach = max(max(max(col), -min(col)) for col in cols)
-    words = ((bound * reach).bit_length() + 2 + 63) // 64
-    count, size = len(cols[0]), 8 * words
+    count, size = len(cols[0]), ((bound * reach).bit_length() + 2 + 7) // 8
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
     top, half = 1 << (8 * size - 1), ones << (8 * size - 1)
     # Each lane is written as its coordinate ``x`` plus ``top``, which lies
@@ -306,7 +308,8 @@ def _insert(state, idx: int, a: Vec, bound: int):
     Adjacency is decided on zero sets, as in :func:`_read_back`.  After
     each row the current rays are exactly the extreme rays (modulo the
     lineality space) of the cone cut out so far, and each mask is exactly
-    its ray's zero set, so no two masks are equal.
+    its ray's zero set, so no two masks are equal; a cut that makes two
+    equal raises :class:`InternalError`.
 
     At each row that leaves a negative ray, the step keeps the rows that
     cut out the current cone: one row per maximal set of tight rays (a
@@ -454,6 +457,9 @@ def _insert(state, idx: int, a: Vec, bound: int):
                     continue
             new_vecs.append(combine(nvec, an, p, ap))
             new_masks.append(common | bit)
+    if len(set(new_masks)) < len(new_masks):
+        raise InternalError(f"two rays with one zero set at row {idx} of a "
+                            "double-description pass")
     return lin, new_vecs, new_masks, list(zip(*new_vecs)), cand
 
 

@@ -11,6 +11,7 @@ from formcones.cli import main, parse_n_range
 from formcones.refdata import bundled_fan_keys
 from formcones.reports import canonical_json
 from formcones.spaces import nef_cone, quadrics
+from test_cones import _trace_insert
 
 X3_MOV_JSON = (
     '{"basis":["H","E_1","E_2"],"cone":"mov",'
@@ -331,6 +332,29 @@ def test_missing_reference_data_exit_code(capsys):
     rc, _, err = run(capsys, "chambers", "--family", "xn", "--n", "5",
                      "--stage", "2", "--sbl")
     assert rc == 4
+
+
+def test_a_wrong_edge_exits_1_with_one_line(capsys):
+    # The pivot pairs a simple negative ray with its first edge's other ray
+    # for every facet it drops, so it makes one wrong edge twice.  The step
+    # finds two rays with one zero set, and the command stops there.
+    first = {}
+
+    def visit(step, local):
+        if local["prefix"] == local["everyone"] ^ 1 << local["j"]:
+            first["k"] = local["k"]
+        else:
+            local["k"] = first["k"]
+
+    spaces._last_movable.clear()
+    ran = []
+    _trace_insert(lambda: ran.append(run(capsys, "cone", "--family", "qn", "--n",
+                                         "6", "--cone", "mov")),
+                  {"pivot": "prefix &= h"}, visit)
+    [(rc, out, err)] = ran
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "zero set" in err
 
 
 def test_verify_ok(capsys):

@@ -588,6 +588,24 @@ def test_movable_cone_of_quadrics_12_tests_no_face():
     assert counts == {"pair": 2044, "face": 0}
 
 
+@pytest.mark.usefixtures("fresh_movable")
+def test_a_wrong_edge_stops_the_pass():
+    # Taking every positive ray as simple skips the face test, so the pair
+    # loop makes edges that are not.  In the second pass over
+    # Mov(quadrics(6))'s rays two of the rays it makes share a zero set, and
+    # the step raises at that cut instead of going on with a wrong cone.
+    rays = movable_cone(quadrics(6)).rays
+
+    def visit(step, local):
+        local["simple"] = True
+
+    cones_module._generated.cache_clear()
+    with pytest.raises(InternalError, match="zero set"):
+        _trace_insert(lambda: cone_from_rays(6, rays).facets,
+                      {"pair": "common = pmask & nmask"}, visit)
+    cones_module._generated.cache_clear()
+
+
 # -- classification on packed lanes ---------------------------------------------
 #
 # Once a row leaves a set of at least _PACK_MIN rays whole, the step packs the
@@ -606,15 +624,28 @@ def _signs(values, test):
     return sum(1 << j for j, v in enumerate(values) if test(v))
 
 
+def _narrowest(lanes, bound, vecs):
+    """True when ``lanes`` has the fewest bytes that hold ``bound * reach``.
+
+    A lane of ``size`` bytes holds ``|v| < 2 ** (8 * size - 2)``; one byte
+    fewer would not.
+    """
+    most = bound * max(abs(x) for r in vecs for x in r)
+    return most < 2 ** (8 * lanes.size - 2) and (
+        lanes.size == 1 or most >= 2 ** (8 * lanes.size - 10))
+
+
 @pytest.mark.parametrize("reach_bits, words", [(2, 1), (62, 2), (200, 4)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lane_signs_match_dot(reach_bits, words, data):
-    # One 64-bit word per lane, two words for coordinates just below a
-    # signed 64-bit word, and four for coordinates past it.  Every row's
-    # entries lie in [-4, 4], so the lanes are packed for the bound 4 * d.
-    # Each row is also checked against the rays turned to its side, alone
-    # or with one negative ray in the first or the last lane.
+    # Coordinates up to 2^2, up to 2^62, just below a signed 64-bit word,
+    # and up to 2^200, past it: lanes of one or two bytes, of nine, and of
+    # 26, each the narrowest and never wider than the ``words`` 64-bit
+    # words that hold the same values.  Every row's entries lie in [-4, 4],
+    # so the lanes are packed for the bound 4 * d.  Each row is also
+    # checked against the rays turned to its side, alone or with one
+    # negative ray in the first or the last lane.
     d = data.draw(st.integers(min_value=1, max_value=5))
     coords = st.one_of(st.just(0), coord,
                        st.integers(min_value=-2 ** reach_bits,
@@ -624,7 +655,7 @@ def test_lane_signs_match_dot(reach_bits, words, data):
     rows = data.draw(st.lists(st.tuples(*[coord] * d).filter(any), min_size=1,
                               max_size=6))
     lanes = cones_module._pack(list(zip(*vecs)), 4 * d)
-    assert lanes.size == 8 * words
+    assert _narrowest(lanes, 4 * d, vecs) and lanes.size <= 8 * words
     for a in rows:
         values = [dot(a, r) for r in vecs]
         zero = _signs(values, lambda v: v == 0)
@@ -637,8 +668,39 @@ def test_lane_signs_match_dot(reach_bits, words, data):
         for rays, want in ((turned, zero), ([below] + turned, None),
                            (turned + [below], None)):
             packed = cones_module._pack(list(zip(*rays)), 4 * d)
-            assert packed.size == 8 * words
+            assert _narrowest(packed, 4 * d, rays) and packed.size <= 8 * words
             assert cones_module._lane_signs(packed, a) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 9])
+def test_lanes_at_the_edge_of_their_width(k):
+    # bound * reach one below 2^(8k - 2) fits lanes of k bytes, and exactly
+    # 2^(8k - 2) takes k + 1.  Every row reaches the bound on some ray, so
+    # a lane holds +-bound * reach; each row is checked on the rays turned
+    # to its side, alone and with the ray of value -bound * reach in the
+    # first or the last lane.
+    for most, size, bound, rows in (
+            (2 ** (8 * k - 2) - 1, k, 3,
+             [(1, 2), (2, -1), (-1, 2), (-2, -1), (0, 3)]),
+            (2 ** (8 * k - 2), k + 1, 4,
+             [(1, 3), (3, -1), (-2, 2), (-1, -3), (4, 0)])):
+        reach = most // bound
+        xs = (-reach, 1 - reach, -1, 0, 1, reach - 1, reach)
+        vecs = [(x, y) for x in xs for y in xs if x or y]
+        assert bound * reach == most
+        for a in rows:
+            turned = [r if dot(a, r) >= 0 else negate(r) for r in vecs]
+            values = [dot(a, r) for r in turned]
+            assert max(values) == most
+            below = negate(turned[values.index(most)])
+            for rays in (turned, [below] + turned, turned + [below]):
+                lanes = cones_module._pack(list(zip(*rays)), bound)
+                assert lanes.size == size
+                values = [dot(a, r) for r in rays]
+                holds = min(values) >= 0
+                assert cones_module._lane_holds(lanes, a) == holds
+                assert cones_module._lane_signs(lanes, a) == (
+                    _signs(values, lambda v: v == 0) if holds else None)
 
 
 def test_packed_and_column_states_step_alike(monkeypatch):
@@ -660,11 +722,11 @@ def test_packed_and_column_states_step_alike(monkeypatch):
     plain = cones_module._inserted(cones_module._start(7), 0, rows[:-1], bound)
     packed = cones_module._insert(plain, len(rows) - 1, rows[-1], bound)
     assert isinstance(packed[3], cones_module._Lanes)
-    assert packed[3].size == 16
-    # Without the wide rows the same set packs into one word per lane.
+    assert packed[3].size == 9
+    # Without the wide rows the same set packs into one byte per lane.
     narrow = cones_module._inserted(cones_module._start(7), 0, rows,
                                     cones_module._bound(rows))
-    assert narrow[3].size == 8
+    assert narrow[3].size == 1
     columns = packed[:3] + (list(zip(*packed[1])), packed[4])
     lane_signs = cones_module._lane_signs
     for a, cuts in cases:
@@ -799,14 +861,15 @@ def _quadrics_12_rows():
 @pytest.mark.usefixtures("fresh_movable")
 def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # The unseeded pass over Mov(quadrics(12))'s 144 rows inserts all of
-    # them.  It packs its ray set once, 2,048 rays on lanes of one 64-bit
-    # word, and classifies 53 later rows on the lanes; none of them cuts
-    # the set.
+    # them.  It packs its ray set once, 2,048 rays on lanes of 4 bytes, as
+    # 29 bits hold bound 25 times reach 3,932,160 with a sign and a guard
+    # bit, and classifies 53 later rows on the lanes; none of them cuts the
+    # set.
     rows = _quadrics_12_rows()
     inserted, packs, kept, zeros = _lane_counts(monkeypatch)
     assert len(cone_from_halfspaces(12, rows).rays) == 2048
     assert inserted == list(range(144))
-    assert packs == [(2048, 8)]
+    assert packs == [(2048, 4)]
     assert len(kept) == 53 and all(kept)
     assert len(zeros) == 53
 
@@ -815,14 +878,15 @@ def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
 def test_seeded_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # Seeded with the 22 closed-form facets, the pass inserts those alone,
     # packs the 2,048 rays they cut out once, and checks each of the 122
-    # other rows with one sign test on the lanes; every one keeps every ray,
-    # and no check reads a zero set, although 110 rows are tight on some.
+    # other rows with one sign test on lanes of 4 bytes; every one keeps
+    # every ray, and no check reads a zero set, although 110 rows are tight
+    # on some.
     mov = movable_cone(quadrics(12))
     assert len(mov._seed) == 22
     inserted, packs, kept, zeros = _lane_counts(monkeypatch)
     assert len(mov.rays) == 2048
     assert inserted == list(range(22))
-    assert packs == [(2048, 8)]
+    assert packs == [(2048, 4)]
     assert len(kept) == 122 and all(kept)
     assert zeros == []
 
