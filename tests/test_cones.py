@@ -696,11 +696,11 @@ def test_lanes_at_the_edge_of_their_width(k):
             for rays in (turned, [below] + turned, turned + [below]):
                 lanes = cones_module._pack(list(zip(*rays)), bound)
                 assert lanes.size == size
-                values = [dot(a, r) for r in rays]
-                holds = min(values) >= 0
+                dots = [dot(a, r) for r in rays]
+                holds = min(dots) >= 0
                 assert cones_module._lane_holds(lanes, a) == holds
                 assert cones_module._lane_signs(lanes, a) == (
-                    _signs(values, lambda v: v == 0) if holds else None)
+                    _signs(dots, lambda v: v == 0) if holds else None)
 
 
 def test_packed_and_column_states_step_alike(monkeypatch):
