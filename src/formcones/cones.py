@@ -215,9 +215,9 @@ class _Lanes(NamedTuple):
     instructions", 1975).  ``half`` holds ``2 ** (8 * size - 1)``, the top
     bit, in every lane and nothing else; adding it moves each lane's value
     ``v`` to ``v + 2 ** (8 * size - 1)`` with no carry into the next lane
-    as long as ``|v| < 2 ** (8 * size - 2)``, one sign bit and one guard
-    bit, and the lane's top bit is then set exactly when ``v >= 0``: every
-    lane of ``x`` is nonnegative when ``(half + x) & half == half``.
+    as long as ``|v| < 2 ** (8 * size - 1)``, one sign bit, and the lane's
+    top bit is then set exactly when ``v >= 0``: every lane of ``x`` is
+    nonnegative when ``(half + x) & half == half``.
     """
 
     count: int
@@ -232,11 +232,10 @@ def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
     ``bound`` is at least ``sum(|a_i|)`` for every row ``a`` that will be
     classified on the lanes, so ``bound * reach``, with ``reach`` the
     largest absolute coordinate, bounds every ``|<a, r_j>|``.  The lanes
-    have the fewest bytes that hold that value with a sign bit and a guard
-    bit.
+    have the fewest bytes that hold that value with a sign bit.
     """
     reach = max(max(max(col), -min(col)) for col in cols)
-    count, size = len(cols[0]), ((bound * reach).bit_length() + 2 + 7) // 8
+    count, size = len(cols[0]), ((bound * reach).bit_length() + 1 + 7) // 8
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
     top, half = 1 << (8 * size - 1), ones << (8 * size - 1)
     # Each lane is written as its coordinate ``x`` plus ``top``, which lies

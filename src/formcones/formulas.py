@@ -12,6 +12,7 @@ from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InternalError, RouteMismatch
+from .linalg import primitive
 
 if TYPE_CHECKING:
     from .spaces import SpaceSpec
@@ -169,20 +170,21 @@ def movable_ray_count(s: SpaceSpec) -> int:
 
 
 def movable_facets(s: SpaceSpec) -> frozenset[tuple[int, ...]]:
-    """The facet normals of the movable cone of a full space, in closed form.
+    """The facet normals of the movable cone of ``s``, in closed form.
 
-    In the basis ``H = e_0, E_h = e_h`` put
+    In the basis ``H = e_0, E_h = e_h`` put ``k = rho - 1``,
     ``A_h = -(n-h) e_h + (n-h+1) e_{h+1}`` and
-    ``B_h = e_0 + (h+1) e_h - h e_{h+1}``.  A square format (Picard rank
-    n) has ``A_h`` and ``B_h`` for h = 1..n-2, ``-e_{n-1}`` and
-    ``e_0 + n e_{n-1}``: 2n - 2 facets.  A wide one (rank n+1) has ``A_h``
-    and ``B_h`` for h = 1..n-1 and ``-e_n``: 2n - 1 facets.  Stated for
-    n >= 2, these were read off the computed cones and are checked against
-    them, not quoted from the paper.  A stage, and a space with n = 1, get
-    the empty set.
+    ``B_h = e_0 + (h+1) e_h - h e_{h+1}``.  Every space of Picard rank
+    ``rho >= 2``, stages included, has ``A_h`` and ``B_h`` for
+    h = 1..k-1 and ``-e_k``.  A square format adds the primitive form of
+    ``(n-k) e_0 + n e_k``, and a wide one ``n e_0 + (n+1) e_1`` when
+    ``k = 1``.  A full space is ``k = n-1`` (square, 2n - 2 facets) or
+    ``k = n`` (wide, 2n - 1 facets).  These were read off the computed
+    cones and are checked against them, not quoted from the paper.  Rank
+    1 gets the empty set.
     """
     n, rho = s.n, s.picard_rank
-    if s.stage is not None or n < 2:
+    if rho < 2:
         return frozenset()
 
     def vec(*terms: tuple[int, int]) -> tuple[int, ...]:
@@ -191,11 +193,13 @@ def movable_facets(s: SpaceSpec) -> frozenset[tuple[int, ...]]:
             v[i] += c
         return tuple(v)
 
-    last = rho - 1
-    out = {vec((last, -1))}
+    k = rho - 1
+    out = {vec((k, -1))}
     if s.is_square:
-        out.add(vec((0, 1), (last, n)))
-    for h in range(1, last):
+        out.add(primitive(vec((0, n - k), (k, n))))
+    elif k == 1:
+        out.add(vec((0, n), (1, n + 1)))
+    for h in range(1, k):
         out.add(vec((h, -(n - h)), (h + 1, n - h + 1)))
         out.add(vec((0, 1), (h, h + 1), (h + 1, -h)))
     return frozenset(out)

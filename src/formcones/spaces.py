@@ -405,8 +405,10 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
     The cone depends only on the shape of ``s``, so spaces of one shape,
     such as ``quadrics(n)`` and ``collineations(n)``, share the last cone
     computed.  Its pass is seeded with
-    :func:`~formcones.formulas.movable_facets`, so it inserts only the rows
-    that cut the cone those facets give; the seed never changes the cone.
+    :func:`~formcones.formulas.movable_facets`, stated for every space of
+    Picard rank 2 or more and equal on spaces of one shape, so it inserts
+    only the rows that cut the cone those facets give; the seed never
+    changes the cone.
     ``brute_force=True`` runs one unseeded pass per hull, leaving out each
     column of ``once``, as a cross-check that shares nothing.
 

@@ -627,12 +627,12 @@ def _signs(values, test):
 def _narrowest(lanes, bound, vecs):
     """True when ``lanes`` has the fewest bytes that hold ``bound * reach``.
 
-    A lane of ``size`` bytes holds ``|v| < 2 ** (8 * size - 2)``; one byte
+    A lane of ``size`` bytes holds ``|v| < 2 ** (8 * size - 1)``; one byte
     fewer would not.
     """
     most = bound * max(abs(x) for r in vecs for x in r)
-    return most < 2 ** (8 * lanes.size - 2) and (
-        lanes.size == 1 or most >= 2 ** (8 * lanes.size - 10))
+    return most < 2 ** (8 * lanes.size - 1) and (
+        lanes.size == 1 or most >= 2 ** (8 * lanes.size - 9))
 
 
 @pytest.mark.parametrize("reach_bits, words", [(2, 1), (62, 2), (200, 4)])
@@ -640,8 +640,8 @@ def _narrowest(lanes, bound, vecs):
 @given(data=st.data())
 def test_lane_signs_match_dot(reach_bits, words, data):
     # Coordinates up to 2^2, up to 2^62, just below a signed 64-bit word,
-    # and up to 2^200, past it: lanes of one or two bytes, of nine, and of
-    # 26, each the narrowest and never wider than the ``words`` 64-bit
+    # and up to 2^200, past it: lanes of one byte, of nine, and of 26,
+    # each the narrowest and never wider than the ``words`` 64-bit
     # words that hold the same values.  Every row's entries lie in [-4, 4],
     # so the lanes are packed for the bound 4 * d.  Each row is also
     # checked against the rays turned to its side, alone or with one
@@ -674,15 +674,15 @@ def test_lane_signs_match_dot(reach_bits, words, data):
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 9])
 def test_lanes_at_the_edge_of_their_width(k):
-    # bound * reach one below 2^(8k - 2) fits lanes of k bytes, and exactly
-    # 2^(8k - 2) takes k + 1.  Every row reaches the bound on some ray, so
-    # a lane holds +-bound * reach; each row is checked on the rays turned
-    # to its side, alone and with the ray of value -bound * reach in the
-    # first or the last lane.
+    # bound * reach two below 2^(8k - 1), the largest multiple of 3 below
+    # it, fits lanes of k bytes, and exactly 2^(8k - 1) takes k + 1.  Every
+    # row reaches the bound on some ray, so a lane holds +-bound * reach;
+    # each row is checked on the rays turned to its side, alone and with
+    # the ray of value -bound * reach in the first or the last lane.
     for most, size, bound, rows in (
-            (2 ** (8 * k - 2) - 1, k, 3,
+            (2 ** (8 * k - 1) - 2, k, 3,
              [(1, 2), (2, -1), (-1, 2), (-2, -1), (0, 3)]),
-            (2 ** (8 * k - 2), k + 1, 4,
+            (2 ** (8 * k - 1), k + 1, 4,
              [(1, 3), (3, -1), (-2, 2), (-1, -3), (4, 0)])):
         reach = most // bound
         xs = (-reach, 1 - reach, -1, 0, 1, reach - 1, reach)
@@ -862,9 +862,8 @@ def _quadrics_12_rows():
 def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # The unseeded pass over Mov(quadrics(12))'s 144 rows inserts all of
     # them.  It packs its ray set once, 2,048 rays on lanes of 4 bytes, as
-    # 29 bits hold bound 25 times reach 3,932,160 with a sign and a guard
-    # bit, and classifies 53 later rows on the lanes; none of them cuts the
-    # set.
+    # 28 bits hold bound 25 times reach 3,932,160 with a sign bit, and
+    # classifies 53 later rows on the lanes; none of them cuts the set.
     rows = _quadrics_12_rows()
     inserted, packs, kept, zeros = _lane_counts(monkeypatch)
     assert len(cone_from_halfspaces(12, rows).rays) == 2048

@@ -437,14 +437,30 @@ def test_movable_facet_counts():
 
 def test_movable_facets_in_closed_form():
     # The closed form against the pass, for n = 2..11 in both families and
-    # wide formats with m = n+1..n+3.  Each shape's cone is computed once.
+    # wide formats with m = n+1..n+3, every stage included, and for
+    # collineations(1, m).
+    spaces = [collineations(1, m) for m in (2, 3, 4)]
     for n in range(2, 12):
         for s in (quadrics(n), collineations(n), *(collineations(n, n + k)
                                                    for k in (1, 2, 3))):
-            assert movable_facets(s) == set(movable_cone(s).facets), s.describe()
-    for s in (quadrics(5, stage=2), collineations(4, 6, stage=1),
-              collineations(1, 3), quadrics(1)):
-        assert movable_facets(s) == frozenset(), s.describe()
+            spaces += [s] + [SpaceSpec(s.family, n, s.m, i) for i in range(1, n)]
+    assert len(spaces) == 328
+    for s in spaces:
+        assert movable_facets(s) == set(movable_cone(s).facets), s.describe()
+    assert movable_facets(quadrics(1)) == frozenset()
+
+
+def test_spaces_of_one_shape_share_one_seed():
+    # The seed is a function of what the shape determines, so the route a
+    # shape takes does not depend on which of its spaces comes first.
+    seeds = {}
+    for s in _omit_one_spaces():
+        assert seeds.setdefault(_shape(s), movable_facets(s)) == movable_facets(s), \
+            s.describe()
+    spaces_module._last_movable.clear()
+    stage = movable_cone(quadrics(9, stage=8))
+    assert movable_cone(quadrics(9)) is stage
+    assert stage._seed == movable_facets(quadrics(9))
 
 
 def test_seeded_movable_cones_match_the_unseeded_pass():
@@ -465,9 +481,8 @@ def test_seeded_movable_cones_match_the_unseeded_pass():
         assert mov.rays == plain.rays, s.describe()
         assert mov.facets == plain.facets, s.describe()
         seeded += bool(seed)
-    # xn and qn share one shape for each n = 2..10, and xnm has one for
-    # each n = 2..9; the stages and xnm with n = 1 go unseeded.
-    assert seeded == 17
+    # Every space of Picard rank 2 or more is seeded, stages included.
+    assert seeded == 90
 
 
 @settings(deadline=None, max_examples=30)
