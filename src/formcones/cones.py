@@ -21,21 +21,17 @@ given side without a second pass.  So each cone runs at most one pass.
 A pass can be seeded with rows expected to be facets: it inserts those
 first and any other row only if its signs on the lanes cut the cone they
 give, so a seed spares the pass its redundant rows and never changes the
-result.
+result.  Most rows of a seeded pass keep every ray of the seed's cone, so
+the pass packs those rays once, in lanes of the fewest whole bytes that
+hold every row of the pass, and checks each row against all of them at
+once: one big-int multiply-add per nonzero entry of the row and one AND
+with the lanes' top bits that finds any negative ray.  These lanes serve
+that check alone; the step classifies on the rays' columns as tuples.
 
 The one place that computes facets without building a cone is
 :func:`omit_one_hulls`: it drives the same step over many cones whose
 generators differ by one vector, sharing the steps they have in common,
 and gives each cone's facets as the pass over its own generators would.
-
-Most rows of a large pass come after the cone is cut out and keep every
-ray.  The step tests such rows against all rays at once on packed lanes:
-one big-int multiply-add per nonzero entry of the row, one AND with the
-lanes' top bits that finds any negative ray, and one read-out of the zero
-set only when the row is tight on some ray.  The ray set is packed once,
-on the first row that leaves it whole, in lanes of the fewest whole bytes
-that hold every row of the pass, and the lanes are dropped at the next row
-that changes it.
 
 The step and :func:`_read_back` pick the rows that cut out a cone by one
 :func:`_kept_rows`, on zero sets alone, and compute no rank.  This is
@@ -157,19 +153,21 @@ def _polar(rows: Mat, d: int,
     out the cone of all the rows.  Any seed gives the same result; one
     with no row among ``rows`` changes nothing.
     """
-    bound = _bound(rows)
     first = [i for i, a in enumerate(rows) if a in seed] if seed else []
     if not first:
-        return _canonical(_inserted(_start(d), 0, rows, bound))
+        return _canonical(_inserted(_start(d), 0, rows))
     lin, vecs, masks, cols, cand = _inserted(
-        _start(d), 0, [rows[i] for i in first], bound)
-    if vecs and not isinstance(cols, _Lanes):
-        cols = _pack(cols, bound)
+        _start(d), 0, [rows[i] for i in first])
+    if vecs:
+        cols = _pack(cols, _bound(rows))
     failing = [i for i, a in enumerate(rows) if a not in seed and (
         any(dot(a, v) for v in lin)
         or vecs and not _lane_holds(cols, a))]
+    if failing:
+        # The step reads the columns as tuples.
+        cols = list(zip(*vecs))
     state = _inserted((lin, vecs, masks, cols, cand), len(first),
-                      [rows[i] for i in failing], bound)
+                      [rows[i] for i in failing])
     pair, (masks, cand) = _canonical(state)
     return pair, (masks, cand, tuple(first + failing))
 
@@ -180,28 +178,16 @@ def _start(d: int):
     return lin, [], [], [], 0
 
 
-def _inserted(state, idx: int, rows: Iterable[Vec], bound: int):
+def _inserted(state, idx: int, rows: Iterable[Vec]):
     """The state after ``rows`` are inserted as rows ``idx, idx + 1, ...``."""
     for i, a in enumerate(rows, idx):
-        state = _insert(state, i, a, bound)
+        state = _insert(state, i, a)
     return state
 
 
 def _bound(rows: Iterable[Vec]) -> int:
-    """The largest ``sum(|a_i|)`` over ``rows``, the bound a pass packs for."""
+    """The largest ``sum(|a_i|)`` over ``rows``, the bound :func:`_pack` takes."""
     return max((sum(map(abs, a)) for a in rows), default=0)
-
-
-# A ray set is packed into lanes once it holds this many rays and a row
-# leaves it whole.  On a 2-vCPU Xeon VM with Python 3.11, on 8 to 2,048 of
-# Mov(quadrics(12))'s rays in 4-byte lanes, one pack cost as much as the
-# column route saves on 12-14 of its rows that read a zero set, or on 8-9
-# checked by sign alone.  In perfbench's fans-verify command list the ray
-# sets under 64 rays would serve 2.4 lane rows per pack (187 packs), those
-# of 64 rays or more 23 (10 packs).
-_PACK_MIN = 64
-# Byte ``b`` reads as the binary digit of its top bit.
-_TOP_BIT = bytes(b"01"[b >> 7] for b in range(256))
 
 
 class _Lanes(NamedTuple):
@@ -220,7 +206,6 @@ class _Lanes(NamedTuple):
     nonnegative when ``(half + x) & half == half``.
     """
 
-    count: int
     size: int
     half: int
     cols: tuple[int, ...]
@@ -229,8 +214,9 @@ class _Lanes(NamedTuple):
 def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
     """The columns ``cols`` in lanes of whole bytes, sized for ``bound``.
 
-    ``bound`` is at least ``sum(|a_i|)`` for every row ``a`` that will be
-    classified on the lanes, so ``bound * reach``, with ``reach`` the
+    :func:`_polar` packs the rays a seed cuts out, and ``bound`` is at
+    least ``sum(|a_i|)`` for every row ``a`` of the pass, each of which
+    :func:`_lane_holds` may check.  So ``bound * reach``, with ``reach`` the
     largest absolute coordinate, bounds every ``|<a, r_j>|``.  The lanes
     have the fewest bytes that hold that value with a sign bit.
     """
@@ -241,7 +227,7 @@ def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
     # Each lane is written as its coordinate ``x`` plus ``top``, which lies
     # in ``[0, 2 * top)`` as ``|x| <= reach < top``; taking ``half`` off the
     # column's int leaves the sum of ``x << (8 * size * j)`` over its lanes.
-    return _Lanes(count, size, half, tuple(
+    return _Lanes(size, half, tuple(
         int.from_bytes(b"".join([(x + top).to_bytes(size, "little") for x in col]),
                        "little") - half
         for col in cols))
@@ -262,47 +248,17 @@ def _lane_holds(lanes: _Lanes, a: Vec) -> bool:
     return (half + _lane_sum(lanes, a)) & half == half
 
 
-def _lane_signs(lanes: _Lanes, a: Vec) -> int | None:
-    """The rays with ``<a, r> = 0``, or ``None`` when some ``<a, r> < 0``.
-
-    Bit ``j`` of the zero set stands for ray ``j``.  Every lane of ``half
-    + x`` has its top bit set, and ``half`` holds exactly those bits, when
-    no ray is negative; then the top bits of ``half - x`` are the zero set,
-    each the first byte of its lane in big-endian order, and they are read
-    out only when some is set.
-    """
-    x = _lane_sum(lanes, a)
-    half = lanes.half
-    if (half + x) & half != half:
-        return None
-    zero = (half - x) & half
-    return zero and int(zero.to_bytes(lanes.count * lanes.size, "big")
-                        [::lanes.size].translate(_TOP_BIT), 2)
-
-
-def _insert(state, idx: int, a: Vec, bound: int):
+def _insert(state, idx: int, a: Vec):
     """The state of a pass after it inserts ``<a, x> >= 0`` as row ``idx``.
 
     A state is ``(lin, vecs, masks, cols, cand)``: a spanning set of the
     current lineality space, the current rays, each ray's tight rows as a
     bitmask (bit ``i`` for the row inserted as row ``i``), the rays'
-    coordinates by column, either as a list of tuples or packed into
-    :class:`_Lanes`, never both, and the candidate rows as a bitmask: every
-    row that may cut out a facet or be an implicit equality of the current
-    cone, and maybe others.  Rows ``0 .. idx - 1`` must have been
-    inserted, ``a`` must be nonzero, ``bound`` must be at least
-    ``sum(|b_i|)`` for every row ``b`` of the pass (:func:`_bound`), and no
-    part of ``state`` is changed, so one state can be the start of several
-    passes.
-
-    Once the cone is cut out, the remaining rows keep every ray.  So the
-    first row that leaves a set of at least ``_PACK_MIN`` rays whole packs
-    its columns into lanes sized for ``bound``, and each later row tests
-    every ray on the lanes at once (:func:`_lane_signs`): a row that leaves
-    the set whole then only sets its bit on the rays it is tight on, read
-    out of the lanes once, and a row that cuts it reads no zero set.
-    The first row that changes the set, by cutting it or in the lineality
-    step, leaves its columns as tuples.
+    coordinates by column as a list of tuples, and the candidate rows as a
+    bitmask: every row that may cut out a facet or be an implicit equality
+    of the current cone, and maybe others.  Rows ``0 .. idx - 1`` must
+    have been inserted, ``a`` must be nonzero, and no part of ``state`` is
+    changed, so one state can be the start of several passes.
 
     Adjacency is decided on zero sets, as in :func:`_read_back`.  After
     each row the current rays are exactly the extreme rays (modulo the
@@ -374,17 +330,6 @@ def _insert(state, idx: int, a: Vec, bound: int):
         # The cone is its lineality space, inside the hyperplane.
         return lin, vecs, masks, cols, cand | bit
 
-    if isinstance(cols, _Lanes):
-        zero = _lane_signs(cols, a)
-        if zero is not None:
-            if zero:
-                masks = masks.copy()
-                for j in _bit_indices(zero):
-                    masks[j] |= bit
-            return lin, vecs, masks, cols, cand | bit
-        # The row that cuts the packed set, once per set: the columns are
-        # tuples again.
-        cols = list(zip(*vecs))
     everyone = (1 << len(vecs)) - 1
     # <a, r> for every ray at once, column by column over the nonzero
     # entries of ``a``.
@@ -397,8 +342,6 @@ def _insert(state, idx: int, a: Vec, bound: int):
     new_masks = [mask if s else mask | bit
                  for mask, s in zip(masks, values) if s >= 0]
     if len(new_masks) == len(vecs):
-        if len(vecs) >= _PACK_MIN:
-            cols = _pack(cols, bound)
         return lin, vecs, new_masks, cols, cand | bit
     new_vecs = [r for r, s in zip(vecs, values) if s >= 0]
     target = d - len(lin) - 2
@@ -497,15 +440,12 @@ def omit_one_hulls(d: int, shared: Iterable[Sequence[int]],
         half = len(group) // 2
         for rest, added in ((group[:half], group[half:]),
                             (group[half:], group[:half])):
-            split(_inserted(state, idx, added, bound), idx + len(added), rest)
+            split(_inserted(state, idx, added), idx + len(added), rest)
 
     rows = _validated(shared, d, "ray")
     group = _validated(omitted, d, "ray")
     if group:
-        # Sibling branches share packed states, so the lanes are sized for
-        # every row of every branch.
-        bound = _bound(rows + group)
-        split(_inserted(_start(d), 0, rows, bound), len(rows), group)
+        split(_inserted(_start(d), 0, rows), len(rows), group)
     return out
 
 

@@ -423,18 +423,16 @@ def test_extreme_rays_match_the_cofactor_oracle():
 def test_insert_leaves_its_state_unchanged():
     # omit_one_hulls starts sibling branches from one state, so a step must
     # build new parts rather than change the ones it was given.  The parts
-    # are compared as values, packed lanes included.
+    # are compared as values.
     cases = _oracle_corpus() + [(7, CROSS_RAYS + CROSS_INSIDE)]
     for d, vecs in cases:
         state = cones_module._start(d)
         rows = sorted({primitive(v) for v in vecs})
-        bound = cones_module._bound(rows)
         for idx, a in enumerate(rows):
             before = copy.deepcopy(state)
-            after = cones_module._insert(state, idx, a, bound)
+            after = cones_module._insert(state, idx, a)
             assert state == before, (d, vecs, idx)
             state = after
-    assert isinstance(state[3], cones_module._Lanes)
 
 
 # -- the ray steps of the pass -------------------------------------------------
@@ -606,10 +604,11 @@ def test_a_wrong_edge_stops_the_pass():
     cones_module._generated.cache_clear()
 
 
-# -- classification on packed lanes ---------------------------------------------
+# -- the seeded check on packed lanes -------------------------------------------
 #
-# Once a row leaves a set of at least _PACK_MIN rays whole, the step packs the
-# rays' columns into lanes and classifies later rows on them.
+# A seeded pass packs the columns of the rays its seed cuts out into lanes and
+# checks every other row on them with one sign test; the step itself
+# classifies on column tuples.
 
 # The cone over a 6-dimensional cross-polytope in rank 7: 12 rays e0 +- ei and
 # 64 facets; CROSS_INSIDE lies inside it.  As normals, CROSS_RAYS cut out the
@@ -618,10 +617,6 @@ CROSS_RAYS = tuple(tuple(int(j == 0) + s * int(j == i) for j in range(7))
                    for i in range(1, 7) for s in (1, -1))
 CROSS_INSIDE = ((1, 0, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0),
                 (3, 0, -1, 1, 0, 0, 0), (4, 1, 1, 1, -1, 0, 0))
-
-
-def _signs(values, test):
-    return sum(1 << j for j, v in enumerate(values) if test(v))
 
 
 def _narrowest(lanes, bound, vecs):
@@ -639,6 +634,7 @@ def _narrowest(lanes, bound, vecs):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lane_signs_match_dot(reach_bits, words, data):
+    # The lanes' sign bits, read by _lane_holds, match the dot products.
     # Coordinates up to 2^2, up to 2^62, just below a signed 64-bit word,
     # and up to 2^200, past it: lanes of one byte, of nine, and of 26,
     # each the narrowest and never wider than the ``words`` 64-bit
@@ -658,18 +654,16 @@ def test_lane_signs_match_dot(reach_bits, words, data):
     assert _narrowest(lanes, 4 * d, vecs) and lanes.size <= 8 * words
     for a in rows:
         values = [dot(a, r) for r in vecs]
-        zero = _signs(values, lambda v: v == 0)
-        assert cones_module._lane_signs(lanes, a) == (
-            None if min(values) < 0 else zero)
+        assert cones_module._lane_holds(lanes, a) == (min(values) >= 0)
         turned = [r if v >= 0 else negate(r) for r, v in zip(vecs, values)]
         i = next(i for i, c in enumerate(a) if c)
         below = tuple(-a[i] // abs(a[i]) if k == i else 0 for k in range(d))
         # No negative ray, then the only one in the first and in the last lane.
-        for rays, want in ((turned, zero), ([below] + turned, None),
-                           (turned + [below], None)):
+        for rays, want in ((turned, True), ([below] + turned, False),
+                           (turned + [below], False)):
             packed = cones_module._pack(list(zip(*rays)), 4 * d)
             assert _narrowest(packed, 4 * d, rays) and packed.size <= 8 * words
-            assert cones_module._lane_signs(packed, a) == want
+            assert cones_module._lane_holds(packed, a) == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 9])
@@ -697,52 +691,7 @@ def test_lanes_at_the_edge_of_their_width(k):
                 lanes = cones_module._pack(list(zip(*rays)), bound)
                 assert lanes.size == size
                 dots = [dot(a, r) for r in rays]
-                holds = min(dots) >= 0
-                assert cones_module._lane_holds(lanes, a) == holds
-                assert cones_module._lane_signs(lanes, a) == (
-                    _signs(dots, lambda v: v == 0) if holds else None)
-
-
-def test_packed_and_column_states_step_alike(monkeypatch):
-    # One state, its columns as tuples and packed into lanes: every row gives
-    # the same rays and masks.  The lanes are sized once, for the widest row
-    # of the pass, here one whose sum |a_i| passes 2^63, so every row after
-    # the pack runs on them: a row that keeps every ray leaves the same
-    # lanes, and one that cuts the set leaves column tuples.
-    rows = sorted({primitive(v) for v in CROSS_RAYS + CROSS_INSIDE})
-    big = 2 ** 62
-    cases = [
-        ((2, 1, 1, 0, 0, 0, 0), False),    # tight on 16 rays
-        ((1, 0, 0, 0, 0, 0, -1), False),   # a facet again, on 32
-        ((0, 1, 0, 0, 0, 0, 0), True),
-        ((big + 1, big - 1, 0, 0, 0, 0, 0), False),
-        ((big - 1, big + 1, 3, 0, 0, 0, 0), True),
-    ]
-    bound = cones_module._bound(rows + [a for a, _ in cases])
-    plain = cones_module._inserted(cones_module._start(7), 0, rows[:-1], bound)
-    packed = cones_module._insert(plain, len(rows) - 1, rows[-1], bound)
-    assert isinstance(packed[3], cones_module._Lanes)
-    assert packed[3].size == 9
-    # Without the wide rows the same set packs into one byte per lane.
-    narrow = cones_module._inserted(cones_module._start(7), 0, rows,
-                                    cones_module._bound(rows))
-    assert narrow[3].size == 1
-    columns = packed[:3] + (list(zip(*packed[1])), packed[4])
-    lane_signs = cones_module._lane_signs
-    for a, cuts in cases:
-        used = []
-        monkeypatch.setattr(cones_module, "_lane_signs",
-                            lambda lanes, a: used.append(a) or lane_signs(lanes, a))
-        got = cones_module._insert(packed, len(rows), a, bound)
-        monkeypatch.undo()
-        want = cones_module._insert(columns, len(rows), a, bound)
-        assert got[:3] + got[4:] == want[:3] + want[4:], a
-        assert used == [a], a
-        assert (got[1] != packed[1]) == cuts, a
-        if cuts:
-            assert got[3] == list(zip(*got[1])), a
-        else:
-            assert got[3] is packed[3], a
+                assert cones_module._lane_holds(lanes, a) == (min(dots) >= 0)
 
 
 def _shear(vec, i, j, m):
@@ -777,78 +726,49 @@ def _sheared_cube_normals():
 
 def test_packed_pass_with_coordinates_past_64_bits(monkeypatch):
     # The cone over a 6-cube, with every sum of two of its facets as a
-    # redundant row, moved by U.  The rays' coordinates pass 2^64, and the
-    # redundant rows after the last facet run on lanes.
+    # redundant row, moved by U.  The rays' coordinates pass 2^64.  Seeded
+    # with the moved cube's facets, the pass checks every redundant row on
+    # lanes wider than 8 bytes, and each keeps every ray.
     cube = cone_from_halfspaces(7, CROSS_RAYS)
     normals = _sheared_cube_normals()
-    calls = []
-    lane_signs = cones_module._lane_signs
-    monkeypatch.setattr(cones_module, "_lane_signs",
-                        lambda lanes, a: calls.append(lanes.size)
-                        or lane_signs(lanes, a))
+    facets = [_backward(a) for a in CROSS_RAYS]
     moved = cone_from_halfspaces(7, normals)
-    assert moved.rays == tuple(sorted(_forward(r) for r in cube.rays))
-    assert moved.facets == tuple(sorted(_backward(a) for a in cube.facets))
+    seeded = _seeded(7, normals, facets)
+    inserted, packs, kept = _lane_counts(monkeypatch)
+    for c in (moved, seeded):
+        assert c.rays == tuple(sorted(_forward(r) for r in cube.rays))
+        assert c.facets == tuple(sorted(_backward(a) for a in cube.facets))
     assert max(map(abs, sum(moved.rays, ()))) > 2 ** 64
-    assert calls and min(calls) > 8
-
-
-def test_omit_one_hulls_on_packed_lanes(monkeypatch):
-    # The shared vectors generate the cone over a cross-polytope, with 64
-    # facets, and the omitted ones lie inside it: each hull's pass keeps
-    # those facets on lanes, packed in a state that sibling hulls share.
-    # Every pack is sized for the widest vector of all the hulls,
-    # (4, 1, 1, 1, -1, 0, 0), since sibling hulls classify on the same lanes.
-    packs, rows = [], []
-    pack, lane_signs = cones_module._pack, cones_module._lane_signs
-    monkeypatch.setattr(cones_module, "_pack",
-                        lambda cols, bound: packs.append(bound) or pack(cols, bound))
-    monkeypatch.setattr(cones_module, "_lane_signs",
-                        lambda lanes, a: rows.append(a) or lane_signs(lanes, a))
-    hulls = cones_module.omit_one_hulls(7, CROSS_RAYS, CROSS_INSIDE)
-    assert packs and set(packs) == {8}
-    assert len(rows) > len(packs)
-    monkeypatch.undo()
-    for c in CROSS_INSIDE:
-        rest = CROSS_RAYS + tuple(v for v in CROSS_INSIDE if v != c)
-        assert hulls[c] == cone_from_rays(7, rest).facets
+    assert len(packs) == 1 and packs[0][1] > 8
+    assert len(kept) == len(seeded._given[1]) - len(facets) and all(kept)
 
 
 def _lane_counts(monkeypatch):
     """Spy on the pass: rows inserted, packs made, and each lane check.
 
-    Returns ``(inserted, packs, kept, zeros)``: the position of each row
-    ``_insert`` is given, the ``(count, size)`` of each ``_pack``, for each
-    ``_lane_signs`` or ``_lane_holds`` call whether it found no negative
-    ray, and what each ``_lane_signs`` call returned.  Only ``_lane_signs``
-    reads a zero set.
+    Returns ``(inserted, packs, kept)``: the position of each row
+    ``_insert`` is given, the ``(count, size)`` of each ``_pack``, and for
+    each ``_lane_holds`` call whether it found no negative ray.
     """
-    inserted, packs, kept, zeros = [], [], [], []
+    inserted, packs, kept = [], [], []
     insert, pack = cones_module._insert, cones_module._pack
-    lane_signs, lane_holds = cones_module._lane_signs, cones_module._lane_holds
+    lane_holds = cones_module._lane_holds
 
     def packing(cols, bound):
         lanes = pack(cols, bound)
-        packs.append((lanes.count, lanes.size))
+        packs.append((len(cols[0]), lanes.size))
         return lanes
-
-    def signs(lanes, a):
-        zero = lane_signs(lanes, a)
-        kept.append(zero is not None)
-        zeros.append(zero)
-        return zero
 
     def holds(lanes, a):
         kept.append(lane_holds(lanes, a))
         return kept[-1]
 
     monkeypatch.setattr(cones_module, "_insert",
-                        lambda state, idx, a, bound: inserted.append(idx)
-                        or insert(state, idx, a, bound))
+                        lambda state, idx, a: inserted.append(idx)
+                        or insert(state, idx, a))
     monkeypatch.setattr(cones_module, "_pack", packing)
-    monkeypatch.setattr(cones_module, "_lane_signs", signs)
     monkeypatch.setattr(cones_module, "_lane_holds", holds)
-    return inserted, packs, kept, zeros
+    return inserted, packs, kept
 
 
 def _quadrics_12_rows():
@@ -861,33 +781,30 @@ def _quadrics_12_rows():
 @pytest.mark.usefixtures("fresh_movable")
 def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # The unseeded pass over Mov(quadrics(12))'s 144 rows inserts all of
-    # them.  It packs its ray set once, 2,048 rays on lanes of 4 bytes, as
-    # 28 bits hold bound 25 times reach 3,932,160 with a sign bit, and
-    # classifies 53 later rows on the lanes; none of them cuts the set.
+    # them and classifies each on column tuples: it packs no lanes and
+    # makes no lane check.
     rows = _quadrics_12_rows()
-    inserted, packs, kept, zeros = _lane_counts(monkeypatch)
+    inserted, packs, kept = _lane_counts(monkeypatch)
     assert len(cone_from_halfspaces(12, rows).rays) == 2048
     assert inserted == list(range(144))
-    assert packs == [(2048, 4)]
-    assert len(kept) == 53 and all(kept)
-    assert len(zeros) == 53
+    assert packs == [] and kept == []
 
 
 @pytest.mark.usefixtures("fresh_movable")
 def test_seeded_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # Seeded with the 22 closed-form facets, the pass inserts those alone,
-    # packs the 2,048 rays they cut out once, and checks each of the 122
-    # other rows with one sign test on lanes of 4 bytes; every one keeps
-    # every ray, and no check reads a zero set, although 110 rows are tight
-    # on some.
+    # packs the 2,048 rays they cut out once, on lanes of 4 bytes, as 28
+    # bits hold bound 25 times reach 3,932,160 with a sign bit, and checks
+    # each of the 122 other rows with one sign test; every one keeps every
+    # ray, and no check reads a zero set, although 110 rows are tight on
+    # some.
     mov = movable_cone(quadrics(12))
     assert len(mov._seed) == 22
-    inserted, packs, kept, zeros = _lane_counts(monkeypatch)
+    inserted, packs, kept = _lane_counts(monkeypatch)
     assert len(mov.rays) == 2048
     assert inserted == list(range(22))
     assert packs == [(2048, 4)]
     assert len(kept) == 122 and all(kept)
-    assert zeros == []
 
 
 # -- candidate rows ------------------------------------------------------------
@@ -907,10 +824,10 @@ def _checking_kept_rows(monkeypatch):
     insert, read_back = cones_module._insert, cones_module._read_back
     current, calls = [], []
 
-    def inserting(state, idx, a, bound):
+    def inserting(state, idx, a):
         current.append((state[2], idx))
         try:
-            return insert(state, idx, a, bound)
+            return insert(state, idx, a)
         finally:
             current.pop()
 
@@ -967,8 +884,8 @@ def test_a_row_that_lowers_the_dimension_makes_every_row_a_candidate(monkeypatch
     states = []
     insert = cones_module._insert
     monkeypatch.setattr(cones_module, "_insert",
-                        lambda state, idx, a, bound:
-                        states.append(insert(state, idx, a, bound)) or states[-1])
+                        lambda state, idx, a:
+                        states.append(insert(state, idx, a)) or states[-1])
     assert cone_from_halfspaces(3, DROP_ROWS).rays == expected
     monkeypatch.undo()
     assert len(states) == len(DROP_ROWS)
@@ -1083,7 +1000,7 @@ def test_an_empty_seed_inserts_every_row_in_order(monkeypatch):
     # order, and an incidence with no order of its own.
     rows = _validated(CROSS_RAYS + CROSS_INSIDE, 7, "normal")
     plain = _polar(rows, 7)
-    inserted, _, _, _ = _lane_counts(monkeypatch)
+    inserted, _, _ = _lane_counts(monkeypatch)
     for seed in (frozenset(), frozenset({(1,) * 7})):
         assert (1,) * 7 not in rows
         inserted.clear()

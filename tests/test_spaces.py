@@ -253,6 +253,9 @@ def test_spaces_of_one_format_share_a_shape():
 
 
 def test_omit_one_hulls_edge_cases():
+    # test_cones imports this module, so its vectors are imported here.
+    from test_cones import CROSS_INSIDE, CROSS_RAYS
+
     square = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]
     # One omitted vector: its hull is the pass over the shared ones.
     assert omit_one_hulls(3, square[1:], square[:1]) == {
@@ -267,6 +270,12 @@ def test_omit_one_hulls_edge_cases():
         (2, 1): cone_from_rays(2, [(1, 0)]).facets}
     # No omitted vectors: no hull at all.
     assert omit_one_hulls(3, square, ()) == {}
+    # Shared vectors over a cross-polytope, with 64 facets, and omitted ones
+    # inside it: every hull keeps those facets.
+    assert omit_one_hulls(7, CROSS_RAYS, CROSS_INSIDE) == {
+        c: cone_from_rays(7, CROSS_RAYS + tuple(v for v in CROSS_INSIDE
+                                                if v != c)).facets
+        for c in CROSS_INSIDE}
 
 
 def test_movable_without_multiplicity_one_columns_is_effective(monkeypatch):
