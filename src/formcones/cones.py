@@ -159,7 +159,7 @@ def _polar(rows: Mat, d: int,
     lin, vecs, masks, cols, cand = _inserted(
         _start(d), 0, [rows[i] for i in first])
     if vecs:
-        cols = _pack(cols, _bound(rows))
+        cols = _pack(cols, max(sum(map(abs, a)) for a in rows))
     failing = [i for i, a in enumerate(rows) if a not in seed and (
         any(dot(a, v) for v in lin)
         or vecs and not _lane_holds(cols, a))]
@@ -183,11 +183,6 @@ def _inserted(state, idx: int, rows: Iterable[Vec]):
     for i, a in enumerate(rows, idx):
         state = _insert(state, i, a)
     return state
-
-
-def _bound(rows: Iterable[Vec]) -> int:
-    """The largest ``sum(|a_i|)`` over ``rows``, the bound :func:`_pack` takes."""
-    return max((sum(map(abs, a)) for a in rows), default=0)
 
 
 class _Lanes(NamedTuple):
@@ -233,19 +228,16 @@ def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
         for col in cols))
 
 
-def _lane_sum(lanes: _Lanes, a: Vec) -> int:
-    """``<a, r_j>`` in lane ``j``; ``sum(|a_i|)`` within :func:`_pack`'s bound."""
-    x = 0
+def _lane_holds(lanes: _Lanes, a: Vec) -> bool:
+    """True when no ray has ``<a, r> < 0``; reads no zero set.
+
+    Lane ``j`` of ``x`` gains ``<a, r_j>``, within :func:`_pack`'s bound.
+    """
+    x = lanes.half
     for c, col in zip(a, lanes.cols):
         if c:
             x += c * col
-    return x
-
-
-def _lane_holds(lanes: _Lanes, a: Vec) -> bool:
-    """True when no ray has ``<a, r> < 0``; reads no zero set."""
-    half = lanes.half
-    return (half + _lane_sum(lanes, a)) & half == half
+    return x & lanes.half == lanes.half
 
 
 def _insert(state, idx: int, a: Vec):

@@ -196,10 +196,11 @@ class GradingMatrix(NamedTuple):
 # every refusal.  Eff and Nef are cones over rho generators in rank rho, so
 # their passes cost about rho^3; the Mori and moving-curve cones are their
 # flipped duals and run none.  At rank 128 (quadrics(128)) on a 2-vCPU Xeon
-# VM with Python 3.11, `cone --format json` took 0.38-0.60 s for Eff,
-# 0.35-0.56 s for Nef, 0.46-0.80 s for the Mori cone and 0.71-1.22 s for the
-# moving-curve cone, and `info` 0.41-0.57 s, each in a fresh process.  At
-# rank 200 the moving-curve cone alone took 3.5 s.
+# VM with Python 3.11, `cone --format json` took 0.14-0.15 s for Eff,
+# 0.12-0.13 s for Nef, 0.24-0.25 s for the Mori cone and 0.46-0.49 s for the
+# moving-curve cone, and `info` 0.12-0.14 s: wall time of the whole command,
+# start-up included, with bytecode compiled, 14 fresh processes each.  At
+# rank 200, with this bound raised, the moving-curve cone took 1.52-1.57 s.
 _MAX_CONE_RANK = 128
 # quadrics(16) has 2^15 movable rays.  On a 2-vCPU Xeon VM with Python 3.11,
 # each run in a fresh process, `movable_cone(quadrics(16)).rays` took

@@ -148,16 +148,7 @@ def test_gkz_rejects_unsupported_ranks():
         gkz_fan(quadrics(5))
 
 
-@pytest.fixture
-def fresh_walk():
-    """An empty walk cache, so the test's spies see the walk run; emptied
-    again after the test, so no walk made with a spy in place is kept."""
-    chambers_module._walk.cache_clear()
-    yield
-    chambers_module._walk.cache_clear()
-
-
-@pytest.mark.usefixtures("fresh_walk")
+@pytest.mark.usefixtures("cold_caches")
 @pytest.mark.parametrize("s", [collineations(2), collineations(3)])
 def test_walk_certificate_rejects_a_one_way_crossing(monkeypatch, s):
     # Probing along the facet normal instead of across it lands back in
@@ -167,7 +158,7 @@ def test_walk_certificate_rejects_a_one_way_crossing(monkeypatch, s):
         gkz_fan(s)
 
 
-@pytest.mark.usefixtures("fresh_walk")
+@pytest.mark.usefixtures("cold_caches")
 @pytest.mark.parametrize("s", [collineations(2), collineations(3)])
 def test_walk_requires_exactly_one_nef_chamber(monkeypatch, s):
     # With Nef's rays read as empty, no chamber carries the label.
@@ -176,7 +167,7 @@ def test_walk_requires_exactly_one_nef_chamber(monkeypatch, s):
         gkz_fan(s)
 
 
-@pytest.mark.usefixtures("fresh_walk")
+@pytest.mark.usefixtures("cold_caches")
 @pytest.mark.parametrize("s, chambers", [(collineations(3), 9),
                                          (quadrics(4, stage=1), 5)])
 def test_walk_cuts_each_chamber_once(monkeypatch, s, chambers):

@@ -11,7 +11,7 @@ from formcones.cli import main, parse_n_range
 from formcones.refdata import bundled_fan_keys
 from formcones.reports import canonical_json
 from formcones.spaces import nef_cone, quadrics
-from test_cones import _trace_insert
+from support import trace_insert
 
 X3_MOV_JSON = (
     '{"basis":["H","E_1","E_2"],"cone":"mov",'
@@ -189,10 +189,10 @@ def test_sbl_json_digest(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_fans_of_one_shape_merge_with_their_own_tables(capsys):
     # xn n and qn n share one walk, and each merged fan reads the table of
     # its own space, so in one process either order prints the same bytes.
-    chambers_module._walk.cache_clear()
     for n in (3, 2):
         for key in (f"collineations-{n}-eq", f"quadrics-{n}"):
             flags, digest = SBL_JSON_SHA256[key]
@@ -204,6 +204,7 @@ def test_fans_of_one_shape_merge_with_their_own_tables(capsys):
     assert (info.misses, info.hits) == (2, 2)
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_verify_cones_makes_no_noop_projection(monkeypatch, capsys):
     # Every vector the pass makes comes from ``combine``.  A lineality step
     # keeps each generator already on the new hyperplane as it is, so the
@@ -218,12 +219,12 @@ def test_verify_cones_makes_no_noop_projection(monkeypatch, capsys):
 
     monkeypatch.setattr(linalg, "combine", counting)
     monkeypatch.setattr(cones, "combine", counting)
-    cones._generated.cache_clear()
     rc, out, _ = run(capsys, "verify", "--suite", "cones")
     assert rc == 0 and out.endswith("\n8/8 checks passed\n")
     assert len(calls) == 6800
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_verify_computes_each_shape_once(monkeypatch, capsys):
     # The counts suite checks 25 movable cones of 16 shapes: quadrics(n)
     # follows collineations(n), whose cone it shares.  The fans suite
@@ -236,8 +237,6 @@ def test_verify_computes_each_shape_once(monkeypatch, capsys):
                         lambda *args: hulls.append(args) or omit_one_hulls(*args))
     monkeypatch.setattr(chambers_module, "cone_from_halfspaces",
                         lambda *args: cuts.append(args) or cut(*args))
-    spaces._last_movable.clear()
-    chambers_module._walk.cache_clear()
     rc, out, _ = run(capsys, "verify", "--suite", "counts")
     assert rc == 0 and out.endswith("\n25/25 checks passed\n")
     assert len(hulls) == 16
@@ -334,6 +333,7 @@ def test_missing_reference_data_exit_code(capsys):
     assert rc == 4
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_a_wrong_edge_exits_1_with_one_line(capsys):
     # The pivot pairs a simple negative ray with its first edge's other ray
     # for every facet it drops, so it makes one wrong edge twice.  The step
@@ -346,11 +346,10 @@ def test_a_wrong_edge_exits_1_with_one_line(capsys):
         else:
             local["k"] = first["k"]
 
-    spaces._last_movable.clear()
     ran = []
-    _trace_insert(lambda: ran.append(run(capsys, "cone", "--family", "qn", "--n",
-                                         "6", "--cone", "mov")),
-                  {"pivot": "prefix &= h"}, visit)
+    trace_insert(lambda: ran.append(run(capsys, "cone", "--family", "qn", "--n",
+                                        "6", "--cone", "mov")),
+                 {"pivot": "prefix &= h"}, visit)
     [(rc, out, err)] = ran
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -425,6 +424,7 @@ def test_bench_range(capsys):
         assert fields[5] == "ok"
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_bench_frees_each_movable_cone_before_the_next(monkeypatch, capsys):
     # One slot keeps the last movable cone and is emptied on a miss before
     # the next space's hulls run, so bench never holds two cones at once.
@@ -433,7 +433,6 @@ def test_bench_frees_each_movable_cone_before_the_next(monkeypatch, capsys):
     monkeypatch.setattr(spaces, "omit_one_hulls",
                         lambda *args: held.append(len(spaces._last_movable))
                         or omit_one_hulls(*args))
-    spaces._last_movable.clear()
     rc, _, _ = run(capsys, "bench", "--family", "qn", "--n", "2..8")
     assert rc == 0
     assert held == [0] * 7

@@ -1,8 +1,7 @@
 import ast
 import copy
-import inspect
+import importlib
 import random
-import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -41,15 +40,18 @@ from formcones.verify import (
     fuzz_cases,
     run_suite,
 )
-from test_spaces import _omit_one_spaces
+from support import (
+    CROSS_INSIDE,
+    CROSS_RAYS,
+    CUBE_RAYS,
+    OCTAHEDRON_RAYS,
+    STEPS,
+    omit_one_spaces,
+    ray_steps,
+    trace_insert,
+)
 
 coord = st.integers(min_value=-4, max_value=4)
-
-
-@pytest.fixture
-def fresh_movable():
-    """An empty movable-cone slot, so the test's spies see Mov's passes run."""
-    spaces_module._last_movable.clear()
 
 
 def test_orthant_rays_and_facets():
@@ -132,7 +134,7 @@ def test_repr_counts_what_the_cone_holds():
     assert repr(dual(h)) == "Cone(ambient_rank=2, rays=2, facets=2)"
 
 
-@pytest.mark.usefixtures("fresh_movable")
+@pytest.mark.usefixtures("cold_caches")
 def test_polar_is_given_canonical_rows(monkeypatch):
     # Every cone holds its given vectors in canonical form, so ``_polar``
     # takes them as they are: nonzero, primitive and strictly increasing.
@@ -144,7 +146,6 @@ def test_polar_is_given_canonical_rows(monkeypatch):
         return polar(rows, d, seed)
 
     monkeypatch.setattr(cones_module, "_polar", spy)
-    cones_module._generated.cache_clear()
     run_suite("cones")
     movable_cone(quadrics(6))
     gkz_fan(collineations(3))
@@ -248,15 +249,18 @@ def test_equal_generators_share_one_cone():
         is not cone_from_halfspaces(2, [(1, 0)])
 
 
-def test_every_cache_is_bounded():
+def test_every_cache_is_bounded(cold_caches):
     # A cache without a bound keeps every cone a long-running process has
-    # built; each lru_cache in the package must give a finite maxsize.
+    # built; each lru_cache in the package must give a finite maxsize, and
+    # the cold_caches fixture must empty it.
     package = Path(cones_module.__file__).parent
     found = 0
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         calls = {id(node.func): node for node in ast.walk(tree)
                  if isinstance(node, ast.Call)}
+        decorated = {id(d): f.name for f in ast.walk(tree)
+                     if isinstance(f, ast.FunctionDef) for d in f.decorator_list}
         for node in ast.walk(tree):
             if "lru_cache" not in (getattr(node, "id", None), getattr(node, "attr", None)):
                 continue
@@ -267,6 +271,9 @@ def test_every_cache_is_bounded():
             assert len(sizes) == 1 and isinstance(sizes[0], ast.Constant) \
                 and type(sizes[0].value) is int and sizes[0].value > 0, \
                 f"{where}: lru_cache needs a positive integer maxsize"
+            module = importlib.import_module(f"formcones.{path.stem}")
+            assert getattr(module, decorated.get(id(call), ""), None) in cold_caches, \
+                f"{where}: the cold_caches fixture does not empty this lru_cache"
             found += 1
     assert found
 
@@ -440,59 +447,8 @@ def test_insert_leaves_its_state_unchanged():
 # A negative ray tight on exactly d - 1 current facets is simple and its
 # edges are read off by the pivot; any other negative ray goes through the
 # pair loop.  There a simple positive ray makes an edge with every negative
-# one that shares d - 2 of its facets, with no face test.  _ray_steps
-# records which step runs at which row, by tracing the lines of _polar's
-# row step, _insert, that mark each step; the row is _insert's ``idx``
-# argument.
-
-_STEPS = {"pivot": "prefix &= h", "pair loop": "face &= holding[i]",
-          "simple positive ray": "combine(nvec, an, p, ap)"}
-
-
-def _trace_insert(build, markers, visit):
-    """Run ``build``, calling ``visit(step, f_locals)`` at ``_insert``'s marker lines.
-
-    ``markers`` maps each step to a text that only its line holds.
-    """
-    lines, first = inspect.getsourcelines(cones_module._insert)
-    steps = {first + i: step for i, line in enumerate(lines)
-             for step, text in markers.items() if text in line}
-    assert sorted(steps.values()) == sorted(markers), "a marker line moved"
-
-    def in_insert(frame, event, arg):
-        if event == "line" and frame.f_lineno in steps:
-            visit(steps[frame.f_lineno], frame.f_locals)
-        return in_insert
-
-    def calls(frame, event, arg):
-        return in_insert if frame.f_code is cones_module._insert.__code__ else None
-
-    previous = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        build()
-    finally:
-        sys.settrace(previous)
-
-
-def _ray_steps(build):
-    """``(row index, step)`` for every ray step ``_insert`` runs in ``build``."""
-    seen = set()
-
-    def visit(step, local):
-        # Past the face test the edge line runs too: it marks the shortcut
-        # only for a simple ``p``.
-        if step != "simple positive ray" or local["simple"]:
-            seen.add((local["idx"], step))
-
-    _trace_insert(build, _STEPS, visit)
-    return sorted(seen)
-
-
-CUBE_RAYS = ((-1, -1, -1, 1), (-1, -1, 1, 1), (-1, 1, -1, 1), (-1, 1, 1, 1),
-             (1, -1, -1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, 1))
-OCTAHEDRON_RAYS = ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1),
-                   (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1))
+# one that shares d - 2 of its facets, with no face test.  ray_steps records
+# which step runs at which row.
 
 
 def test_cone_over_a_cube():
@@ -504,7 +460,7 @@ def test_cone_over_a_cube():
     # octahedron are the rows of the same pass.
     assert cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays == CUBE_RAYS
     assert cone_from_rays(4, OCTAHEDRON_RAYS).facets == CUBE_RAYS
-    assert _ray_steps(lambda: cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays) \
+    assert ray_steps(lambda: cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays) \
         == [(4, "pivot"), (5, "simple positive ray")]
 
 
@@ -515,7 +471,7 @@ def test_cone_over_an_octahedron():
     # positive rays that are not simple and none for those that are.
     assert cone_from_halfspaces(4, CUBE_RAYS).rays == OCTAHEDRON_RAYS
     assert cone_from_rays(4, CUBE_RAYS).facets == OCTAHEDRON_RAYS
-    assert _ray_steps(lambda: cone_from_halfspaces(4, CUBE_RAYS).rays) == [
+    assert ray_steps(lambda: cone_from_halfspaces(4, CUBE_RAYS).rays) == [
         (3, "pivot"), (5, "pivot"), (6, "pair loop"),
         (6, "simple positive ray"), (7, "pivot")]
 
@@ -532,11 +488,11 @@ def test_cone_with_an_implicit_equality():
     assert c.rays == ((-1, -1, 1, 1), (-1, 1, 1, 1), (1, -1, 1, 1),
                       (1, 1, 1, 1))
     assert c.dim == 3
-    assert _ray_steps(lambda: cone_from_halfspaces(4, rows).rays) \
+    assert ray_steps(lambda: cone_from_halfspaces(4, rows).rays) \
         == [(3, "pivot"), (5, "pair loop")]
 
 
-@pytest.mark.usefixtures("fresh_movable")
+@pytest.mark.usefixtures("cold_caches")
 def test_every_shortcut_edge_spans_a_two_face():
     # A simple positive ray p lies on d - 1 independent kept rows, so the
     # d - 2 of them that a negative ray n shares cut out a 2-face holding p
@@ -556,19 +512,18 @@ def test_every_shortcut_edge_spans_a_two_face():
         checked.append(face == pair)
 
     def build():
-        cones_module._generated.cache_clear()
         cases = [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
         for d, vecs in cases + _oracle_corpus() + fuzz_cases():
             for c in (cone_from_halfspaces(d, vecs), cone_from_rays(d, vecs)):
                 dd_convert(c)
-        for s in {spaces_module._shape(s): s for s in _omit_one_spaces()}.values():
+        for s in {spaces_module._shape(s): s for s in omit_one_spaces()}.values():
             movable_cone(s).rays
 
-    _trace_insert(build, {"edge": _STEPS["simple positive ray"]}, visit)
+    trace_insert(build, {"edge": STEPS["simple positive ray"]}, visit)
     assert len(checked) > 1000 and all(checked)
 
 
-@pytest.mark.usefixtures("fresh_movable")
+@pytest.mark.usefixtures("cold_caches")
 def test_movable_cone_of_quadrics_12_tests_no_face():
     # Every cut of Mov(quadrics(12))'s hulls and seeded pass that reaches the
     # pair loop leaves one negative ray, a non-simple apex, facing simple
@@ -579,14 +534,13 @@ def test_movable_cone_of_quadrics_12_tests_no_face():
     def visit(step, local):
         counts[step] += 1
 
-    cones_module._generated.cache_clear()
-    _trace_insert(lambda: movable_cone(quadrics(12)).rays,
-                  {"pair": "common = pmask & nmask", "face": "face = everyone"},
-                  visit)
+    trace_insert(lambda: movable_cone(quadrics(12)).rays,
+                 {"pair": "common = pmask & nmask", "face": "face = everyone"},
+                 visit)
     assert counts == {"pair": 2044, "face": 0}
 
 
-@pytest.mark.usefixtures("fresh_movable")
+@pytest.mark.usefixtures("cold_caches")
 def test_a_wrong_edge_stops_the_pass():
     # Taking every positive ray as simple skips the face test, so the pair
     # loop makes edges that are not.  In the second pass over
@@ -599,9 +553,8 @@ def test_a_wrong_edge_stops_the_pass():
 
     cones_module._generated.cache_clear()
     with pytest.raises(InternalError, match="zero set"):
-        _trace_insert(lambda: cone_from_rays(6, rays).facets,
-                      {"pair": "common = pmask & nmask"}, visit)
-    cones_module._generated.cache_clear()
+        trace_insert(lambda: cone_from_rays(6, rays).facets,
+                     {"pair": "common = pmask & nmask"}, visit)
 
 
 # -- the seeded check on packed lanes -------------------------------------------
@@ -609,15 +562,6 @@ def test_a_wrong_edge_stops_the_pass():
 # A seeded pass packs the columns of the rays its seed cuts out into lanes and
 # checks every other row on them with one sign test; the step itself
 # classifies on column tuples.
-
-# The cone over a 6-dimensional cross-polytope in rank 7: 12 rays e0 +- ei and
-# 64 facets; CROSS_INSIDE lies inside it.  As normals, CROSS_RAYS cut out the
-# cone over a 6-cube, with 64 rays, and CROSS_INSIDE is redundant for it.
-CROSS_RAYS = tuple(tuple(int(j == 0) + s * int(j == i) for j in range(7))
-                   for i in range(1, 7) for s in (1, -1))
-CROSS_INSIDE = ((1, 0, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0),
-                (3, 0, -1, 1, 0, 0, 0), (4, 1, 1, 1, -1, 0, 0))
-
 
 def _narrowest(lanes, bound, vecs):
     """True when ``lanes`` has the fewest bytes that hold ``bound * reach``.
@@ -778,7 +722,7 @@ def _quadrics_12_rows():
     return rows
 
 
-@pytest.mark.usefixtures("fresh_movable")
+@pytest.mark.usefixtures("cold_caches")
 def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # The unseeded pass over Mov(quadrics(12))'s 144 rows inserts all of
     # them and classifies each on column tuples: it packs no lanes and
@@ -790,7 +734,7 @@ def test_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     assert packs == [] and kept == []
 
 
-@pytest.mark.usefixtures("fresh_movable")
+@pytest.mark.usefixtures("cold_caches")
 def test_seeded_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # Seeded with the 22 closed-form facets, the pass inserts those alone,
     # packs the 2,048 rays they cut out once, on lanes of 4 bytes, as 28
@@ -851,13 +795,12 @@ def _checking_kept_rows(monkeypatch):
     return calls
 
 
-@pytest.mark.usefixtures("fresh_movable")
+@pytest.mark.usefixtures("cold_caches")
 def test_candidate_rows_keep_what_all_rows_keep(monkeypatch):
     # Both sides of every oracle, fuzz and cross-polytope case, the sheared
     # cube past 64 bits, and the omit-one hulls and final pass of
     # Mov(quadrics(8)).
     calls = _checking_kept_rows(monkeypatch)
-    cones_module._generated.cache_clear()
     cases = _oracle_corpus() + fuzz_cases()
     cases.append((7, CROSS_RAYS + CROSS_INSIDE))
     for d, vecs in cases:
@@ -913,7 +856,7 @@ def _kept_row_reads(monkeypatch):
     return read
 
 
-@pytest.mark.usefixtures("fresh_movable")
+@pytest.mark.usefixtures("cold_caches")
 def test_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
     # The unseeded pass over Mov(quadrics(12))'s rows computes its kept rows
     # at 78 cuts.  Over every row inserted so far they would read 3,884 zero
@@ -925,7 +868,7 @@ def test_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
     assert (len(read), sum(read), max(read)) == (78, 1055, 22)
 
 
-@pytest.mark.usefixtures("fresh_movable")
+@pytest.mark.usefixtures("cold_caches")
 def test_seeded_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
     # Seeded, only the 10 of the 22 closed-form facets that cut read zero
     # sets, 165 of them, at most 21; the other 12 are lineality steps.  The

@@ -62,6 +62,24 @@ def test_the_package_imports_only_the_standard_library():
     assert scanned > 1
 
 
+def test_no_test_module_imports_another():
+    # Data and spies that several modules use live in support.py, so no
+    # test module depends on another one's collection.
+    paths = sorted(Path(__file__).parent.rglob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert not any(part.startswith("test_") for part in name.split(".")), \
+                    f"{path.name}:{node.lineno}: imports {name}"
+    assert len(paths) > 2
+
+
 def test_the_root_exports_each_module_list_once():
     # Each module's __all__ is the one declaration of its public names, and
     # the root re-exports those lists in this order.

@@ -33,6 +33,7 @@ from formcones.spaces import (
     pairing,
     quadrics,
 )
+from support import CROSS_INSIDE, CROSS_RAYS, omit_one_spaces
 
 
 def test_space_constructors_and_validation():
@@ -212,26 +213,11 @@ def test_brute_force_shares_nothing_with_the_default_route(monkeypatch):
     assert spaces_module._last_movable[next(iter(slot))] is mov
 
 
-def _omit_one_spaces():
-    """Every space of Picard rank 2..10 in the families xn, qn and xnm.
-
-    xnm means collineations(n, m) with m = n+1..n+3; every stage of each
-    space is included.
-    """
-    bases = [make(n) for n in range(2, 11) for make in (collineations, quadrics)]
-    bases += [collineations(n, n + k) for n in range(1, 10) for k in (1, 2, 3)]
-    out = []
-    for s in bases:
-        out.append(s)
-        out += [SpaceSpec(s.family, s.n, s.m, i) for i in range(1, s.n)]
-    return out
-
-
 def test_omit_one_hulls_match_one_pass_per_hull():
     # The default route of movable_cone inserts the shared columns once and
     # the omitted ones by halves; each hull must equal its own pass.  Many
     # stages share their columns, so 243 spaces pose 90 distinct problems.
-    spaces = _omit_one_spaces()
+    spaces = omit_one_spaces()
     assert len(spaces) == 243
     problems = {}
     for s in spaces:
@@ -253,9 +239,6 @@ def test_spaces_of_one_format_share_a_shape():
 
 
 def test_omit_one_hulls_edge_cases():
-    # test_cones imports this module, so its vectors are imported here.
-    from test_cones import CROSS_INSIDE, CROSS_RAYS
-
     square = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]
     # One omitted vector: its hull is the pass over the shared ones.
     assert omit_one_hulls(3, square[1:], square[:1]) == {
@@ -321,7 +304,7 @@ def _curves_by_halfspaces(divisors):
 
 
 def test_curve_cones_match_the_halfspace_route():
-    for s in _omit_one_spaces() + [quadrics(40)]:
+    for s in omit_one_spaces() + [quadrics(40)]:
         for curves, divisors in ((mori_cone(s), nef_cone(s)),
                                  (moving_curve_cone(s), effective_cone(s))):
             reference = _curves_by_halfspaces(divisors)
@@ -402,7 +385,7 @@ def test_effective_cone_is_the_cone_over_the_cox_degrees():
     # Hu and Keel ("Mori dream spaces and GIT", 2000): the effective cone of
     # a Mori dream space is the cone over the degrees of its Cox generators,
     # here every grading column and not only the generators Eff is built from.
-    for s in _omit_one_spaces():
+    for s in omit_one_spaces():
         by_columns = cone_from_rays(s.picard_rank, grading_matrix(s).distinct_coords())
         assert effective_cone(s) == by_columns, s.describe()
 
@@ -463,7 +446,7 @@ def test_spaces_of_one_shape_share_one_seed():
     # The seed is a function of what the shape determines, so the route a
     # shape takes does not depend on which of its spaces comes first.
     seeds = {}
-    for s in _omit_one_spaces():
+    for s in omit_one_spaces():
         assert seeds.setdefault(_shape(s), movable_facets(s)) == movable_facets(s), \
             s.describe()
     spaces_module._last_movable.clear()
@@ -477,7 +460,7 @@ def test_seeded_movable_cones_match_the_unseeded_pass():
     # unseeded pass over the same rows must give the same cone.  Spaces of
     # one shape and seed pose one problem.
     problems = {}
-    for s in _omit_one_spaces():
+    for s in omit_one_spaces():
         problems.setdefault(_shape(s), s)
     assert len(problems) == 90
     seeded = 0
