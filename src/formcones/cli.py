@@ -62,14 +62,16 @@ _EXIT_CODES = ((InternalError, 1), (DegenerateSpace, 3), (RankUnsupported, 3),
 
 def parse_n_range(text: str) -> range:
     """Either a single value "14" or an inclusive range "10..12"."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return range(lo, hi + 1)
-    n = int(text)
-    return range(n, n + 1)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise ValueError(f"--n {text!r} is neither a value like 14 nor a "
+                         "range like 10..12") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _space(args, n: int | None = None) -> SpaceSpec:

@@ -37,12 +37,13 @@ The step and :func:`_read_back` pick the rows that cut out a cone by one
 :func:`_kept_rows`, on zero sets alone, and compute no rank.  This is
 exact because the rays involved are extreme: an extreme ray is fixed by
 the rows tight on it, and the smallest face holding some extreme rays is
-cut out by the rows tight on all of them.  Neither reads the zero set of
-every row, only of the candidate rows that the pass carries: a row that
-is not kept at one cut is not kept at a later one, unless a row in
-between lowers the dimension (Fukuda & Prodon 1996; :func:`_insert`).
-A simple ray's edges are read off its kept rows with no face test.
-The masks stay over all rows.  The only rank test left is the
+cut out by the rows tight on all of them.  The step reads only the zero
+sets of the candidate rows that the pass carries: a row that is not
+kept at one cut is not kept at a later one, unless a row in between
+lowers the dimension (Fukuda & Prodon 1996; :func:`_insert`).  A simple
+ray's edges are read off its kept rows with no face test.  The masks
+stay over every inserted row, and :func:`_read_back` reads the zero set
+of each inserted row once.  The only rank test left is the
 certificate of :func:`extremal_rays`, which recomputes its tight rows by
 inner products and so stays independent of the pass.  Every vector the
 step makes comes from :func:`formcones.linalg.combine`, the row operation
@@ -136,40 +137,38 @@ def _polar(rows: Mat, d: int,
 
     ``rows`` must be canonical, as :func:`_validated` makes them and every
     :class:`Cone` holds them: nonzero, primitive, distinct and sorted.
-    Returns ``((lineality_basis, rays), (masks, cand))``: the canonical
+    Returns ``((lineality_basis, rays), (inserted, masks))``: the canonical
     minimal generator set, and the pass's final incidence, where
-    ``masks[j]`` has bit ``i`` set exactly when the row inserted as row
-    ``i`` is tight on ``rays[j]`` and ``cand`` holds the bits of the
-    inserted rows that may cut out the cone (:func:`_insert`).  Unseeded,
-    row ``i`` is inserted as row ``i``, one :func:`_insert` step each.
+    ``inserted`` lists the rows in the order the pass inserted them and
+    ``masks[j]`` has bit ``i`` set exactly when ``inserted[i]`` is tight on
+    ``rays[j]``.  Unseeded, ``inserted`` is ``rows``, one :func:`_insert`
+    step each.
 
     A seeded pass inserts the rows in ``seed`` first, packs the rays they
     cut out once and checks every other row once: it holds on the seed's
     cone when it is zero on the lineality space and :func:`_lane_holds`
     finds no negative ray.  Only the rows that fail are inserted, in their
-    order, and the incidence gains a third entry, the index in ``rows`` of
-    each inserted row.  One round is enough: a row that holds on the
+    order, after the seed's.  One round is enough: a row that holds on the
     seed's cone holds on every cone inside it, so the inserted rows cut
     out the cone of all the rows.  Any seed gives the same result; one
     with no row among ``rows`` changes nothing.
     """
-    first = [i for i, a in enumerate(rows) if a in seed] if seed else []
+    first = [a for a in rows if a in seed] if seed else []
     if not first:
-        return _canonical(_inserted(_start(d), 0, rows))
-    lin, vecs, masks, cols, cand = _inserted(
-        _start(d), 0, [rows[i] for i in first])
+        pair, masks = _canonical(_inserted(_start(d), 0, rows))
+        return pair, (rows, masks)
+    lin, vecs, masks, cols, cand = _inserted(_start(d), 0, first)
     if vecs:
         cols = _pack(cols, max(sum(map(abs, a)) for a in rows))
-    failing = [i for i, a in enumerate(rows) if a not in seed and (
+    failing = [a for a in rows if a not in seed and (
         any(dot(a, v) for v in lin)
         or vecs and not _lane_holds(cols, a))]
     if failing:
         # The step reads the columns as tuples.
         cols = list(zip(*vecs))
-    state = _inserted((lin, vecs, masks, cols, cand), len(first),
-                      [rows[i] for i in failing])
-    pair, (masks, cand) = _canonical(state)
-    return pair, (masks, cand, tuple(first + failing))
+    pair, masks = _canonical(_inserted((lin, vecs, masks, cols, cand),
+                                       len(first), failing))
+    return pair, (tuple(first + failing), masks)
 
 
 def _start(d: int):
@@ -397,16 +396,15 @@ def _insert(state, idx: int, a: Vec):
     return lin, new_vecs, new_masks, list(zip(*new_vecs)), cand
 
 
-def _canonical(state) -> tuple[tuple[Mat, Mat], tuple[tuple[int, ...], int]]:
-    """The canonical ``((lineality_basis, rays), (masks, cand))`` of a state."""
-    lin, vecs, masks, _, cand = state
+def _canonical(state) -> tuple[tuple[Mat, Mat], tuple[int, ...]]:
+    """The canonical ``(lineality_basis, rays)`` of a state, and each ray's mask."""
+    lin, vecs, masks, _, _ = state
     lin_basis = row_space_basis(lin)
     # With no lineality each ray, primitive and nonzero, is its own form.
     reduced = [reduce_mod_rowspace(r, lin_basis) for r in vecs] if lin_basis else vecs
     tight = {r: mask for r, mask in zip(reduced, masks) if r is not None}
     pointed = tuple(sorted(tight))
-    return ((tuple(sorted(lin_basis)), pointed),
-            (tuple(tight[r] for r in pointed), cand))
+    return (tuple(sorted(lin_basis)), pointed), tuple(tight[r] for r in pointed)
 
 
 def omit_one_hulls(d: int, shared: Iterable[Sequence[int]],
@@ -441,26 +439,23 @@ def omit_one_hulls(d: int, shared: Iterable[Sequence[int]],
     return out
 
 
-def _read_back(rows: Mat, masks: Sequence[int], cand: int,
-               order: Sequence[int] | None = None) -> tuple[Mat, Mat]:
+def _read_back(rows: Mat, masks: Sequence[int]) -> tuple[Mat, Mat]:
     """Canonical pair of a pass's input side, from its final incidence.
 
-    ``(masks, cand)``, or ``(masks, cand, order)`` for a seeded pass, is
-    the second value :func:`_polar` returns for ``rows``; ``order`` maps
-    each inserted position to its row, and only the rows in ``cand`` can
-    cut out the output cone.  The rows tight on every output vector span
-    the input side's lineality (or implied-equality) space.  Every output
-    vector is extreme, so the face a further row cuts out is fixed by its
-    zero set over the output vectors, and that face is maximal (a facet, or
-    an extreme ray on the generator side) exactly when the zero set is
-    maximal among all rows'.
-    Rows with the same zero set agree modulo the space up to a positive
-    factor, so one row per zero set is reduced.  No rank is computed.
+    ``(rows, masks)`` is the second value :func:`_polar` returns: the rows
+    it inserted, in order, and the zero set of each output vector over
+    them.  The rows tight on every output vector span the input side's
+    lineality (or implied-equality) space.  Every output vector is extreme,
+    so the face a further row cuts out is fixed by its zero set over the
+    output vectors, and that face is maximal (a facet, or an extreme ray on
+    the generator side) exactly when the zero set is maximal among all
+    rows'.  The rows a seeded pass did not insert hold on the cone of the
+    inserted ones, so they cut out nothing more.  Rows with the same zero
+    set agree modulo the space up to a positive factor, so one row per
+    zero set is reduced.  No rank is computed.
     """
-    if order is not None:
-        rows = [rows[i] for i in order]
-    equalities, facets = _kept_rows(_transpose(masks, len(rows), cand),
-                                    (1 << len(masks)) - 1)
+    equalities, facets = _kept_rows(
+        _transpose(masks, len(rows), (1 << len(rows)) - 1), (1 << len(masks)) - 1)
     basis = row_space_basis([rows[i] for i in equalities])
     pointed = {reduce_mod_rowspace(rows[i], basis) for i in facets}
     return tuple(sorted(basis)), tuple(sorted(pointed))
@@ -532,7 +527,7 @@ class Cone:
                 self._pairs[1 - given_side], self._incidence = _polar(
                     vectors, self.ambient_rank, self._seed)
             if side == given_side:
-                self._pairs[side] = _read_back(vectors, *self._incidence)
+                self._pairs[side] = _read_back(*self._incidence)
                 self._incidence = None
         return self._pairs[side]
 

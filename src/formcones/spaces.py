@@ -90,7 +90,9 @@ class SpaceSpec(_SpaceFields):
                 "transpose the format instead"
             )
         if stage is not None and not 1 <= stage <= n - 1:
-            raise ValueError(f"stage {stage} out of range 1..{n - 1}")
+            raise ValueError(f"stage {stage} out of range 1..{n - 1}" if n > 1
+                             else f"stage {stage} given, but n=1 has no "
+                             "intermediate stage")
         return super().__new__(cls, family, n, m, stage)
 
     @property

@@ -52,7 +52,11 @@ def trace_insert(build, markers, visit):
     lines, first = inspect.getsourcelines(cones_module._insert)
     steps = {first + i: step for i, line in enumerate(lines)
              for step, text in markers.items() if text in line}
-    assert sorted(steps.values()) == sorted(markers), "a marker line moved"
+    found = list(steps.values())
+    moved = [f"{step} ({text!r} on {found.count(step)} lines)"
+             for step, text in markers.items() if found.count(step) != 1]
+    assert not moved, ("each marker must match one line of _insert: "
+                       + ", ".join(moved))
 
     def in_insert(frame, event, arg):
         if event == "line" and frame.f_lineno in steps:

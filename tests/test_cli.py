@@ -470,6 +470,15 @@ def test_bench_bad_ranges(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "bench", "--family", "qn", "--n", "abc")
     assert rc == 2
+    rc, out, err = run(capsys, "bench", "--family", "qn", "--n", "3..")
+    assert (rc, out) == (2, "")
+    assert err == ("error: --n '3..' is neither a value like 14 nor a range "
+                   "like 10..12\n")
+    # n = 1 has no intermediate stage to name.
+    rc, out, err = run(capsys, "cone", "--family", "xnm", "--n", "1", "--m",
+                       "5", "--stage", "1", "--cone", "mov")
+    assert (rc, out) == (2, "")
+    assert err == "error: stage 1 given, but n=1 has no intermediate stage\n"
 
 
 @pytest.mark.parametrize("family, m", [("qn", "5"), ("xn", "9")])
@@ -611,5 +620,11 @@ def test_threads_flag_must_be_positive(capsys):
 def test_parse_n_range():
     assert parse_n_range("3") == range(3, 4)
     assert parse_n_range("2..5") == range(2, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("empty range '5..2'")):
         parse_n_range("5..2")
+    # A malformed --n is named, with the forms it may take.
+    for text in ("3..", "..4", "", "abc", "3..4..5", "2.5"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"--n {text!r} is neither a value like 14 nor a range like "
+                "10..12")):
+            parse_n_range(text)

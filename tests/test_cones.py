@@ -321,19 +321,18 @@ def test_polar_masks_are_the_zero_sets_of_its_rays():
     # from these masks alone, so each must be exactly the rows tight on its
     # ray, recomputed here by inner products, and no two may be equal.  It
     # takes canonical rows, as every cone holds them, and indexes the masks
-    # by their order, or, seeded, by the order it inserted them in.
+    # by the rows it lists as inserted, in their order.
     cases = fuzz_cases()
     cases += [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
     for rank_, gens in cases:
         for normals in (gens, cone_from_rays(rank_, gens).facets):
             rows = _validated(normals, rank_, "normal")
             for seed in (frozenset(), frozenset(rows[::2])):
-                (_, pointed), (masks, _, *order) = _polar(rows, rank_, seed)
-                inserted = order[0] if order else range(len(rows))
+                (_, pointed), (inserted, masks) = _polar(rows, rank_, seed)
                 assert len(masks) == len(pointed)
                 for r, mask in zip(pointed, masks):
-                    tight = sum(1 << k for k, i in enumerate(inserted)
-                                if dot(rows[i], r) == 0)
+                    tight = sum(1 << k for k, a in enumerate(inserted)
+                                if dot(a, r) == 0)
                     assert mask == tight, (rank_, normals, seed, r)
                 assert len(set(masks)) == len(masks), (rank_, normals, seed)
 
@@ -775,10 +774,10 @@ def _checking_kept_rows(monkeypatch):
         finally:
             current.pop()
 
-    def reading(rows, masks, cand, *order):
-        current.append((masks, len(order[0]) if order else len(rows)))
+    def reading(rows, masks):
+        current.append((masks, len(rows)))
         try:
-            return read_back(rows, masks, cand, *order)
+            return read_back(rows, masks)
         finally:
             current.pop()
 
@@ -869,6 +868,17 @@ def test_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
 
 
 @pytest.mark.usefixtures("cold_caches")
+def test_unseeded_read_back_reads_every_inserted_row(monkeypatch):
+    # The read-back of that unseeded pass reads the zero set of each of the
+    # 144 rows it inserted once, in one call, and keeps 22 facets.
+    c = cone_from_halfspaces(12, _quadrics_12_rows())
+    assert len(c.rays) == 2048
+    read = _kept_row_reads(monkeypatch)
+    assert len(c.facets) == 22
+    assert read == [144]
+
+
+@pytest.mark.usefixtures("cold_caches")
 def test_seeded_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
     # Seeded, only the 10 of the 22 closed-form facets that cut read zero
     # sets, 165 of them, at most 21; the other 12 are lineality steps.  The
@@ -940,7 +950,7 @@ def test_faulty_seeds_give_the_movable_cone(s):
 
 def test_an_empty_seed_inserts_every_row_in_order(monkeypatch):
     # With no row in the seed the pass is the plain one: rows 0..N-1, in
-    # order, and an incidence with no order of its own.
+    # order, and an incidence that lists them in that order.
     rows = _validated(CROSS_RAYS + CROSS_INSIDE, 7, "normal")
     plain = _polar(rows, 7)
     inserted, _, _ = _lane_counts(monkeypatch)
@@ -949,4 +959,4 @@ def test_an_empty_seed_inserts_every_row_in_order(monkeypatch):
         inserted.clear()
         got = _polar(rows, 7, seed)
         assert inserted == list(range(len(rows)))
-        assert got == plain and len(got[1]) == 2
+        assert got == plain and got[1][0] == rows

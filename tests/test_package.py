@@ -142,7 +142,9 @@ def test_record_value_semantics():
                 (("collineations", 3, 2, None), "n <= m is required"),
                 (("collineations", 0, 2, None), "n must be positive"),
                 (("collineations", 3, 3, 0), "stage 0 out of range 1..2"),
-                (("quadrics", 3, 3, 3), "stage 3 out of range 1..2")]:
+                (("quadrics", 3, 3, 3), "stage 3 out of range 1..2"),
+                (("collineations", 1, 5, 1),
+                 "stage 1 given, but n=1 has no intermediate stage")]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 build(*args)
     for build in (SpaceSpec, by_keywords):  # the helpers fix the family
