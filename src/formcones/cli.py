@@ -8,6 +8,7 @@ README's paragraph on exit codes states the policy, and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -55,7 +56,9 @@ _CONES = {
 }
 
 # The exit code of each error class, the first match winning: RouteMismatch
-# is an InternalError.  Any other exception is a bug and keeps its traceback.
+# is an InternalError.  ``main`` also maps a closed stdout to 141 and an
+# interrupt to 130, the shell's codes for SIGPIPE and SIGINT.  Any other
+# exception is a bug and keeps its traceback.
 _EXIT_CODES = ((InternalError, 1), (DegenerateSpace, 3), (RankUnsupported, 3),
                (NoReferenceData, 4), (ValueError, 2))
 
@@ -260,8 +263,8 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         # cone, verify and bench keep --threads for existing command lines.
         # Every computation runs serially, so the count is only validated.
         if getattr(args, "threads", 1) < 1:
@@ -270,6 +273,15 @@ def main(argv=None) -> int:
     except tuple(cls for cls, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  What is left in its buffer
+        # goes to the null device, so the flush at exit cannot fail again,
+        # and the exit code is the shell's for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -33,17 +33,20 @@ The one place that computes facets without building a cone is
 generators differ by one vector, sharing the steps they have in common,
 and gives each cone's facets as the pass over its own generators would.
 
-The step and :func:`_read_back` pick the rows that cut out a cone by one
-:func:`_kept_rows`, on zero sets alone, and compute no rank.  This is
-exact because the rays involved are extreme: an extreme ray is fixed by
-the rows tight on it, and the smallest face holding some extreme rays is
-cut out by the rows tight on all of them.  The step reads only the zero
-sets of the candidate rows that the pass carries: a row that is not
-kept at one cut is not kept at a later one, unless a row in between
-lowers the dimension (Fukuda & Prodon 1996; :func:`_insert`).  A simple
-ray's edges are read off its kept rows with no face test.  The masks
-stay over every inserted row, and :func:`_read_back` reads the zero set
-of each inserted row once.  The only rank test left is the
+The step and :func:`_read_back` pick the rows that cut out a cone on zero
+sets alone, and compute no rank.  This is exact because the rays involved
+are extreme: an extreme ray is fixed by the rows tight on it, and the
+smallest face holding some extreme rays is cut out by the rows tight on
+all of them.  A cut of a simplicial cone reads each facet off the rays'
+masks, one prefix and suffix AND sweep, and pairs every negative ray with
+every positive one, since any two of its rays span a 2-face.  Any other
+cut, and :func:`_read_back`, call :func:`_kept_rows` once.  The step
+reads only the zero sets of the candidate rows that the pass carries: a
+row that is not kept at one cut is not kept at a later one, unless a row
+in between lowers the dimension (Fukuda & Prodon 1996; :func:`_insert`).
+A simple ray's edges are read off its kept rows with no face test.  The
+masks stay over every inserted row, and :func:`_read_back` reads the
+zero set of each inserted row once.  The only rank test left is the
 certificate of :func:`extremal_rays`, which recomputes its tight rows by
 inner products and so stays independent of the pass.  Every vector the
 step makes comes from :func:`formcones.linalg.combine`, the row operation
@@ -52,9 +55,9 @@ that the elimination in :mod:`formcones.linalg` uses too.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
-from operator import add, mul
+from operator import add, and_, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -255,20 +258,34 @@ def _insert(state, idx: int, a: Vec):
     each row the current rays are exactly the extreme rays (modulo the
     lineality space) of the cone cut out so far, and each mask is exactly
     its ray's zero set, so no two masks are equal; a cut that makes two
-    equal raises :class:`InternalError`.
+    equal raises :class:`InternalError`, on either route below.
 
-    At each row that leaves a negative ray, the step keeps the rows that
-    cut out the current cone: one row per maximal set of tight rays (a
-    facet) and every row tight on all rays (an implicit equality).  Every
-    face is cut out by the kept rows that hold it, so the smallest face
-    holding rays ``p`` and ``n`` holds exactly the rays in the
-    intersection of the ray sets of the kept rows in ``pmask & nmask``.
-    The pair is adjacent (that face is two-dimensional) exactly when it
-    holds no third ray (Fukuda & Prodon, "Double description method
-    revisited", 1996).  The kept rows of such a face have rank
-    ``d - dim lineality - 2``, so pairs with fewer common kept rows are
-    skipped first.  Implicit equalities cut nothing out but count toward
-    that number: without them the edges of a cone that is not
+    A row that leaves a negative ray cuts on one of two routes, chosen from
+    the state alone; both leave the same state.  The simplicial route is
+    taken when there are ``d - dim lineality`` rays and no inserted row is
+    tight on all of them: the cone is then full-dimensional and
+    simplicial, each ray ``i`` lies on every facet but the one opposite
+    it, and every two rays span a 2-face (Fukuda & Prodon 1996).  The
+    facet opposite ray ``i`` is the first candidate row tight on every
+    other ray, which is the row the general route keeps for it; one
+    prefix and suffix AND sweep over the masks finds it for every ray, and
+    a ray with none raises :class:`InternalError`.  Each negative ray is
+    combined with every positive ray, taken in the order of their facets'
+    rows, which is the order in which the pivot below reaches them, and
+    the candidates become the facet rows and ``a``, or every row when no
+    ray is positive, as on the general route.
+
+    On the general route the step keeps the rows that cut out the current
+    cone: one row per maximal set of tight rays (a facet) and every row
+    tight on all rays (an implicit equality).  Every face is cut out by the
+    kept rows that hold it, so the smallest face holding rays ``p`` and
+    ``n`` holds exactly the rays in the intersection of the ray sets of the
+    kept rows in ``pmask & nmask``.  The pair is adjacent (that face is
+    two-dimensional) exactly when it holds no third ray (Fukuda & Prodon,
+    "Double description method revisited", 1996).  The kept rows of such a
+    face have rank ``d - dim lineality - 2``, so pairs with fewer common
+    kept rows are skipped first.  Implicit equalities cut nothing out but
+    count toward that number: without them the edges of a cone that is not
     full-dimensional fall short of it.
 
     The step reads the zero sets of the candidate rows alone, and a cut
@@ -295,11 +312,11 @@ def _insert(state, idx: int, a: Vec):
     no face test: the ``d - dim lineality - 2`` of its kept rows that a
     negative ray shares cut out a 2-face, which holds the two rays alone.
     Each adjacent pair meets the new hyperplane inside its own face, so no
-    new ray is made twice.  Every new vector, there and in the lineality
-    step, is :func:`combine` of two current ones, the row operation of
-    :mod:`formcones.linalg`; the lineality step leaves a generator on the
-    hyperplane as it is: it is primitive, so :func:`combine` would give it
-    back.
+    new ray is made twice.  Every new vector, on both routes and in the
+    lineality step, is :func:`combine` of two current ones, the row
+    operation of :mod:`formcones.linalg`; the lineality step leaves a
+    generator on the hyperplane as it is: it is primitive, so
+    :func:`combine` would give it back.
     """
     lin, vecs, masks, cols, cand = state
     d = len(a)
@@ -321,7 +338,6 @@ def _insert(state, idx: int, a: Vec):
         # The cone is its lineality space, inside the hyperplane.
         return lin, vecs, masks, cols, cand | bit
 
-    everyone = (1 << len(vecs)) - 1
     # <a, r> for every ray at once, column by column over the nonzero
     # entries of ``a``.
     values = None
@@ -335,61 +351,93 @@ def _insert(state, idx: int, a: Vec):
     if len(new_masks) == len(vecs):
         return lin, vecs, new_masks, cols, cand | bit
     new_vecs = [r for r, s in zip(vecs, values) if s >= 0]
-    target = d - len(lin) - 2
-    # holding[i]: the current rays tight on row i, one bit per ray, for
-    # the candidate rows.
-    holding = _transpose(masks, idx, cand)
-    # The kept rows: every implicit equality, and one row per facet of
-    # the current cone.
-    equalities, facets = _kept_rows(holding, everyone)
-    keep = sum(1 << i for i in equalities + facets)
-    fallback = []
-    for j, an in enumerate(values):
-        if an >= 0:
-            continue
-        nvec, nmask = vecs[j], masks[j]
-        tight = nmask & keep
-        if tight.bit_count() != target + 1:
-            fallback.append((nvec, nmask, an))
-            continue
-        # A simple ray: dropping one of its facets leaves an edge, whose
-        # other ray is the AND of the remaining facets' ray sets.
-        sets = [holding[i] for i in _bit_indices(tight)]
-        suffix = [everyone]
-        for h in reversed(sets):
-            suffix.append(suffix[-1] & h)
-        prefix = everyone ^ 1 << j
-        for h in sets:
+    if len(vecs) == d - len(lin) and not reduce(and_, masks):
+        # A simplicial cone: every two rays span a 2-face, so each negative
+        # ray makes an edge with every positive one.  The facet opposite
+        # ray ``i`` is the first candidate row tight on every other ray,
+        # found for all of them by prefix and suffix ANDs.
+        suffix = [cand]
+        for mask in reversed(masks):
+            suffix.append(suffix[-1] & mask)
+        prefix, opposite = cand, []
+        for i, mask in enumerate(masks):
             suffix.pop()
-            k = (prefix & suffix[-1]).bit_length() - 1
-            prefix &= h
-            ap = values[k]
-            if ap > 0:
-                new_vecs.append(combine(nvec, an, vecs[k], ap))
-                new_masks.append(masks[k] & nmask | bit)
-    # With no positive ray the cone drops to the face ``<a, x> = 0``, which
-    # rows that are not kept may cut out: every row is a candidate again.
-    cand = (bit << 1) - 1
-    for p, pmask, ap in zip(vecs, masks, values):
-        if ap <= 0:
-            continue
-        cand = keep | bit
-        if not fallback:
-            break
-        simple = (pmask & keep).bit_count() == target + 1
-        for nvec, nmask, an in fallback:
-            common = pmask & nmask
-            if (common & keep).bit_count() < target:
+            rows = prefix & suffix[-1]
+            if not rows:
+                raise InternalError(f"no candidate row is the facet opposite "
+                                    f"ray {i} at row {idx} of a "
+                                    "double-description pass")
+            opposite.append(rows & -rows)
+            prefix &= mask
+        # The positive rays in the order of their facets' rows, as the
+        # pivot takes them.
+        positive = [k for k, s in enumerate(values) if s > 0]
+        ends = [(vecs[k], masks[k], values[k])
+                for k in sorted(positive, key=opposite.__getitem__)]
+        for nvec, nmask, an in zip(vecs, masks, values):
+            if an < 0:
+                for pvec, pmask, ap in ends:
+                    new_vecs.append(combine(nvec, an, pvec, ap))
+                    new_masks.append(pmask & nmask | bit)
+        cand = sum(opposite) | bit if ends else (bit << 1) - 1
+    else:
+        everyone = (1 << len(vecs)) - 1
+        target = d - len(lin) - 2
+        # holding[i]: the current rays tight on row i, one bit per ray, for
+        # the candidate rows.
+        holding = _transpose(masks, idx, cand)
+        # The kept rows: every implicit equality, and one row per facet of
+        # the current cone.
+        equalities, facets = _kept_rows(holding, everyone)
+        keep = sum(1 << i for i in equalities + facets)
+        fallback = []
+        for j, an in enumerate(values):
+            if an >= 0:
                 continue
-            if not simple:
-                # The rays holding ``common``: ``p``, ``n`` and any third.
-                face = everyone
-                for i in _bit_indices(common & keep):
-                    face &= holding[i]
-                if face.bit_count() > 2:
+            nvec, nmask = vecs[j], masks[j]
+            tight = nmask & keep
+            if tight.bit_count() != target + 1:
+                fallback.append((nvec, nmask, an))
+                continue
+            # A simple ray: dropping one of its facets leaves an edge, whose
+            # other ray is the AND of the remaining facets' ray sets.
+            sets = [holding[i] for i in _bit_indices(tight)]
+            suffix = [everyone]
+            for h in reversed(sets):
+                suffix.append(suffix[-1] & h)
+            prefix = everyone ^ 1 << j
+            for h in sets:
+                suffix.pop()
+                k = (prefix & suffix[-1]).bit_length() - 1
+                prefix &= h
+                ap = values[k]
+                if ap > 0:
+                    new_vecs.append(combine(nvec, an, vecs[k], ap))
+                    new_masks.append(masks[k] & nmask | bit)
+        # With no positive ray the cone drops to the face ``<a, x> = 0``,
+        # which rows that are not kept may cut out: every row is a
+        # candidate again.
+        cand = (bit << 1) - 1
+        for p, pmask, ap in zip(vecs, masks, values):
+            if ap <= 0:
+                continue
+            cand = keep | bit
+            if not fallback:
+                break
+            simple = (pmask & keep).bit_count() == target + 1
+            for nvec, nmask, an in fallback:
+                common = pmask & nmask
+                if (common & keep).bit_count() < target:
                     continue
-            new_vecs.append(combine(nvec, an, p, ap))
-            new_masks.append(common | bit)
+                if not simple:
+                    # The rays holding ``common``: ``p``, ``n`` and any third.
+                    face = everyone
+                    for i in _bit_indices(common & keep):
+                        face &= holding[i]
+                    if face.bit_count() > 2:
+                        continue
+                new_vecs.append(combine(nvec, an, p, ap))
+                new_masks.append(common | bit)
     if len(set(new_masks)) < len(new_masks):
         raise InternalError(f"two rays with one zero set at row {idx} of a "
                             "double-description pass")

@@ -37,19 +37,23 @@ def omit_one_spaces():
     return out
 
 
-# The lines of _polar's row step, _insert, that mark each ray step: the pivot
-# for a simple negative ray, the pair loop's face test, and the edge a simple
-# positive ray makes with no face test.
-STEPS = {"pivot": "prefix &= h", "pair loop": "face &= holding[i]",
+# The lines of _polar's row step, _insert, that mark each ray step: the
+# simplicial route's facet sweep, once per cut of a simplicial cone, and on
+# the general route the pivot for a simple negative ray, the pair loop's face
+# test, and the edge a simple positive ray makes with no face test.
+STEPS = {"simplicial": "suffix = [cand]", "pivot": "prefix &= h",
+         "pair loop": "face &= holding[i]",
          "simple positive ray": "combine(nvec, an, p, ap)"}
 
 
 def trace_insert(build, markers, visit):
     """Run ``build``, calling ``visit(step, f_locals)`` at ``_insert``'s marker lines.
 
-    ``markers`` maps each step to a text that only its line holds.
+    ``markers`` maps each step to a text that only its line holds.  A
+    wrapper made with ``functools.wraps`` is seen through to the step.
     """
-    lines, first = inspect.getsourcelines(cones_module._insert)
+    insert = inspect.unwrap(cones_module._insert)
+    lines, first = inspect.getsourcelines(insert)
     steps = {first + i: step for i, line in enumerate(lines)
              for step, text in markers.items() if text in line}
     found = list(steps.values())
@@ -64,7 +68,7 @@ def trace_insert(build, markers, visit):
         return in_insert
 
     def calls(frame, event, arg):
-        return in_insert if frame.f_code is cones_module._insert.__code__ else None
+        return in_insert if frame.f_code is insert.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(calls)

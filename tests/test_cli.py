@@ -1,6 +1,12 @@
 import hashlib
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +17,7 @@ from formcones.cli import main, parse_n_range
 from formcones.refdata import bundled_fan_keys
 from formcones.reports import canonical_json
 from formcones.spaces import nef_cone, quadrics
-from support import trace_insert
+from support import STEPS, trace_insert
 
 X3_MOV_JSON = (
     '{"basis":["H","E_1","E_2"],"cone":"mov",'
@@ -333,27 +339,98 @@ def test_missing_reference_data_exit_code(capsys):
     assert rc == 4
 
 
-@pytest.mark.usefixtures("cold_caches")
-def test_a_wrong_edge_exits_1_with_one_line(capsys):
-    # The pivot pairs a simple negative ray with its first edge's other ray
-    # for every facet it drops, so it makes one wrong edge twice.  The step
-    # finds two rays with one zero set, and the command stops there.
-    first = {}
+def test_a_wrong_edge_exits_1_with_one_line(capsys, cold_caches):
+    # A wrong edge is planted on each route of the step, on a command that
+    # reaches that route.  The pivot pairs a simple negative ray with its
+    # first edge's other ray for every facet it drops, so it makes one wrong
+    # edge twice.  The simplicial route pairs each negative ray with its
+    # first positive ray alone, once for every positive ray.  Either way the
+    # step finds two rays with one zero set, and the command stops there.
+    # In the walk of collineations(3) the pivot's wrong edge makes no two
+    # equal zero sets; it leaves a cone that a later simplicial cut finds
+    # without a facet row.  Each command starts with cold caches, so none
+    # reuses a cone that another plant made.
+    first, planted = {}, []
 
-    def visit(step, local):
+    def pivot(step, local):
+        planted.append(step)
         if local["prefix"] == local["everyone"] ^ 1 << local["j"]:
             first["k"] = local["k"]
         else:
             local["k"] = first["k"]
 
-    ran = []
-    trace_insert(lambda: ran.append(run(capsys, "cone", "--family", "qn", "--n",
-                                        "6", "--cone", "mov")),
-                 {"pivot": "prefix &= h"}, visit)
-    [(rc, out, err)] = ran
-    assert rc == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "zero set" in err
+    def simplicial(step, local):
+        planted.append(step)
+        local["pvec"], local["pmask"], local["ap"] = local["ends"][0]
+
+    for marker, visit, argv, message in (
+            (STEPS["pivot"], pivot,
+             ("chambers", "--family", "xnm", "--n", "2", "--m", "3"),
+             "two rays with one zero set at row 4"),
+            ("combine(nvec, an, pvec, ap)", simplicial,
+             ("cone", "--family", "qn", "--n", "6", "--cone", "mov"),
+             "two rays with one zero set"),
+            (STEPS["pivot"], pivot, ("chambers", "--family", "xn", "--n", "3"),
+             "no candidate row is the facet opposite ray 2 at row 5")):
+        for cache in cold_caches:
+            cache.cache_clear()
+        spaces._last_movable.clear()
+        ran = []
+        planted.clear()
+        trace_insert(lambda: ran.append(run(capsys, *argv)), {"plant": marker},
+                     visit)
+        [(rc, out, err)] = ran
+        assert planted, argv
+        assert rc == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err, argv
+
+
+def _command(*argv, ready=-1, **popen) -> subprocess.Popen:
+    """``formcones`` run with ``argv`` in a child process, on this package.
+
+    Given a pipe's write end ``ready``, the child writes one byte to it just
+    before it calls ``main``.
+    """
+    src = Path(cli.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import os, sys; from formcones.cli import main; "
+            "ready = int(sys.argv[1]); ready < 0 or os.write(ready, b'.'); "
+            "sys.exit(main(sys.argv[2:]))")
+    return subprocess.Popen([sys.executable, "-c", code, str(ready), *argv],
+                            env=env, pass_fds=(ready,) if ready >= 0 else (),
+                            stderr=subprocess.PIPE, **popen)
+
+
+def test_a_closed_pipe_exits_141_with_no_traceback():
+    # The reader takes the first two lines of 8,192 rays and goes, as
+    # ``| head -2`` does.  The command exits as SIGPIPE would, and prints
+    # nothing more: no BrokenPipeError traceback, no line at exit.
+    child = _command("cone", "--family", "qn", "--n", "14", "--cone", "mov",
+                     stdout=subprocess.PIPE)
+    assert child.stdout.readline() == b"mov of quadrics(14): 8192 rays\n"
+    assert child.stdout.readline() == b" ".join([b"1"] + [b"0"] * 13) + b"\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+
+
+def test_an_interrupt_exits_130_with_one_line():
+    # SIGINT while Mov(quadrics(16)) is computed, which takes most of a
+    # second: the command exits with the shell's code for SIGINT and one
+    # line on stderr, not a KeyboardInterrupt traceback.
+    ready, ready_w = os.pipe()
+    child = _command("cone", "--family", "qn", "--n", "16", "--cone", "mov",
+                     "--format", "json", ready=ready_w,
+                     stdout=subprocess.DEVNULL)
+    os.close(ready_w)
+    with open(ready, "rb") as pipe:
+        assert pipe.read(1) == b"."
+    time.sleep(0.2)
+    child.send_signal(signal.SIGINT)
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 130
+    assert err == b"error: interrupted\n"
 
 
 def test_verify_ok(capsys):

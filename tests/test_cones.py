@@ -2,7 +2,9 @@ import ast
 import copy
 import importlib
 import random
+from functools import reduce, wraps
 from itertools import combinations
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -443,35 +445,37 @@ def test_insert_leaves_its_state_unchanged():
 
 # -- the ray steps of the pass -------------------------------------------------
 #
-# A negative ray tight on exactly d - 1 current facets is simple and its
-# edges are read off by the pivot; any other negative ray goes through the
-# pair loop.  There a simple positive ray makes an edge with every negative
-# one that shares d - 2 of its facets, with no face test.  ray_steps records
-# which step runs at which row.
+# A cut of a simplicial cone pairs every negative ray with every positive
+# one.  On any other cone a negative ray tight on exactly d - 1 current
+# facets is simple and its edges are read off by the pivot; any other
+# negative ray goes through the pair loop.  There a simple positive ray makes
+# an edge with every negative one that shares d - 2 of its facets, with no
+# face test.  ray_steps records which step runs at which row.
 
 
 def test_cone_over_a_cube():
     # Every ray lies on 3 of the 6 facets, in rank 4: all are simple.  The
-    # first four rows cut out a simplicial cone, which (0, 1, 0, 1) cuts by
-    # the pivot; that leaves (-1, 0, 0, 0) on four facets, and the last
-    # row removes it through the pair loop, where every positive ray is
-    # simple and needs no face test.  The facets of the cone over the
-    # octahedron are the rows of the same pass.
+    # first four rows cut out a simplicial cone, which (0, 1, 0, 1) cuts on
+    # the simplicial route; that leaves (-1, 0, 0, 0) on four facets, and
+    # the last row removes it through the pair loop, where every positive
+    # ray is simple and needs no face test.  The facets of the cone over
+    # the octahedron are the rows of the same pass.
     assert cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays == CUBE_RAYS
     assert cone_from_rays(4, OCTAHEDRON_RAYS).facets == CUBE_RAYS
     assert ray_steps(lambda: cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays) \
-        == [(4, "pivot"), (5, "simple positive ray")]
+        == [(4, "simplicial"), (5, "simple positive ray")]
 
 
 def test_cone_over_an_octahedron():
-    # Every ray lies on 4 of the 8 facets, in rank 4: none is simple.  The
-    # cones cut out on the way have simple rays, so the pivot runs at rows
-    # 3, 5 and 7, and the pair loop at row 6, where it tests faces for the
-    # positive rays that are not simple and none for those that are.
+    # Every ray lies on 4 of the 8 facets, in rank 4: none is simple.  Row 3
+    # cuts a simplicial cone, three rays and a line; the cones cut out later
+    # have simple rays, so the pivot runs at rows 5 and 7, and the pair
+    # loop at row 6, where it tests faces for the positive rays that are
+    # not simple and none for those that are.
     assert cone_from_halfspaces(4, CUBE_RAYS).rays == OCTAHEDRON_RAYS
     assert cone_from_rays(4, CUBE_RAYS).facets == OCTAHEDRON_RAYS
     assert ray_steps(lambda: cone_from_halfspaces(4, CUBE_RAYS).rays) == [
-        (3, "pivot"), (5, "pivot"), (6, "pair loop"),
+        (3, "simplicial"), (5, "pivot"), (6, "pair loop"),
         (6, "simple positive ray"), (7, "pivot")]
 
 
@@ -480,7 +484,7 @@ def test_cone_with_an_implicit_equality():
     # square in a hyperplane.  When the last row cuts off (-1, 0, 0, 0),
     # the edges from it lie on one facet and both equality rows, so they
     # reach the d - 2 common rows only with the equalities counted.  That
-    # step runs the pair loop; the pivot runs at the negated row.
+    # step runs the pair loop; the negated row cuts a simplicial cone.
     rows = ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1), (0, 0, 1, -1),
             (0, 1, 0, 1), (1, 0, 0, 1))
     c = cone_from_halfspaces(4, rows)
@@ -488,16 +492,15 @@ def test_cone_with_an_implicit_equality():
                       (1, 1, 1, 1))
     assert c.dim == 3
     assert ray_steps(lambda: cone_from_halfspaces(4, rows).rays) \
-        == [(3, "pivot"), (5, "pair loop")]
+        == [(3, "simplicial"), (5, "pair loop")]
 
 
 @pytest.mark.usefixtures("cold_caches")
 def test_every_shortcut_edge_spans_a_two_face():
     # A simple positive ray p lies on d - 1 independent kept rows, so the
     # d - 2 of them that a negative ray n shares cut out a 2-face holding p
-    # and n alone.  Checked at every edge the shortcut makes, on both sides
-    # of the duality and cofactor oracles and the fuzz cases, and in every
-    # omit-one hull and movable pass of the spaces of Picard rank 2 to 10.
+    # and n alone.  Checked at every edge the shortcut makes over
+    # _edge_corpus.
     checked = []
 
     def visit(step, local):
@@ -510,16 +513,83 @@ def test_every_shortcut_edge_spans_a_two_face():
         pair = 1 << masks.index(local["pmask"]) | 1 << masks.index(local["nmask"])
         checked.append(face == pair)
 
-    def build():
-        cases = [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
-        for d, vecs in cases + _oracle_corpus() + fuzz_cases():
-            for c in (cone_from_halfspaces(d, vecs), cone_from_rays(d, vecs)):
-                dd_convert(c)
-        for s in {spaces_module._shape(s): s for s in omit_one_spaces()}.values():
-            movable_cone(s).rays
-
-    trace_insert(build, {"edge": STEPS["simple positive ray"]}, visit)
+    trace_insert(_edge_corpus, {"edge": STEPS["simple positive ray"]}, visit)
     assert len(checked) > 1000 and all(checked)
+
+
+def _edge_corpus():
+    """Convert both sides of the duality and cofactor oracles and the fuzz
+    cases, and every omit-one hull and movable pass of the spaces of Picard
+    rank 2 to 10."""
+    cases = [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
+    for d, vecs in cases + _oracle_corpus() + fuzz_cases():
+        for c in (cone_from_halfspaces(d, vecs), cone_from_rays(d, vecs)):
+            dd_convert(c)
+    for s in {spaces_module._shape(s): s for s in omit_one_spaces()}.values():
+        movable_cone(s).rays
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_every_simplicial_edge_spans_a_two_face():
+    # The simplicial route pairs every negative ray with every positive one
+    # and tests no face.  Each pair it combines must span a 2-face: the rays
+    # tight on every row that holds both are the two rays alone.  Checked
+    # over the corpus of the shortcut test above.
+    checked = []
+
+    def visit(step, local):
+        common = local["pmask"] & local["nmask"]
+        face = [mask for mask in local["masks"] if mask & common == common]
+        checked.append(sorted(face) == sorted((local["pmask"], local["nmask"])))
+
+    trace_insert(_edge_corpus, {"edge": "combine(nvec, an, pvec, ap)"}, visit)
+    assert len(checked) > 1000 and all(checked)
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_both_routes_leave_one_state(monkeypatch):
+    # A cut of a simplicial cone leaves the state that the general route,
+    # with its kept rows, pivot and pair loop, leaves from the same state:
+    # the same rays in the same order, the same masks and the same
+    # candidates.  Only the AND of the masks being zero tells the routes
+    # apart, so a nonzero one forces the general route on the same state.
+    # The route taken is the one the state names: the general route alone
+    # calls _kept_rows.  Checked at every cut of both sides of verify's fuzz
+    # cones, the cube and the octahedron, and of Mov(quadrics(9))'s hulls
+    # and seeded pass.
+    insert, kept_rows = cones_module._insert, cones_module._kept_rows
+    forced, reads, cuts = [], [], []
+
+    def inserting(state, idx, a):
+        lin, vecs, masks, _, _ = state
+        before = len(reads)
+        got = insert(state, idx, a)
+        if any(dot(a, v) for v in lin) or all(dot(a, r) >= 0 for r in vecs):
+            return got
+        simplicial = (len(vecs) == len(a) - len(lin)
+                      and not reduce(and_, masks))
+        assert (len(reads) == before) == simplicial, (idx, a)
+        cuts.append(simplicial)
+        if simplicial:
+            forced.append(True)
+            try:
+                assert insert(state, idx, a) == got, (idx, a)
+            finally:
+                forced.clear()
+            assert len(reads) == before + 1
+        return got
+
+    monkeypatch.setattr(cones_module, "reduce",
+                        lambda f, xs: -1 if forced else reduce(f, xs))
+    monkeypatch.setattr(cones_module, "_kept_rows",
+                        lambda *args: reads.append(args) or kept_rows(*args))
+    monkeypatch.setattr(cones_module, "_insert", inserting)
+    for d, vecs in fuzz_cases() + [(4, CUBE_RAYS), (4, OCTAHEDRON_RAYS)]:
+        for c in (cone_from_halfspaces(d, vecs), cone_from_rays(d, vecs)):
+            dd_convert(c)
+    assert len(movable_cone(quadrics(9)).rays) == 256
+    # 239 cuts on the simplicial route and 84 on the general one.
+    assert (cuts.count(True), cuts.count(False)) == (239, 84)
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -767,6 +837,7 @@ def _checking_kept_rows(monkeypatch):
     insert, read_back = cones_module._insert, cones_module._read_back
     current, calls = [], []
 
+    @wraps(insert)
     def inserting(state, idx, a):
         current.append((state[2], idx))
         try:
@@ -838,11 +909,15 @@ def test_a_row_that_lowers_the_dimension_makes_every_row_a_candidate(monkeypatch
     calls = _checking_kept_rows(monkeypatch)
     cones_module._generated.cache_clear()
     h, g = cone_from_halfspaces(3, DROP_ROWS), cone_from_rays(3, DROP_ROWS)
+    simplicial = _simplicial_cuts(lambda: h.rays == g.facets)
     assert h.rays == g.facets == expected
     # The face's equality x2 = 0 as a pair, and its two facets, row 0 or 1
     # reduced modulo x2 and row 6.
     assert h.facets == ((-1, -1, 0), (0, 0, -1), (0, 0, 1), (1, 0, 0))
-    assert len(calls) == 9  # rows 3 to 6 cut in each pass, and one read-back
+    # Rows 3 to 6 cut in each pass: four cuts on the simplicial route, which
+    # calls no _kept_rows, and four on the general route, which calls it
+    # once a cut, as the read-back does.
+    assert len(calls) == 5 and len(simplicial) == 4
 
 
 def _kept_row_reads(monkeypatch):
@@ -855,16 +930,28 @@ def _kept_row_reads(monkeypatch):
     return read
 
 
+def _simplicial_cuts(build):
+    """The rows at which ``build``'s steps cut on the simplicial route."""
+    cuts = []
+    trace_insert(build, {"simplicial": STEPS["simplicial"]},
+                 lambda step, local: cuts.append(local["idx"]))
+    return cuts
+
+
 @pytest.mark.usefixtures("cold_caches")
 def test_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
-    # The unseeded pass over Mov(quadrics(12))'s rows computes its kept rows
-    # at 78 cuts.  Over every row inserted so far they would read 3,884 zero
-    # sets, up to 89 at a cut; over the candidate rows they read 1,055, at
-    # most 22.
+    # The unseeded pass over Mov(quadrics(12))'s rows cuts at 78 rows: 57 cut
+    # a simplicial cone and read no zero set, and the other 21 compute their
+    # kept rows.  Over every row inserted so far those would read 3,884 zero
+    # sets, up to 89 at a cut; over the candidate rows they read 370, at most
+    # 22.
     rows = _quadrics_12_rows()
     read = _kept_row_reads(monkeypatch)
-    assert len(cone_from_halfspaces(12, rows).rays) == 2048
-    assert (len(read), sum(read), max(read)) == (78, 1055, 22)
+    c = cone_from_halfspaces(12, rows)
+    simplicial = _simplicial_cuts(lambda: c.rays)
+    assert len(c.rays) == 2048
+    assert len(simplicial) == 57
+    assert (len(read), sum(read), max(read)) == (21, 370, 22)
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -880,15 +967,17 @@ def test_unseeded_read_back_reads_every_inserted_row(monkeypatch):
 
 @pytest.mark.usefixtures("cold_caches")
 def test_seeded_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
-    # Seeded, only the 10 of the 22 closed-form facets that cut read zero
-    # sets, 165 of them, at most 21; the other 12 are lineality steps.  The
-    # read-back reads the 22 inserted rows alone.
+    # Seeded, 10 of the 22 closed-form facets cut and the other 12 are
+    # lineality steps.  One cut is of a simplicial cone; the other 9 read
+    # zero sets, 153 of them, at most 21.  The read-back reads the 22
+    # inserted rows alone.
     mov = movable_cone(quadrics(12))
     read = _kept_row_reads(monkeypatch)
+    assert len(_simplicial_cuts(lambda: mov.rays)) == 1
     assert len(mov.rays) == 2048
-    assert (len(read), sum(read), max(read)) == (10, 165, 21)
+    assert (len(read), sum(read), max(read)) == (9, 153, 21)
     assert len(mov.facets) == 22
-    assert read[10:] == [22]
+    assert read[9:] == [22]
 
 
 # -- seeded passes -------------------------------------------------------------
