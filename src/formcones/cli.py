@@ -269,7 +269,11 @@ def main(argv=None) -> int:
         # Every computation runs serially, so the count is only validated.
         if getattr(args, "threads", 1) < 1:
             raise ValueError("thread count must be at least 1")
-        return args.func(args)
+        code = args.func(args)
+        # Output short of a full buffer is written here, not at exit, so a
+        # closed pipe is seen by the handler below.
+        sys.stdout.flush()
+        return code
     except tuple(cls for cls, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))

@@ -2,10 +2,8 @@ import hashlib
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -386,19 +384,20 @@ def test_a_wrong_edge_exits_1_with_one_line(capsys, cold_caches):
         assert message in err, argv
 
 
-def _command(*argv, ready=-1, **popen) -> subprocess.Popen:
+def _command(*argv, before="pass", **popen) -> subprocess.Popen:
     """``formcones`` run with ``argv`` in a child process, on this package.
 
-    Given a pipe's write end ``ready``, the child writes one byte to it just
-    before it calls ``main``.
+    The statements ``before`` run in the child just before it calls ``main``,
+    with ``os``, ``signal`` and ``formcones.cli`` (as ``cli``) imported.
     """
     src = Path(cli.__file__).parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    code = ("import os, sys; from formcones.cli import main; "
-            "ready = int(sys.argv[1]); ready < 0 or os.write(ready, b'.'); "
-            "sys.exit(main(sys.argv[2:]))")
-    return subprocess.Popen([sys.executable, "-c", code, str(ready), *argv],
-                            env=env, pass_fds=(ready,) if ready >= 0 else (),
+    # Without PYTHONUNBUFFERED the child's stdout is block-buffered, as it is
+    # for a command in a shell pipeline.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    code = ("import os, signal, sys; import formcones.cli as cli; "
+            f"{before}; sys.exit(cli.main(sys.argv[1:]))")
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
                             stderr=subprocess.PIPE, **popen)
 
 
@@ -415,21 +414,32 @@ def test_a_closed_pipe_exits_141_with_no_traceback():
     assert child.stderr.read() == b""
 
 
-def test_an_interrupt_exits_130_with_one_line():
-    # SIGINT while Mov(quadrics(16)) is computed, which takes most of a
-    # second: the command exits with the shell's code for SIGINT and one
-    # line on stderr, not a KeyboardInterrupt traceback.
-    ready, ready_w = os.pipe()
-    child = _command("cone", "--family", "qn", "--n", "16", "--cone", "mov",
-                     "--format", "json", ready=ready_w,
-                     stdout=subprocess.DEVNULL)
-    os.close(ready_w)
-    with open(ready, "rb") as pipe:
-        assert pipe.read(1) == b"."
-    time.sleep(0.2)
-    child.send_signal(signal.SIGINT)
+def test_a_pipe_closed_before_short_output_exits_141():
+    # ``info | true``: the reader is gone before the child writes, and all of
+    # its output fits in the stdout buffer, so the write fails when the
+    # buffer is flushed, not inside a print.
+    read, write = os.pipe()
+    os.close(read)
+    child = _command("info", stdout=write)
+    os.close(write)
     _, err = child.communicate(timeout=60)
+    assert child.returncode == 141
+    assert err == b""
+
+
+def test_an_interrupt_exits_130_with_one_line():
+    # SIGINT while the movable cone is computed: the command exits with the
+    # shell's code for SIGINT and one line on stderr, not a KeyboardInterrupt
+    # traceback.  The child signals itself from inside the cone's callee, so
+    # the interrupt lands inside ``main`` however fast the pass runs.
+    child = _command(
+        "cone", "--family", "qn", "--n", "3", "--cone", "mov",
+        before=("mov = cli.movable_cone; cli.movable_cone = lambda s: "
+                "(os.kill(os.getpid(), signal.SIGINT), mov(s))[1]"),
+        stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=60)
     assert child.returncode == 130
+    assert out == b""
     assert err == b"error: interrupted\n"
 
 

@@ -1,15 +1,14 @@
 """Mutation gate: every planted fault in the pass and the walk must fail tier-1.
 
-    python3 tools/mutants.py                 # every mutant
-    python3 tools/mutants.py simplicial-wrong-facet-row --timeout 120
+    python3 tools/mutants.py
 
 Each mutant is one text replacement in one source file, ``(file, old text,
 new text)``; its old text must occur exactly once, or the gate stops before
 it runs anything.  For each mutant the working tree, without ``.git`` and
 its caches, is copied into a fresh temporary directory, the replacement is
-made there, and tier-1 runs on the copy with ``pytest -x`` under a
-timeout.  A mutant is killed when a test fails or the run times out, and
-the first failing test is printed; it survives when tier-1 passes.  The
+made there, and tier-1 runs on the copy with ``pytest -x`` under
+``TIMEOUT``.  A mutant is killed when a test fails or the run times out,
+and the first failing test is printed; it survives when tier-1 passes.  The
 unchanged tree runs first and must pass, or no verdict means anything.
 
 The equivalent mutants stay listed with the reason they change nothing, and
@@ -19,7 +18,6 @@ killed survives, or the unchanged tree fails, and 0 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -34,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # What a copy of the working tree leaves out.
 SKIPPED = (".git", "__pycache__", ".pytest_cache", ".hypothesis")
 CONES = "src/formcones/cones.py"
+# Seconds per tier-1 run; an unchanged tree takes well under a minute.
+TIMEOUT = 240
 
 
 class Mutant(NamedTuple):
@@ -119,7 +119,7 @@ def _checked(mutants) -> None:
         sys.exit("mutants out of date:\n  " + "\n  ".join(bad))
 
 
-def _tier1(mutant: Mutant | None, timeout: float) -> tuple[str, str, float]:
+def _tier1(mutant: Mutant | None) -> tuple[str, str, float]:
     """``(verdict, first failing test, seconds)`` of tier-1 on a fresh copy."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
@@ -135,9 +135,9 @@ def _tier1(mutant: Mutant | None, timeout: float) -> tuple[str, str, float]:
                 [sys.executable, "-m", "pytest", "-q", "-x", "-p",
                  "no:cacheprovider", "--continue-on-collection-errors"],
                 cwd=copy, env=env, capture_output=True, text=True,
-                timeout=timeout)
+                timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
-            return "killed", f"(timed out after {timeout:g} s)", timeout
+            return "killed", f"(timed out after {TIMEOUT} s)", TIMEOUT
         took = time.perf_counter() - start
     if done.returncode == 0:
         return "survived", "", took
@@ -146,27 +146,16 @@ def _tier1(mutant: Mutant | None, timeout: float) -> tuple[str, str, float]:
     return "killed", failed.group(1) if failed else tail[0], took
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("names", nargs="*",
-                        help="mutants to run (default: every mutant)")
-    parser.add_argument("--timeout", type=float, default=240.0,
-                        help="seconds per tier-1 run (default 240)")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    mutants = [known[name] for name in args.names] or list(MUTANTS)
-    _checked(mutants)
-    verdict, first, took = _tier1(None, args.timeout)
+def main() -> int:
+    _checked(MUTANTS)
+    verdict, first, took = _tier1(None)
     if verdict != "survived":
         print(f"unchanged tree fails tier-1 ({took:.1f} s): {first}")
         return 1
     print(f"unchanged tree passes tier-1 in {took:.1f} s")
     missed = []
-    for m in mutants:
-        verdict, first, took = _tier1(m, args.timeout)
+    for m in MUTANTS:
+        verdict, first, took = _tier1(m)
         note = f" (equivalent: {m.equivalent})" if m.equivalent else ""
         print(f"{verdict:8}  {m.name:48} {took:6.1f} s  {first}{note}",
               flush=True)
