@@ -2,31 +2,27 @@
 
 A cone is described on two sides: the V side (lineality space and pointed
 generators) and the H side (implied-equality space and proper facet
-normals).  It is built from vectors on one side and holds the canonical
-pair of each side once computed.  Canonical form means: primitive
-vectors, the lineality (or implied-equality) space stored as a
-reduced-echelon basis and listed as plus/minus pairs, pointed vectors
-reduced modulo that space, everything sorted lexicographically.  Two
-equal cones therefore compare equal structurally.
+normals).  Canonical form means: primitive vectors, the lineality (or
+implied-equality) space stored as a reduced-echelon basis and listed as
+plus/minus pairs, pointed vectors reduced modulo that space, everything
+sorted lexicographically.  Two equal cones therefore compare equal
+structurally.
 
 The single conversion primitive is :func:`_polar`, an incremental double
 description pass: minimal generators of ``{x : <a, x> >= 0}``, one
-:func:`_insert` step per row.  Run over the given vectors, it yields the
-canonical pair of the other side, since the minimal generators of the
-dual cone are exactly the irredundant facet normals of the primal one.
-It also returns its final incidence, the tight input rows of each output
-vector, from which :func:`_read_back` recovers the canonical pair of the
-given side without a second pass.  So each cone runs at most one pass.
+:func:`_insert` step per row.  The cone some vectors generate and the cone
+they cut out are duals, and the minimal generators of the dual are the
+irredundant facet normals of the primal, so one pass converts both: it
+yields the canonical pair of the side the vectors do not describe, and
+:func:`_read_back` recovers the other from the pass's final incidence, the
+tight input rows of each output vector.  Both cones are views of one
+record per ``(ambient rank, vectors)``, which runs at most one pass.
 
 A pass can be seeded with rows expected to be facets: it inserts those
-first and any other row only if its signs on the lanes cut the cone they
-give, so a seed spares the pass its redundant rows and never changes the
-result.  Most rows of a seeded pass keep every ray of the seed's cone, so
-the pass packs those rays once, in lanes of the fewest whole bytes that
-hold every row of the pass, and checks each row against all of them at
-once: one big-int multiply-add per nonzero entry of the row and one AND
-with the lanes' top bits that finds any negative ray.  These lanes serve
-that check alone; the step classifies on the rays' columns as tuples.
+first and any other row only if it cuts the cone they give, so a seed
+spares the pass its redundant rows and never changes the result.  It packs
+the seed's rays once, in lanes of whole bytes (:func:`_pack`), and checks
+each other row against all of them at once (:func:`_lane_holds`).
 
 The one place that computes facets without building a cone is
 :func:`omit_one_hulls`: it drives the same step over many cones whose
@@ -37,20 +33,11 @@ The step and :func:`_read_back` pick the rows that cut out a cone on zero
 sets alone, and compute no rank.  This is exact because the rays involved
 are extreme: an extreme ray is fixed by the rows tight on it, and the
 smallest face holding some extreme rays is cut out by the rows tight on
-all of them.  A cut of a simplicial cone reads each facet off the rays'
-masks, one prefix and suffix AND sweep, and pairs every negative ray with
-every positive one, since any two of its rays span a 2-face.  Any other
-cut, and :func:`_read_back`, call :func:`_kept_rows` once.  The step
-reads only the zero sets of the candidate rows that the pass carries: a
-row that is not kept at one cut is not kept at a later one, unless a row
-in between lowers the dimension (Fukuda & Prodon 1996; :func:`_insert`).
-A simple ray's edges are read off its kept rows with no face test.  The
-masks stay over every inserted row, and :func:`_read_back` reads the
-zero set of each inserted row once.  The only rank test left is the
-certificate of :func:`extremal_rays`, which recomputes its tight rows by
-inner products and so stays independent of the pass.  Every vector the
-step makes comes from :func:`formcones.linalg.combine`, the row operation
-that the elimination in :mod:`formcones.linalg` uses too.
+all of them (Fukuda & Prodon 1996; :func:`_insert`).  The only rank test
+left is the certificate of :func:`extremal_rays`, which recomputes its
+tight rows by inner products and so stays independent of the pass.  Every
+vector the step makes comes from :func:`formcones.linalg.combine`, the row
+operation that the elimination in :mod:`formcones.linalg` uses too.
 """
 
 from __future__ import annotations
@@ -139,22 +126,20 @@ def _polar(rows: Mat, d: int,
     """One double-description pass over ``{x in Q^d : <a, x> >= 0 for all a}``.
 
     ``rows`` must be canonical, as :func:`_validated` makes them and every
-    :class:`Cone` holds them: nonzero, primitive, distinct and sorted.
-    Returns ``((lineality_basis, rays), (inserted, masks))``: the canonical
-    minimal generator set, and the pass's final incidence, where
-    ``inserted`` lists the rows in the order the pass inserted them and
-    ``masks[j]`` has bit ``i`` set exactly when ``inserted[i]`` is tight on
-    ``rays[j]``.  Unseeded, ``inserted`` is ``rows``, one :func:`_insert`
-    step each.
+    record holds them: nonzero, primitive, distinct and sorted.  Returns
+    ``((lineality_basis, rays), (inserted, masks))``: the canonical minimal
+    generator set, and the final incidence, where ``inserted`` lists the
+    rows in the order the pass inserted them and ``masks[j]`` has bit ``i``
+    set exactly when ``inserted[i]`` is tight on ``rays[j]``.  Unseeded,
+    ``inserted`` is ``rows``, one :func:`_insert` step each.
 
     A seeded pass inserts the rows in ``seed`` first, packs the rays they
     cut out once and checks every other row once: it holds on the seed's
     cone when it is zero on the lineality space and :func:`_lane_holds`
     finds no negative ray.  Only the rows that fail are inserted, in their
     order, after the seed's.  One round is enough: a row that holds on the
-    seed's cone holds on every cone inside it, so the inserted rows cut
-    out the cone of all the rows.  Any seed gives the same result; one
-    with no row among ``rows`` changes nothing.
+    seed's cone holds on every cone inside it.  Any seed gives the same
+    result; one with no row among ``rows`` changes nothing.
     """
     first = [a for a in rows if a in seed] if seed else []
     if not first:
@@ -247,12 +232,12 @@ def _insert(state, idx: int, a: Vec):
 
     A state is ``(lin, vecs, masks, cols, cand)``: a spanning set of the
     current lineality space, the current rays, each ray's tight rows as a
-    bitmask (bit ``i`` for the row inserted as row ``i``), the rays'
-    coordinates by column as a list of tuples, and the candidate rows as a
-    bitmask: every row that may cut out a facet or be an implicit equality
-    of the current cone, and maybe others.  Rows ``0 .. idx - 1`` must
-    have been inserted, ``a`` must be nonzero, and no part of ``state`` is
-    changed, so one state can be the start of several passes.
+    bitmask (bit ``i`` for row ``i``), the rays' coordinates by column as a
+    list of tuples, and the candidate rows as a bitmask: every row that may
+    cut out a facet or be an implicit equality of the current cone, and
+    maybe others.  Rows ``0 .. idx - 1`` must have been inserted, ``a``
+    must be nonzero, and no part of ``state`` is changed, so one state can
+    start several passes.
 
     Adjacency is decided on zero sets, as in :func:`_read_back`.  After
     each row the current rays are exactly the extreme rays (modulo the
@@ -264,59 +249,52 @@ def _insert(state, idx: int, a: Vec):
     the state alone; both leave the same state.  The simplicial route is
     taken when there are ``d - dim lineality`` rays and no inserted row is
     tight on all of them: the cone is then full-dimensional and
-    simplicial, each ray ``i`` lies on every facet but the one opposite
-    it, and every two rays span a 2-face (Fukuda & Prodon 1996).  The
-    facet opposite ray ``i`` is the first candidate row tight on every
-    other ray, which is the row the general route keeps for it; one
-    prefix and suffix AND sweep over the masks finds it for every ray, and
-    a ray with none raises :class:`InternalError`.  Each negative ray is
-    combined with every positive ray, taken in the order of their facets'
-    rows, which is the order in which the pivot below reaches them, and
-    the candidates become the facet rows and ``a``, or every row when no
-    ray is positive, as on the general route.
+    simplicial, and every two rays span a 2-face (Fukuda & Prodon 1996).
+    The facet opposite ray ``i`` is the first candidate row tight on every
+    other ray, the row the general route keeps for it; one prefix and
+    suffix AND sweep over the masks finds it for every ray, and a ray with
+    none raises :class:`InternalError`.  Each negative ray is combined with
+    every positive ray, in the order of their facets' rows, the order in
+    which the pivot below reaches them, and the candidates become the
+    facet rows and ``a``, or every row when no ray is positive.
 
     On the general route the step keeps the rows that cut out the current
     cone: one row per maximal set of tight rays (a facet) and every row
     tight on all rays (an implicit equality).  Every face is cut out by the
     kept rows that hold it, so the smallest face holding rays ``p`` and
     ``n`` holds exactly the rays in the intersection of the ray sets of the
-    kept rows in ``pmask & nmask``.  The pair is adjacent (that face is
-    two-dimensional) exactly when it holds no third ray (Fukuda & Prodon,
-    "Double description method revisited", 1996).  The kept rows of such a
-    face have rank ``d - dim lineality - 2``, so pairs with fewer common
-    kept rows are skipped first.  Implicit equalities cut nothing out but
-    count toward that number: without them the edges of a cone that is not
-    full-dimensional fall short of it.
+    kept rows in ``pmask & nmask``.  The pair is adjacent exactly when that
+    face holds no third ray (Fukuda & Prodon, "Double description method
+    revisited", 1996).  Its kept rows have rank ``d - dim lineality - 2``,
+    so pairs with fewer common kept rows are skipped first; implicit
+    equalities count toward that number, or the edges of a cone that is
+    not full-dimensional would fall short of it.
 
     The step reads the zero sets of the candidate rows alone, and a cut
-    leaves its kept rows and ``a`` as the candidates.  No row is lost.  If
-    the current cone ``P`` cut by ``<a, x> >= 0`` keeps the dimension of
-    ``P``, each of its facets is the face of ``a`` or a facet of ``P`` cut
-    down, with the same first row, and its implicit equalities are those
-    of ``P`` (Fukuda & Prodon 1996).  A row that keeps every ray changes
-    no face of ``P``, one that retires a lineality direction keeps its
-    dimension, and either joins the candidates.  The one exception is a cut
-    that leaves no positive ray: the cone drops to its face ``<a, x> = 0``,
-    on which a row not kept before can be tight on every ray or be the
-    first row with a facet's zero set, so every row is a candidate again.
+    leaves its kept rows and ``a`` as the candidates.  No row is lost: if
+    ``P`` cut by ``<a, x> >= 0`` keeps the dimension of ``P``, each of its
+    facets is the face of ``a`` or a facet of ``P`` cut down, with the same
+    first row, and its implicit equalities are those of ``P``.  A row that
+    keeps every ray or retires a lineality direction keeps the dimension
+    and joins the candidates.  A cut that leaves no positive ray drops the
+    cone to its face ``<a, x> = 0``, where a row not kept before can be
+    tight on every ray or first with a facet's zero set, so every row is a
+    candidate again.
 
     A negative ray on exactly ``d - dim lineality - 1`` kept rows is
     simple: those rows are independent facets (so there is no implicit
-    equality, as equality rows are linearly dependent), and dropping any
-    one of them leaves an edge from the ray.  The other ray of each edge
-    is the intersection of the remaining facets' ray sets, found for all
-    of them by prefix and suffix ANDs.  This is the pivot step of reverse
-    search (Avis & Fukuda, "A pivoting algorithm for convex hulls and
-    vertex enumeration", 1992).  Only the negative rays that are not
-    simple go through the pair loop, and there a simple positive ray needs
-    no face test: the ``d - dim lineality - 2`` of its kept rows that a
-    negative ray shares cut out a 2-face, which holds the two rays alone.
-    Each adjacent pair meets the new hyperplane inside its own face, so no
-    new ray is made twice.  Every new vector, on both routes and in the
-    lineality step, is :func:`combine` of two current ones, the row
-    operation of :mod:`formcones.linalg`; the lineality step leaves a
-    generator on the hyperplane as it is: it is primitive, so
-    :func:`combine` would give it back.
+    equality), and dropping any one leaves an edge whose other ray is the
+    intersection of the remaining facets' ray sets, found for all of them
+    by prefix and suffix ANDs: the pivot step of reverse search (Avis &
+    Fukuda, "A pivoting algorithm for convex hulls and vertex
+    enumeration", 1992).  The other negative rays go through the pair
+    loop, where a simple positive ray needs no face test: the ``d - dim
+    lineality - 2`` of its kept rows that a negative ray shares cut out a
+    2-face holding the two rays alone.  Each adjacent pair meets the new
+    hyperplane inside its own face, so no new ray is made twice.  Every new
+    vector is :func:`combine` of two current ones, the row operation of
+    :mod:`formcones.linalg`; the lineality step leaves a generator on the
+    hyperplane as it is, since :func:`combine` would give it back.
     """
     lin, vecs, masks, cols, cand = state
     d = len(a)
@@ -510,6 +488,8 @@ def _read_back(rows: Mat, masks: Sequence[int]) -> tuple[Mat, Mat]:
 
 
 def _merge_pairs(lineality: Mat, pointed: Mat) -> Mat:
+    if not lineality:
+        return pointed
     vecs = list(pointed)
     for b in lineality:
         vecs.append(b)
@@ -532,70 +512,77 @@ def _validated(vectors: Iterable[Sequence[int]], d: int, what: str) -> Mat:
     return tuple(sorted(out))
 
 
-# The two sides of a cone, as indices into ``Cone._pairs``.
+# The two sides of a cone, generators and normals.
 _V, _H = 0, 1
+
+
+class _Conversion:
+    """The one :func:`_polar` pass over canonical ``vectors``, from both sides.
+
+    The vectors generate a cone and cut out its dual, both views of this
+    record.  ``sides[1]``, the canonical pair of the side the vectors do
+    not describe, comes from the pass; ``sides[0]``, of the side they
+    describe, is read back from its incidence when first asked for.  Each
+    is kept with its merged list, lineality as plus/minus pairs.  ``seed``
+    holds the rows the pass inserts first, and ``certified`` the sides
+    whose rays passed :func:`extremal_rays`'s certificate.
+    """
+
+    __slots__ = ("ambient_rank", "vectors", "seed", "sides", "incidence", "certified")
+
+    def __init__(self, ambient_rank: int, vectors: Mat,
+                 seed: frozenset[Vec] = frozenset()):
+        if ambient_rank < 1:
+            raise ValueError("ambient rank must be at least 1")
+        self.ambient_rank, self.vectors, self.seed = ambient_rank, vectors, seed
+        self.sides: list = [None, None]
+        self.incidence, self.certified = None, [False, False]
+
+    def side(self, which: int) -> tuple[tuple[Mat, Mat], Mat]:
+        """``(pair, merged list)`` of side ``which``, running the pass once."""
+        if self.sides[which] is None:
+            if self.sides[1] is None:
+                pair, self.incidence = _polar(self.vectors, self.ambient_rank, self.seed)
+                self.sides[1] = pair, _merge_pairs(*pair)
+            if which == 0:
+                pair, self.incidence = _read_back(*self.incidence), None
+                self.sides[0] = pair, _merge_pairs(*pair)
+        return self.sides[which]
 
 
 class Cone:
     """A rational polyhedral cone in a fixed ambient rank.
 
     Build instances through :func:`cone_from_rays` or
-    :func:`cone_from_halfspaces`.  A cone keeps the vectors it was built
-    from, tagged with their side, and the canonical pair of each side,
-    filled lazily.  The first request runs one :func:`_polar` pass over
-    the given vectors, which yields the other side's pair; the given
-    side's pair is read back from that pass's incidence only when it is
-    first asked for.  ``rays`` and ``facets`` list the lineality
-    (respectively implied-equality) space as plus/minus pairs alongside
-    the pointed generators (respectively proper facets).
+    :func:`cone_from_halfspaces`.  A cone is a record of canonical vectors
+    and the side they describe, generators (``_V``) or normals (``_H``).
+    ``rays`` and ``facets`` list the lineality (respectively
+    implied-equality) space as plus/minus pairs alongside the pointed
+    generators (respectively proper facets).
     """
 
-    __slots__ = ("ambient_rank", "_given", "_pairs", "_incidence", "_certified",
-                 "_seed")
+    __slots__ = ("ambient_rank", "_record", "_side")
 
-    def __init__(self, ambient_rank: int, *, given=None, pairs=(None, None)):
-        if ambient_rank < 1:
-            raise ValueError("ambient rank must be at least 1")
-        self.ambient_rank = ambient_rank
-        self._given = given
-        self._pairs = list(pairs)
-        self._incidence = None
-        self._certified = False
-        # Rows the pass inserts first (:func:`_polar`); only the default
-        # route of ``movable_cone`` sets them.
-        self._seed: frozenset[Vec] = frozenset()
-
-    # -- representation plumbing -----------------------------------------
+    def __init__(self, record: _Conversion, side: int):
+        self.ambient_rank, self._record, self._side = record.ambient_rank, record, side
 
     def _pair(self, side: int) -> tuple[Mat, Mat]:
         """Canonical pair of one side: (lineality, rays) or (equalities, facets)."""
-        if self._pairs[side] is None:
-            given_side, vectors = self._given
-            if self._pairs[1 - given_side] is None:
-                self._pairs[1 - given_side], self._incidence = _polar(
-                    vectors, self.ambient_rank, self._seed)
-            if side == given_side:
-                self._pairs[side] = _read_back(*self._incidence)
-                self._incidence = None
-        return self._pairs[side]
+        return self._record.side(side ^ self._side)[0]
 
     def _halfspace_list(self) -> Mat:
         """Some valid list of defining normals (not necessarily minimal)."""
-        if self._given is not None and self._given[0] == _H:
-            return self._given[1]
-        return _merge_pairs(*self._pair(_H))
-
-    # -- public views ----------------------------------------------------
+        return self._record.vectors if self._side == _H else self.facets
 
     @property
     def rays(self) -> Mat:
         """Canonical minimal generators (lineality as plus/minus pairs)."""
-        return _merge_pairs(*self._pair(_V))
+        return self._record.side(_V ^ self._side)[1]
 
     @property
     def facets(self) -> Mat:
         """Canonical irredundant facet normals (equalities as pairs)."""
-        return _merge_pairs(*self._pair(_H))
+        return self._record.side(_H ^ self._side)[1]
 
     @property
     def lineality_dim(self) -> int:
@@ -644,10 +631,11 @@ class Cone:
         parts = [f"ambient_rank={self.ambient_rank}"]
         for side, name, given_name in ((_V, "rays", "generators"),
                                        (_H, "facets", "normals")):
-            if self._pairs[side] is not None:
-                parts.append(f"{name}={len(_merge_pairs(*self._pairs[side]))}")
-            elif self._given is not None and self._given[0] == side:
-                parts.append(f"{given_name}={len(self._given[1])}")
+            known = self._record.sides[side ^ self._side]
+            if known is not None:
+                parts.append(f"{name}={len(known[1])}")
+            elif side == self._side:
+                parts.append(f"{given_name}={len(self._record.vectors)}")
         return f"Cone({', '.join(parts)})"
 
 
@@ -655,19 +643,10 @@ def cone_from_rays(ambient_rank: int, rays: Iterable[Sequence[int]]) -> Cone:
     """Cone generated by integer ray vectors.
 
     Zero vectors raise :class:`DegenerateRay`.  An empty list gives the
-    zero cone.  Equal generators, in any order or scale, give the same
-    shared :class:`Cone`, so its pass runs once per process.
+    zero cone.  Equal generators, in any order or scale, give views of the
+    same shared record, so its pass runs once per process.
     """
-    return _generated(ambient_rank, _validated(rays, ambient_rank, "ray"))
-
-
-# Eff, Nef, the column hulls of the chamber walk and the chamber pieces are
-# built again and again.  perfbench's fans-verify command list builds 280
-# distinct cones from generators in one process; 512 holds them all in any
-# command order, where 256 evicts some and repeats 26-40 passes (seeds 1-3).
-@lru_cache(maxsize=512)
-def _generated(ambient_rank: int, gens: Mat) -> Cone:
-    return Cone(ambient_rank, given=(_V, gens))
+    return Cone(_generated(ambient_rank, _validated(rays, ambient_rank, "ray")), _V)
 
 
 def cone_from_halfspaces(ambient_rank: int,
@@ -675,18 +654,37 @@ def cone_from_halfspaces(ambient_rank: int,
     """Cone of points satisfying ``<a, x> >= 0`` for every normal ``a``.
 
     An empty list gives the full space.  Redundant normals are tolerated;
-    the canonical facet list prunes them.
+    the canonical facet list prunes them.  The cone is the dual of the cone
+    the normals generate, and shares its record and pass.
     """
-    ns = _validated(normals, ambient_rank, "normal")
-    return Cone(ambient_rank, given=(_H, ns))
+    return Cone(_generated(ambient_rank,
+                           _validated(normals, ambient_rank, "normal")), _H)
+
+
+# Eff, Nef, the walk's column hulls, pieces and chambers and verify's cones
+# recur, from either side.  fans-verify's commands fill 546 records in one
+# process (seeds 1-3, five orders each); 512 evicted 34-48 and repeated 0-14 passes.
+@lru_cache(maxsize=1024)
+def _generated(ambient_rank: int, vectors: Mat) -> _Conversion:
+    return _Conversion(ambient_rank, vectors)
+
+
+def _seeded(ambient_rank: int, normals: Iterable[Sequence[int]],
+            seed: Iterable[Sequence[int]]) -> Cone:
+    """The cone ``normals`` cut out, on a record of its own seeded with ``seed``."""
+    return Cone(_Conversion(ambient_rank, _validated(normals, ambient_rank, "normal"),
+                            frozenset(seed)), _H)
+
+
+def _known(ambient_rank: int, rays: Mat, facets: Mat) -> Cone:
+    """The pointed cone of canonical ``rays`` and ``facets``, on a record of its own."""
+    record = _Conversion(ambient_rank, rays)
+    record.sides[:] = (((), rays), rays), (((), facets), facets)
+    return Cone(record, _V)
 
 
 def dd_convert(c: Cone) -> Cone:
-    """Ensure both canonical representations are present.
-
-    Idempotent: the canonical lists depend only on the cone, not on how it
-    was described.
-    """
+    """``c``, with both canonical pairs computed; idempotent."""
     c._pair(_V)
     c._pair(_H)
     return c
@@ -695,11 +693,12 @@ def dd_convert(c: Cone) -> Cone:
 def dual(c: Cone) -> Cone:
     """The dual cone ``{a : <a, x> >= 0 for all x in c}``.
 
-    Pure representation swap: the facets of ``c`` generate the dual and
-    the rays of ``c`` are its facet normals, equality/lineality roles
-    exchanged.  Hence ``dual(dual(c)) == c`` on canonical forms.
+    The other side of the same record: the vectors that generate ``c`` cut
+    out its dual and the other way round, so the facets of ``c`` are the
+    rays of the dual, equality/lineality roles exchanged.  It runs no pass
+    and reads nothing back, and ``dual(dual(c)) == c`` on canonical forms.
     """
-    return Cone(c.ambient_rank, pairs=(c._pair(_H), c._pair(_V)))
+    return Cone(c._record, 1 - c._side)
 
 
 def intersect(a: Cone, b: Cone) -> Cone:
@@ -708,8 +707,8 @@ def intersect(a: Cone, b: Cone) -> Cone:
         raise DimensionMismatch(
             f"ambient ranks {a.ambient_rank} and {b.ambient_rank} differ"
         )
-    normals = set(a._halfspace_list()) | set(b._halfspace_list())
-    return Cone(a.ambient_rank, given=(_H, tuple(sorted(normals))))
+    return cone_from_halfspaces(a.ambient_rank,
+                                set(a._halfspace_list()) | set(b._halfspace_list()))
 
 
 def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
@@ -727,7 +726,8 @@ def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
             f"cone has lineality dimension {len(lin)}; extremal rays are "
             "only defined for pointed cones"
         )
-    if certify and pointed and not c._certified:
+    which = _V ^ c._side
+    if certify and pointed and not c._record.certified[which]:
         normals = c._halfspace_list()
         for r in pointed:
             tight = [n for n in normals if dot(n, r) == 0]
@@ -735,7 +735,7 @@ def extremal_rays(c: Cone, *, certify: bool = True) -> Mat:
                 raise InternalError(
                     f"extremality certificate failed for ray {r}"
                 )
-        c._certified = True
+        c._record.certified[which] = True
     return pointed
 
 

@@ -21,6 +21,8 @@ from typing import NamedTuple, Sequence
 
 from .cones import (
     Cone,
+    _known,
+    _seeded,
     cone_from_halfspaces,
     cone_from_rays,
     extremal_rays,
@@ -336,8 +338,8 @@ def _curves_against(divisors: Cone) -> Cone:
     rays = extremal_rays(divisors)
     if not divisors.is_full_dimensional:
         raise InternalError(f"divisor cone of dimension {divisors.dim} is not full")
-    return Cone(divisors.ambient_rank, pairs=tuple(
-        ((), tuple(sorted(map(_involution, side)))) for side in (divisors.facets, rays)))
+    return _known(divisors.ambient_rank,
+                  *(tuple(sorted(map(_involution, side))) for side in (divisors.facets, rays)))
 
 
 def mori_cone(s: SpaceSpec) -> Cone:
@@ -432,7 +434,5 @@ def movable_cone(s: SpaceSpec, *, brute_force: bool = False) -> Cone:
         normals = set(effective_cone(s).facets)
         for facets in omit_one_hulls(rho, distinct - once, once).values():
             normals.update(facets)
-        mov = cone_from_halfspaces(rho, normals)
-        mov._seed = movable_facets(s)
-        _last_movable[shape] = mov
+        _last_movable[shape] = _seeded(rho, normals, movable_facets(s))
     return _last_movable[shape]

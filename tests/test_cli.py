@@ -212,8 +212,8 @@ def test_fans_of_one_shape_merge_with_their_own_tables(capsys):
 def test_verify_cones_makes_no_noop_projection(monkeypatch, capsys):
     # Every vector the pass makes comes from ``combine``.  A lineality step
     # keeps each generator already on the new hyperplane as it is, so the
-    # cones suite makes 6,800 combinations from fresh cones; projecting
-    # every generator would make 7,653.
+    # cones suite makes 5,667 combinations from fresh cones; projecting
+    # every generator would make 6,296.
     calls = []
     combine = linalg.combine
 
@@ -225,7 +225,7 @@ def test_verify_cones_makes_no_noop_projection(monkeypatch, capsys):
     monkeypatch.setattr(cones, "combine", counting)
     rc, out, _ = run(capsys, "verify", "--suite", "cones")
     assert rc == 0 and out.endswith("\n8/8 checks passed\n")
-    assert len(calls) == 6800
+    assert len(calls) == 5667
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -258,6 +258,35 @@ def test_verify_computes_each_shape_once(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, key
     assert chambers_module._walk.cache_info().misses == 12
     assert len(cuts) == 79
+
+
+# The rows of the two walk chambers that a seeded movable pass converts first:
+# Mov's record is its own, outside the cache, so the chamber's pass repeats it.
+MOVABLE_CHAMBERS = {
+    ((0, -1), (1, 0), (1, 2), (2, 3)): 2,
+    ((0, -1, 0), (0, -1, 2), (0, 0, -1), (1, 0, 0), (1, 0, 3), (1, 2, -1),
+     (2, 3, 0)): 3,
+}
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_verify_and_the_sbl_fans_convert_each_pair_once(monkeypatch, capsys):
+    # A cone and its dual are two sides of one record, so over verify's
+    # suites and the 15 `chambers --sbl` commands in one process no
+    # (rows, d) pair is converted twice, save the two movable chambers.
+    passes = []
+    polar = cones._polar
+    monkeypatch.setattr(cones, "_polar", lambda rows, d, seed:
+                        passes.append((rows, d, seed)) or polar(rows, d, seed))
+    rc, out, _ = run(capsys, "verify", "--suite", "all")
+    assert rc == 0 and out.endswith("\n94/94 checks passed\n")
+    for flags, _ in SBL_JSON_SHA256.values():
+        assert run(capsys, "chambers", *flags.split(), "--sbl", "--format", "json")[0] == 0
+    seeds: dict = {}
+    for rows, d, seed in passes:
+        seeds.setdefault((rows, d), []).append(bool(seed))
+    repeated = {pair: got for pair, got in seeds.items() if len(got) > 1}
+    assert repeated == {pair: [True, False] for pair in MOVABLE_CHAMBERS.items()}
 
 
 X3_SBL_FLAGS, X3_SBL_SHA256 = SBL_JSON_SHA256["collineations-3-eq"]

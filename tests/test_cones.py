@@ -125,15 +125,16 @@ def test_omit_one_hulls_checks_its_vectors_as_cone_from_rays_does():
             cones_module.omit_one_hulls(2, shared, omitted)
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_repr_counts_what_the_cone_holds():
-    # Generators no other test uses, so the shared cone is still unconverted.
     c = cone_from_rays(3, [(7, 1, 0), (0, 7, 1), (1, 0, 7), (14, 2, 0)])
     assert repr(c) == "Cone(ambient_rank=3, generators=3)"
     c.rays
     assert repr(c) == "Cone(ambient_rank=3, rays=3, facets=3)"
     h = cone_from_halfspaces(2, [(1, 0), (0, 1), (1, 1)])
     assert repr(h) == "Cone(ambient_rank=2, normals=3)"
-    assert repr(dual(h)) == "Cone(ambient_rank=2, rays=2, facets=2)"
+    # The dual is the other side of h's record: it runs no pass.
+    assert repr(dual(h)) == "Cone(ambient_rank=2, generators=3)"
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -213,7 +214,7 @@ def test_extremal_rays_certifies_a_cone_once(monkeypatch):
     c = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     assert extremal_rays(c) == extremal_rays(c) == c.rays
     assert len(ranks) == len(c.rays) == 3
-    wrong = Cone(2, pairs=(((), ((0, 1), (1, 0), (1, 1))), ((), ((0, 1), (1, 0)))))
+    wrong = cones_module._known(2, ((0, 1), (1, 0), (1, 1)), ((0, 1), (1, 0)))
     for _ in range(2):
         with pytest.raises(InternalError):
             extremal_rays(wrong)
@@ -244,11 +245,54 @@ def test_cones_hashable_and_comparable():
 
 
 def test_equal_generators_share_one_cone():
-    assert cone_from_rays(3, [(2, 0, 0), (0, 1, 0)]) \
-        is cone_from_rays(3, [(0, 1, 0), (1, 0, 0)])
-    # Cones cut out by halfspaces (Mov, the chambers) are not kept.
-    assert cone_from_halfspaces(2, [(1, 0)]) \
-        is not cone_from_halfspaces(2, [(1, 0)])
+    assert cone_from_rays(3, [(2, 0, 0), (0, 1, 0)])._record \
+        is cone_from_rays(3, [(0, 1, 0), (1, 0, 0)])._record
+    # The cone the same vectors cut out is the other side of that record.
+    assert cone_from_halfspaces(3, [(0, 1, 0), (1, 0, 0)])._record \
+        is cone_from_rays(3, [(1, 0, 0), (0, 2, 0)])._record
+
+
+def _conversions(monkeypatch):
+    """Spy on the record: the rows of each ``_polar`` pass and each read-back."""
+    passes, reads = [], []
+    polar, read_back = cones_module._polar, cones_module._read_back
+    monkeypatch.setattr(cones_module, "_polar", lambda rows, d, seed:
+                        passes.append(rows) or polar(rows, d, seed))
+    monkeypatch.setattr(cones_module, "_read_back", lambda rows, masks:
+                        reads.append(rows) or read_back(rows, masks))
+    return passes, reads
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_dual_runs_no_pass(monkeypatch):
+    # The dual is the other side of the cone's record: building it runs no
+    # pass and reads nothing back, and the one pass serves both cones.
+    passes, reads = _conversions(monkeypatch)
+    c = cone_from_rays(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)])
+    d = dual(c)
+    assert repr(d) == "Cone(ambient_rank=3, normals=4)"
+    assert passes == [] and reads == []
+    assert d.rays == c.facets == ((0, 0, 1), (0, 1, 0), (1, -1, 0), (1, 0, -1))
+    assert len(passes) == 1 and reads == []
+    assert d.facets == c.rays and dual(d) == c and dual(dual(d)) == d
+    assert len(passes) == len(reads) == 1
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_the_halfspace_twin_reuses_the_pass(monkeypatch):
+    # Once the cone N generates has its facets, the cone N cuts out has its
+    # rays: the same pass read from the other side.  Every oracle and the
+    # cube and octahedron, both ways round.
+    passes, _ = _conversions(monkeypatch)
+    cases = [(rank_, gens) for _, rank_, gens, _, _ in _DUALITY_ORACLES]
+    for d, vecs in cases + [(4, CUBE_RAYS), (4, OCTAHEDRON_RAYS)]:
+        facets = cone_from_rays(d, vecs).facets
+        before = len(passes)
+        assert cone_from_halfspaces(d, vecs).rays == facets
+        assert len(passes) == before
+        scaled = [tuple(3 * x for x in v) for v in reversed(vecs)]
+        assert cone_from_halfspaces(d, scaled).rays == facets
+    assert len(passes) == len(cases) + 2
 
 
 def test_every_cache_is_bounded(cold_caches):
@@ -461,7 +505,11 @@ def test_cone_over_a_cube():
     # ray is simple and needs no face test.  The facets of the cone over
     # the octahedron are the rows of the same pass.
     assert cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays == CUBE_RAYS
+    # Both constructors share one record: each runs its own pass only
+    # when the cache is emptied before it.
+    cones_module._generated.cache_clear()
     assert cone_from_rays(4, OCTAHEDRON_RAYS).facets == CUBE_RAYS
+    cones_module._generated.cache_clear()
     assert ray_steps(lambda: cone_from_halfspaces(4, OCTAHEDRON_RAYS).rays) \
         == [(4, "simplicial"), (5, "simple positive ray")]
 
@@ -473,7 +521,9 @@ def test_cone_over_an_octahedron():
     # loop at row 6, where it tests faces for the positive rays that are
     # not simple and none for those that are.
     assert cone_from_halfspaces(4, CUBE_RAYS).rays == OCTAHEDRON_RAYS
+    cones_module._generated.cache_clear()
     assert cone_from_rays(4, CUBE_RAYS).facets == OCTAHEDRON_RAYS
+    cones_module._generated.cache_clear()
     assert ray_steps(lambda: cone_from_halfspaces(4, CUBE_RAYS).rays) == [
         (3, "simplicial"), (5, "pivot"), (6, "pair loop"),
         (6, "simple positive ray"), (7, "pivot")]
@@ -491,6 +541,7 @@ def test_cone_with_an_implicit_equality():
     assert c.rays == ((-1, -1, 1, 1), (-1, 1, 1, 1), (1, -1, 1, 1),
                       (1, 1, 1, 1))
     assert c.dim == 3
+    cones_module._generated.cache_clear()
     assert ray_steps(lambda: cone_from_halfspaces(4, rows).rays) \
         == [(3, "simplicial"), (5, "pair loop")]
 
@@ -585,7 +636,9 @@ def test_both_routes_leave_one_state(monkeypatch):
                         lambda *args: reads.append(args) or kept_rows(*args))
     monkeypatch.setattr(cones_module, "_insert", inserting)
     for d, vecs in fuzz_cases() + [(4, CUBE_RAYS), (4, OCTAHEDRON_RAYS)]:
-        for c in (cone_from_halfspaces(d, vecs), cone_from_rays(d, vecs)):
+        # The halfspace side on a record of its own, outside the cache, so
+        # both sides run their pass.
+        for c in (cones_module._seeded(d, vecs, ()), cone_from_rays(d, vecs)):
             dd_convert(c)
     assert len(movable_cone(quadrics(9)).rays) == 256
     # 239 cuts on the simplicial route and 84 on the general one.
@@ -746,14 +799,14 @@ def test_packed_pass_with_coordinates_past_64_bits(monkeypatch):
     normals = _sheared_cube_normals()
     facets = [_backward(a) for a in CROSS_RAYS]
     moved = cone_from_halfspaces(7, normals)
-    seeded = _seeded(7, normals, facets)
+    seeded = cones_module._seeded(7, normals, facets)
     inserted, packs, kept = _lane_counts(monkeypatch)
     for c in (moved, seeded):
         assert c.rays == tuple(sorted(_forward(r) for r in cube.rays))
         assert c.facets == tuple(sorted(_backward(a) for a in cube.facets))
     assert max(map(abs, sum(moved.rays, ()))) > 2 ** 64
     assert len(packs) == 1 and packs[0][1] > 8
-    assert len(kept) == len(seeded._given[1]) - len(facets) and all(kept)
+    assert len(kept) == len(seeded._record.vectors) - len(facets) and all(kept)
 
 
 def _lane_counts(monkeypatch):
@@ -786,7 +839,7 @@ def _lane_counts(monkeypatch):
 
 def _quadrics_12_rows():
     """The 144 rows of Mov(quadrics(12)), which its final pass cuts it out by."""
-    rows = movable_cone(quadrics(12))._given[1]
+    rows = movable_cone(quadrics(12))._record.vectors
     assert len(rows) == 144
     return rows
 
@@ -812,7 +865,7 @@ def test_seeded_movable_pass_of_quadrics_12_on_lanes(monkeypatch):
     # ray, and no check reads a zero set, although 110 rows are tight on
     # some.
     mov = movable_cone(quadrics(12))
-    assert len(mov._seed) == 22
+    assert len(mov._record.seed) == 22
     inserted, packs, kept = _lane_counts(monkeypatch)
     assert len(mov.rays) == 2048
     assert inserted == list(range(22))
@@ -907,8 +960,12 @@ def test_a_row_that_lowers_the_dimension_makes_every_row_a_candidate(monkeypatch
     assert states[4][4] == 0b11111
     assert states[5][4] == 0b111101
     calls = _checking_kept_rows(monkeypatch)
+    # The two constructors share a record, so the cache is emptied before
+    # each to run both passes.
     cones_module._generated.cache_clear()
-    h, g = cone_from_halfspaces(3, DROP_ROWS), cone_from_rays(3, DROP_ROWS)
+    h = cone_from_halfspaces(3, DROP_ROWS)
+    cones_module._generated.cache_clear()
+    g = cone_from_rays(3, DROP_ROWS)
     simplicial = _simplicial_cuts(lambda: h.rays == g.facets)
     assert h.rays == g.facets == expected
     # The face's equality x2 = 0 as a pair, and its two facets, row 0 or 1
@@ -986,13 +1043,6 @@ def test_seeded_movable_pass_of_quadrics_12_reads_candidate_rows(monkeypatch):
 # comes out as the unseeded pass over the same rows gives it.
 
 
-def _seeded(d, rows, seed):
-    """The cone of ``rows``, its pass seeded with ``seed``."""
-    c = cone_from_halfspaces(d, rows)
-    c._seed = frozenset(seed)
-    return c
-
-
 def test_any_seed_gives_the_oracle_cones():
     # Every subset of the rows as a seed, with and without a vector that is
     # not a row.  The oracles have lineality (halfplane, full, line) and
@@ -1008,7 +1058,7 @@ def test_any_seed_gives_the_oracle_cones():
             for size in range(len(rows) + 1):
                 for seed in combinations(rows, size):
                     for extra in ((), (other,)):
-                        c = _seeded(rank_, rows, seed + extra)
+                        c = cones_module._seeded(rank_, rows, seed + extra)
                         assert c.rays == plain.rays, (rows, seed + extra)
                         assert c.facets == plain.facets, (rows, seed + extra)
                         stray += bool(extra)
@@ -1022,7 +1072,7 @@ def test_faulty_seeds_give_the_movable_cone(s):
     # row, and with a row that is valid but not a facet.
     rho = s.picard_rank
     mov = movable_cone(s)
-    rows, facets = mov._given[1], mov._seed
+    rows, facets = mov._record.vectors, mov._record.seed
     assert facets and facets <= set(rows)
     plain = cone_from_halfspaces(rho, rows)
     redundant = next(a for a in rows if a not in facets)
@@ -1031,7 +1081,7 @@ def test_faulty_seeds_give_the_movable_cone(s):
     seeds = [facets - {f} for f in sorted(facets)]
     seeds += [facets | {stray}, facets | {redundant}]
     for seed in seeds:
-        c = _seeded(rho, rows, seed)
+        c = cones_module._seeded(rho, rows, seed)
         assert c.rays == plain.rays, seed
         assert c.facets == plain.facets, seed
     assert mov.rays == plain.rays and mov.facets == plain.facets

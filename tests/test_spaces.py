@@ -208,7 +208,7 @@ def test_brute_force_shares_nothing_with_the_default_route(monkeypatch):
     assert len(passes) == 5
     assert slow is not mov and slow.rays == rays
     assert passes == [frozenset()] * 6
-    assert mov._seed
+    assert mov._record.seed
     assert list(spaces_module._last_movable.items()) == list(slot.items())
     assert spaces_module._last_movable[next(iter(slot))] is mov
 
@@ -442,6 +442,20 @@ def test_movable_facets_in_closed_form():
     assert movable_facets(quadrics(1)) == frozenset()
 
 
+@pytest.mark.usefixtures("cold_caches")
+def test_movable_cones_stay_out_of_the_cone_cache():
+    # A movable cone's seeded record is its own, so building and converting
+    # one adds nothing to the cache of records: a cache that kept every
+    # movable cone raised `bench --family qn --n 14..16` from 54 to 70 MB.
+    # Eff, whose facets are among Mov's rows, is built first.
+    for s in (quadrics(6), collineations(4, 6), quadrics(7, stage=3)):
+        effective_cone(s).facets
+        size = cones_module._generated.cache_info().currsize
+        mov = movable_cone(s)
+        assert mov.rays and mov.facets and mov._record.seed
+        assert cones_module._generated.cache_info().currsize == size
+
+
 def test_spaces_of_one_shape_share_one_seed():
     # The seed is a function of what the shape determines, so the route a
     # shape takes does not depend on which of its spaces comes first.
@@ -452,7 +466,7 @@ def test_spaces_of_one_shape_share_one_seed():
     spaces_module._last_movable.clear()
     stage = movable_cone(quadrics(9, stage=8))
     assert movable_cone(quadrics(9)) is stage
-    assert stage._seed == movable_facets(quadrics(9))
+    assert stage._record.seed == movable_facets(quadrics(9))
 
 
 def test_seeded_movable_cones_match_the_unseeded_pass():
@@ -468,8 +482,8 @@ def test_seeded_movable_cones_match_the_unseeded_pass():
         spaces_module._last_movable.clear()
         mov = movable_cone(s)
         seed = movable_facets(s)
-        assert mov._seed == seed
-        plain = cone_from_halfspaces(shape.rank, mov._given[1])
+        assert mov._record.seed == seed
+        plain = cone_from_halfspaces(shape.rank, mov._record.vectors)
         assert mov.rays == plain.rays, s.describe()
         assert mov.facets == plain.facets, s.describe()
         seeded += bool(seed)

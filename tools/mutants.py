@@ -105,6 +105,14 @@ MUTANTS = (
            "if len(vecs) == d - len(lin):"),
     Mutant("simplicial-candidates-kept-without-positive-ray", CONES,
            "else (bit << 1) - 1", "else cand | bit"),
+    # The conversion record that a cone and its dual share.
+    Mutant("dual-keeps-the-side", CONES,
+           "return Cone(c._record, 1 - c._side)", "return Cone(c._record, c._side)"),
+    Mutant("halfspaces-give-the-generator-side", CONES,
+           'normals, ambient_rank, "normal")), _H)', 'normals, ambient_rank, "normal")), _V)'),
+    Mutant("read-back-stored-as-the-pass-output", CONES,
+           "self.sides[0] = pair, _merge_pairs(*pair)",
+           "self.sides[0] = self.sides[1] = pair, _merge_pairs(*pair)"),
 )
 
 
