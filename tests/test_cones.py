@@ -497,6 +497,7 @@ def test_insert_leaves_its_state_unchanged():
 # face test.  ray_steps records which step runs at which row.
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_cone_over_a_cube():
     # Every ray lies on 3 of the 6 facets, in rank 4: all are simple.  The
     # first four rows cut out a simplicial cone, which (0, 1, 0, 1) cuts on
@@ -514,6 +515,7 @@ def test_cone_over_a_cube():
         == [(4, "simplicial"), (5, "simple positive ray")]
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_cone_over_an_octahedron():
     # Every ray lies on 4 of the 8 facets, in rank 4: none is simple.  Row 3
     # cuts a simplicial cone, three rays and a line; the cones cut out later
@@ -529,6 +531,7 @@ def test_cone_over_an_octahedron():
         (6, "simple positive ray"), (7, "pivot")]
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_cone_with_an_implicit_equality():
     # The negated pair makes x3 = x4 an implicit equality: a cone over a
     # square in a hyperplane.  When the last row cuts off (-1, 0, 0, 0),
@@ -944,6 +947,7 @@ DROP_ROWS = ((-1, -1, -1), (-1, -1, 0), (0, -1, 0), (0, 0, -1), (0, 0, 1),
              (1, -1, 0), (1, 0, 0))
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_a_row_that_lowers_the_dimension_makes_every_row_a_candidate(monkeypatch):
     expected = _cofactor_rays(3, DROP_ROWS)
     assert expected == ((0, -1, 0), (1, -1, 0))
