@@ -44,7 +44,8 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import repeat
-from operator import add, and_, mul
+from operator import add, and_, mul, rshift
+from struct import Struct
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -185,12 +186,17 @@ class _Lanes(NamedTuple):
     ``v`` to ``v + 2 ** (8 * size - 1)`` with no carry into the next lane
     as long as ``|v| < 2 ** (8 * size - 1)``, one sign bit, and the lane's
     top bit is then set exactly when ``v >= 0``: every lane of ``x`` is
-    nonnegative when ``(half + x) & half == half``.
+    nonnegative when ``(half + x) & half == half``.  A column plus ``half``
+    is this offset form of its coordinates, which :func:`_pack` builds.
     """
 
     size: int
     half: int
     cols: tuple[int, ...]
+
+
+# Byte ``b`` of a two's-complement value to the byte that extends its sign.
+_SIGN = bytes(0 if b < 0x80 else 0xFF for b in range(256))
 
 
 def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
@@ -201,18 +207,41 @@ def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
     :func:`_lane_holds` may check.  So ``bound * reach``, with ``reach`` the
     largest absolute coordinate, bounds every ``|<a, r_j>|``.  The lanes
     have the fewest bytes that hold that value with a sign bit.
+
+    Each column is written with a few C-level calls, none per coordinate.
+    Its coordinates go out as 8-byte little-endian two's-complement limbs,
+    one ``struct`` call per limb: the low limbs unsigned, the top one
+    signed, which holds the rest as ``|x| < 2 ** (64 * limbs - 1)``.
+    Byte ``k`` of every lane is then copied by one strided slice from byte
+    ``k`` of its limbs, or, past the top limb, from the sign byte.  The
+    bytes read as the lanes' ``x mod 2 ** (8 * size)``, and XOR with
+    ``half`` turns each into ``x + 2 ** (8 * size - 1)``: it clears the top
+    bit of a negative ``x`` and sets that of a nonnegative one, as
+    ``|x| <= reach < 2 ** (8 * size - 1)``.  Taking ``half`` off leaves the
+    sum of ``x << (8 * size * j)``.
     """
     reach = max(max(max(col), -min(col)) for col in cols)
     count, size = len(cols[0]), ((bound * reach).bit_length() + 1 + 7) // 8
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
-    top, half = 1 << (8 * size - 1), ones << (8 * size - 1)
-    # Each lane is written as its coordinate ``x`` plus ``top``, which lies
-    # in ``[0, 2 * top)`` as ``|x| <= reach < top``; taking ``half`` off the
-    # column's int leaves the sum of ``x << (8 * size * j)`` over its lanes.
-    return _Lanes(size, half, tuple(
-        int.from_bytes(b"".join([(x + top).to_bytes(size, "little") for x in col]),
-                       "little") - half
-        for col in cols))
+    half = ones << (8 * size - 1)
+    limbs = reach.bit_length() // 64 + 1
+    low, high = Struct(f"<{count}Q"), Struct(f"<{count}q")
+    packed = []
+    for col in cols:
+        parts = []
+        for _ in range(limbs - 1):
+            parts.append(low.pack(*map(and_, col, repeat(2 ** 64 - 1))))
+            col = [*map(rshift, col, repeat(64))]
+        parts.append(high.pack(*col))
+        lanes = bytearray(count * size)
+        for k in range(min(size, 8 * limbs)):
+            lanes[k::size] = parts[k // 8][k % 8::8]
+        if size > 8 * limbs:
+            sign = parts[-1][7::8].translate(_SIGN)
+            for k in range(8 * limbs, size):
+                lanes[k::size] = sign
+        packed.append((int.from_bytes(lanes, "little") ^ half) - half)
+    return _Lanes(size, half, tuple(packed))
 
 
 def _lane_holds(lanes: _Lanes, a: Vec) -> bool:

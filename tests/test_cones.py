@@ -763,6 +763,35 @@ def test_lanes_at_the_edge_of_their_width(k):
                 assert cones_module._lane_holds(lanes, a) == (min(dots) >= 0)
 
 
+_EDGES = (-2 ** 63, 2 ** 63 - 1, 2 ** 63, 2 ** 64, -2 ** 64, 2 ** 127,
+          -2 ** 127, 0, 1, -1)
+
+
+@pytest.mark.parametrize("cols, bound, size", [
+    # The edges of one, two and three 64-bit limbs, in lanes narrower than
+    # three limbs and, at bound 2^70, one byte wider.
+    ((_EDGES, _EDGES[::-1]), 1, 17),
+    ((_EDGES, _EDGES[::-1]), 2 ** 70, 25),
+    (((-2 ** 63, 2 ** 63 - 1, 0), (5, -5, 2 ** 62)), 1, 9),
+    (((2 ** 63 - 1, -(2 ** 63 - 1)), (-1, 1)), 1, 8),
+    # One limb in lanes of 11 bytes: three sign bytes past the limb.
+    (((2 ** 62, -2 ** 62, 5, -1), (-1, 0, 2 ** 61, -2 ** 62)), 2 ** 20, 11),
+    # A single ray, and columns with no nonnegative coordinate.
+    (((-7,), (3,)), 2, 1),
+    (((-1, -2 ** 40, -255, -128), (-2 ** 39, -1, -256, -129)), 1, 6),
+])
+def test_packed_columns_are_the_sum_of_their_shifted_coordinates(cols, bound,
+                                                                 size):
+    # Each column is exactly sum(x_j << (8 * size * j)), and half holds the
+    # top bit of every lane.
+    lanes = cones_module._pack(cols, bound)
+    assert lanes.size == size
+    assert lanes.half == sum(1 << (8 * size * j + 8 * size - 1)
+                             for j in range(len(cols[0])))
+    assert lanes.cols == tuple(sum(x << (8 * size * j) for j, x in enumerate(col))
+                               for col in cols)
+
+
 def _shear(vec, i, j, m):
     """``vec`` with ``m`` times entry ``j`` added to entry ``i``."""
     return tuple(x + m * vec[j] if k == i else x for k, x in enumerate(vec))

@@ -49,6 +49,17 @@ MUTANTS = (
     Mutant("lane-without-sign-bit", CONES,
            "((bound * reach).bit_length() + 1 + 7) // 8",
            "((bound * reach).bit_length() + 7) // 8"),
+    # The lane writer of _pack.
+    Mutant("lane-sign-bytes-zero", CONES,
+           "sign = parts[-1][7::8].translate(_SIGN)", "sign = bytes(count)"),
+    Mutant("lane-top-limb-unsigned", CONES,
+           'Struct(f"<{count}q")', 'Struct(f"<{count}Q")'),
+    Mutant("lane-without-the-xor", CONES,
+           '(int.from_bytes(lanes, "little") ^ half) - half',
+           'int.from_bytes(lanes, "little") - half'),
+    Mutant("lane-bytes-from-the-top-limb", CONES,
+           "lanes[k::size] = parts[k // 8][k % 8::8]",
+           "lanes[k::size] = parts[-1][k % 8::8]"),
     Mutant("simple-ray-off-by-one", CONES,
            "if tight.bit_count() != target + 1:",
            "if tight.bit_count() != target:"),
