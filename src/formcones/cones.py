@@ -208,17 +208,15 @@ def _pack(cols: Sequence[Vec], bound: int) -> _Lanes:
     largest absolute coordinate, bounds every ``|<a, r_j>|``.  The lanes
     have the fewest bytes that hold that value with a sign bit.
 
-    Each column is written with a few C-level calls, none per coordinate.
-    Its coordinates go out as 8-byte little-endian two's-complement limbs,
-    one ``struct`` call per limb: the low limbs unsigned, the top one
-    signed, which holds the rest as ``|x| < 2 ** (64 * limbs - 1)``.
-    Byte ``k`` of every lane is then copied by one strided slice from byte
-    ``k`` of its limbs, or, past the top limb, from the sign byte.  The
-    bytes read as the lanes' ``x mod 2 ** (8 * size)``, and XOR with
-    ``half`` turns each into ``x + 2 ** (8 * size - 1)``: it clears the top
-    bit of a negative ``x`` and sets that of a nonnegative one, as
-    ``|x| <= reach < 2 ** (8 * size - 1)``.  Taking ``half`` off leaves the
-    sum of ``x << (8 * size * j)``.
+    A column is written with no call per coordinate: one ``struct`` call
+    per 8-byte two's-complement limb (unsigned below the top limb, signed
+    at the top, which holds the rest as ``|x| < 2 ** (64 * limbs - 1)``),
+    then one strided slice per lane byte, from the limbs or, past the top
+    one, from the sign byte.  The bytes read as each lane's
+    ``x mod 2 ** (8 * size)``; XOR with ``half`` makes that
+    ``x + 2 ** (8 * size - 1)``, the offset form of :class:`_Lanes`, as
+    ``|x| <= reach < 2 ** (8 * size - 1)``, and taking ``half`` off leaves
+    the sum of ``x << (8 * size * j)``.
     """
     reach = max(max(max(col), -min(col)) for col in cols)
     count, size = len(cols[0]), ((bound * reach).bit_length() + 1 + 7) // 8

@@ -208,11 +208,11 @@ class GradingMatrix(NamedTuple):
 _MAX_CONE_RANK = 128
 # quadrics(16) has 2^15 movable rays.  On a 2-vCPU Xeon VM with Python 3.11,
 # each run in a fresh process, `movable_cone(quadrics(16)).rays` took
-# 0.47-0.66 s (median 0.50 s) after import, omit-one hulls included, at
-# 48.5-48.8 MB peak RSS over seven runs (quadrics(15): 0.19-0.37 s, median
-# 0.22 s, at 30.5-30.8 MB, seven runs).  Each further rank doubles the ray
-# count: quadrics(17), with this bound raised, took 0.83-1.16 s at 85.5 MB
-# (3 runs).  Rank 17 stays refused until tested.
+# 0.42-0.56 s (median 0.52 s) after import, omit-one hulls included, at
+# 46.1-46.8 MB peak RSS over seven runs (quadrics(15): 0.22-0.31 s, median
+# 0.25 s, at 29.4-29.5 MB, seven runs).  Each further rank doubles the ray
+# count: quadrics(17), with this bound raised, took 1.05-1.64 s at
+# 80.6-80.8 MB (seven runs).  Rank 17 stays refused until tested.
 _MAX_MOVABLE_RANK = 16
 # The chamber walk runs in any rank, but only ranks 2 and 3 are checked
 # against reference counts.

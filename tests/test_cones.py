@@ -779,7 +779,8 @@ _EDGES = (-2 ** 63, 2 ** 63 - 1, 2 ** 63, 2 ** 64, -2 ** 64, 2 ** 127,
     # A single ray, and columns with no nonnegative coordinate.
     (((-7,), (3,)), 2, 1),
     (((-1, -2 ** 40, -255, -128), (-2 ** 39, -1, -256, -129)), 1, 6),
-])
+], ids=["limb-edges", "limb-edges-and-a-sign-byte", "two-limbs", "one-limb",
+        "sign-bytes", "single-ray", "all-negative"])
 def test_packed_columns_are_the_sum_of_their_shifted_coordinates(cols, bound,
                                                                  size):
     # Each column is exactly sum(x_j << (8 * size * j)), and half holds the
